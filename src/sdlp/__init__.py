@@ -44,13 +44,11 @@ from .oracles import (
 )
 from .protocol import (
     ExchangeTranscript,
-    heisenberg_chain,
     heisenberg_instance,
     spdke_attack,
     spdke_exchange,
 )
 from .reductions import (
-    ReductionTrace,
     recurse_through_quotient,
     reduce_to_automorphism_case,
     shift_to_power,
@@ -61,6 +59,7 @@ from .solvers import (
     OrbitProblemInstance,
     brute_solve,
     find_conjugator,
+    heisenberg_chain,
     solve,
     solve_elementary_abelian,
     solve_master,
@@ -68,6 +67,7 @@ from .solvers import (
     solve_orbit_problem,
     solve_small_order,
     solve_solvable,
+    unitriangular_chain,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 exchanges and attacks on JSON instance files.
 
 Exit codes: 0 solved/ok (including an empty solution set), 1 malformed
-input, 2 solver-not-applicable (or no solution for the attack).
+input (including non-positive exchange secrets), 2 solver-not-applicable
+(or no solution for the attack).
 """
 
 import argparse
@@ -30,9 +31,8 @@ from .groups import (
 )
 from .linalg import Matrix
 from .oracles import orbit_index_period
-from .protocol import ExchangeTranscript, heisenberg_chain, spdke_attack, spdke_exchange
-from .reductions import ReductionTrace
-from .solvers import SOLVER_NAMES, ChainLevel, NormalChain, solve
+from .protocol import ExchangeTranscript, spdke_attack, spdke_exchange
+from .solvers import CHAIN_TAGS, SOLVER_NAMES, ChainLevel, NormalChain, heisenberg_chain, solve
 
 MAX_INT = (1 << 63) - 1
 
@@ -220,7 +220,7 @@ def build_chain(spec, group: GroupHandle, where: str = "chain") -> NormalChain:
         w = f"{where}[{i}]"
         _check_keys(lvl, w, ("psi", "tag"), ("generators", "kernel_generators", "n_hint"))
         tag = lvl["tag"]
-        if tag not in ("small", "small-order", "solvable", "matrix-inner"):
+        if tag not in CHAIN_TAGS:
             _fail(f"{w}: unknown tag {tag!r}")
         gens = [parse_element(v, group, f"{w}.generators") for v in lvl.get("generators", [])]
         if not gens and i + 1 == len(spec):
@@ -349,7 +349,10 @@ def cmd_solve(args) -> int:
     doc = sol.to_json()
     doc["verified"] = True  # solvers self-verify before returning
     if args.explain:
-        doc["trace"] = ReductionTrace(config.trace).describe().splitlines()
+        doc["trace"] = []
+        for step in config.trace:
+            params = ", ".join(f"{k}={v}" for k, v in step.items() if k != "kind")
+            doc["trace"].append(f"{step['kind']}: {params}" if params else step["kind"])
     print(json.dumps(doc, sort_keys=True))
     return 0
 
@@ -375,6 +378,9 @@ def cmd_exchange(args) -> int:
         _fail("exchange needs g in the instance file")
     g = parse_element(doc["g"], group, "g")
     config = _config_from_args(args)
+    for flag, value in (("--x", args.x), ("--y", args.y)):
+        if value is not None and value < 1:
+            _fail(f"{flag}: secrets must be positive")
     if args.x is not None and args.y is not None:
         x, y = args.x, args.y
     else:

@@ -360,27 +360,6 @@ class Hom:
     def __call__(self, x):
         return self._func(x)
 
-    def then_matrix(self, M: Matrix, new_target):
-        """Compose a Vector-valued hom with a linear map on the left."""
-        return Hom(
-            self.source,
-            new_target,
-            lambda x: M.matvec(self(x)),
-            kernel_generators=self.kernel_generators,
-            description=self.description + " >> matrix",
-        )
-
-    def spot_check_hom(self, rng: random.Random, samples: int = 16):
-        """Sampled check that psi(xy) = psi(x) psi(y)."""
-        src, tgt = self.source, self.target
-        for _ in range(samples):
-            x = src.rand_element(rng)
-            y = src.rand_element(rng)
-            lhs = self(src.mul(x, y))
-            rhs = tgt.mul(self(x), self(y))
-            if tgt.label(lhs) != tgt.label(rhs):
-                raise InternalAssertionError("map is not a homomorphism on samples")
-
 
 def identity_hom(group) -> Hom:
     return Hom(group, group, lambda x: x, description="id", is_identity=True)
@@ -860,10 +839,8 @@ def restrict_endo(sigma: Endo, subgroup: Subgroup) -> Endo:
     """View sigma as an endomorphism of a subgroup it stabilizes."""
     if isinstance(sigma, ConjugationEndo):
         out = ConjugationEndo(subgroup, sigma.a)
-    elif isinstance(sigma, (PowerMapEndo, LinearMapEndo, TableEndo, ProductEndo, InducedPairEndo)):
-        out = sigma  # element-level action is unchanged
     else:
-        out = sigma
+        out = sigma  # element-level action is unchanged
     if out.cached_order is None and sigma.cached_order is not None:
         out.set_order(sigma.cached_order, sigma.cached_order_factored)
     return out

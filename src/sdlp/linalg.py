@@ -232,12 +232,6 @@ def solve_linear(M: Matrix, b) -> "tuple | None":
     return tuple(x)
 
 
-def rank_of_vectors(field, vectors) -> int:
-    if not vectors:
-        return 0
-    return Matrix(field, list(vectors)).rank()
-
-
 def extract_basis(field, vectors) -> list:
     """A maximal linearly independent subset, preserving input order."""
     basis = []
@@ -257,10 +251,6 @@ def _reduce_against(F, v, echelon):
             f = F.mul(v[p], F.inv(u[p]))
             v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, u)]
     return v
-
-
-def in_span(field, vectors, v) -> bool:
-    return rank_of_vectors(field, list(vectors) + [v]) == rank_of_vectors(field, vectors)
 
 
 def coordinates_in_basis(field, basis, v):

@@ -383,14 +383,9 @@ def _rho_round(group, base, target, n, rng):
             for k in range(g):
                 t = (t0 + k * n1) % n
                 if group.label(group.pow(base, t)) == group.label(target):
-                    return _smallest_solution(group, base, target, t, n)
+                    return t
             return None
     return None
-
-
-def _smallest_solution(group, base, target, t, n):
-    # solutions form t + ord(base) Z; t was reduced mod n = ord(base)
-    return t % n
 
 
 def _pohlig_hellman(group, base, target, n, fact, config: SolverConfig):

@@ -11,15 +11,13 @@ from .groups import (
     Endo,
     GroupHandle,
     HeisenbergGroup,
-    Hom,
     SdlpInstance,
-    VectorGroup,
     rho_pow,
     sigma_pow_apply,
 )
 from .linalg import Matrix
 from .oracles import orbit_index_period
-from .solvers import ChainLevel, NormalChain, solve
+from .solvers import heisenberg_chain, solve  # heisenberg_chain is re-exported
 
 
 @dataclass
@@ -100,31 +98,6 @@ def heisenberg_instance(p: int, seed: int = 0):
         if (g[0], g[1]) != (0, 0):
             break
     return group, sigma, g
-
-
-def heisenberg_chain(group: HeisenbergGroup) -> NormalChain:
-    """The chain 1 < Z(G) < G with elementary-abelian factors."""
-    p = group.p
-    superdiag = Hom(
-        group,
-        VectorGroup(p, 2),
-        lambda t: (t[0], t[1]),
-        kernel_generators=[(0, 0, 1)],
-        description="superdiagonal",
-    )
-    center = Hom(
-        group,
-        VectorGroup(p, 1),
-        lambda t: (t[2],),
-        kernel_generators=[],
-        description="central coordinate",
-    )
-    return NormalChain(
-        levels=[
-            ChainLevel(generators=[(0, 0, 1)], psi=center, tag="solvable"),
-            ChainLevel(generators=group.generators(), psi=superdiag, tag="solvable"),
-        ]
-    )
 
 
 def draw_secrets(group: GroupHandle, sigma: Endo, g, rng: random.Random, config: SolverConfig | None = None):

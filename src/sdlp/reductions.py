@@ -4,7 +4,6 @@ mapping sub-solutions back to solutions of the original instance.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .config import SolverConfig
 from .errors import InternalAssertionError, NotApplicableError, SdlpError
@@ -26,21 +25,6 @@ from .groups import (
 )
 from .linalg import Matrix, coordinates_in_basis, extract_basis, restrict_to_subspace
 from .oracles import ensure_endo_order
-
-
-@dataclass
-class ReductionTrace:
-    """Human-readable log of the reduction steps a solve went through."""
-
-    steps: list = field(default_factory=list)
-
-    def describe(self) -> str:
-        lines = []
-        for step in self.steps:
-            kind = step.get("kind", "?")
-            params = ", ".join(f"{k}={v}" for k, v in step.items() if k != "kind")
-            lines.append(f"{kind}: {params}" if params else kind)
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

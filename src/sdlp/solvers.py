@@ -5,7 +5,7 @@ equation before it leaves this module.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import integers
 from .config import SolverConfig
@@ -171,15 +171,16 @@ def _solve_elem_abelian_rec(inst: SdlpInstance, config: SolverConfig) -> Solutio
     if W is None:
         return _solve_elem_abelian_irreducible(inst, m, config)
 
-    # split: quotient by the minimal invariant subspace W, then descend
-    psi = _quotient_hom(grp, B, W)
-    q_inst, follow = recurse_through_quotient(inst, psi, config)
-    q_sol = _solve_elem_abelian_rec(q_inst, config)
-    sub, lift = follow(q_sol)
-    if sub is None:
-        return lift(None)
-    w_inst = _vector_subinstance(sub, W, F)
-    return lift(_solve_elem_abelian_rec(w_inst, config))
+    # split: the one-level chain V > span(W) for a minimal invariant
+    # subspace W; the kernel instance is solved in W-coordinates
+    chain = NormalChain(levels=[ChainLevel(grp.generators(), _quotient_hom(grp, B, W), tag="solvable")])
+    return _descend(
+        inst,
+        chain,
+        lambda q_inst, level, config: _solve_elem_abelian_rec(q_inst, config),
+        config,
+        bottom=lambda sub: _solve_elem_abelian_rec(_vector_subinstance(sub, W, F), config),
+    )
 
 
 def _quotient_hom(grp: VectorGroup, B: Matrix, W: list) -> Hom:
@@ -265,45 +266,64 @@ def _solve_elem_abelian_irreducible(inst: SdlpInstance, m, config: SolverConfig)
 # Case (2): solvable groups
 
 
-@dataclass
-class _GradedLevel:
-    dim: int
-    extract: object  # elem -> coordinate tuple
-    build: object  # coordinate tuple -> elem
-
-
-def _graded_levels(group: GroupHandle):
-    """Coordinate filtration for the built-in solvable families."""
-    if isinstance(group, HeisenbergGroup):
-        return [
-            _GradedLevel(2, lambda x: (x[0], x[1]), lambda v: (v[0] % group.p, v[1] % group.p, 0)),
-            _GradedLevel(1, lambda x: (x[2],), lambda v: (0, 0, v[0] % group.p)),
+def heisenberg_chain(group: HeisenbergGroup) -> NormalChain:
+    """The chain 1 < Z(G) < G with elementary-abelian factors."""
+    p = group.p
+    superdiag = Hom(
+        group,
+        VectorGroup(p, 2),
+        lambda t: (t[0], t[1]),
+        kernel_generators=[(0, 0, 1)],
+        description="superdiagonal",
+    )
+    center = Hom(
+        group,
+        VectorGroup(p, 1),
+        lambda t: (t[2],),
+        kernel_generators=[],
+        description="central coordinate",
+    )
+    return NormalChain(
+        levels=[
+            ChainLevel(generators=[(0, 0, 1)], psi=center, tag="solvable"),
+            ChainLevel(generators=group.generators(), psi=superdiag, tag="solvable"),
         ]
-    if isinstance(group, MatrixGroup):
-        if not all(_is_unitriangular(g) for g in group.generators()):
-            return None
-        d = group.d
-        F = group.field
-        e = F.degree  # each entry flattens to e prime-field coordinates
-        levels = []
-        for k in range(1, d):
-            idx = [(i, i + k) for i in range(d - k)]
+    )
 
-            def extract(M, idx=idx, F=F):
-                out = []
-                for i, j in idx:
-                    out.extend(F.to_prime_coeffs(M.rows[i][j]))
-                return tuple(out)
 
-            def build(v, idx=idx, F=F, d=d, e=e):
+def unitriangular_chain(group: MatrixGroup) -> NormalChain:
+    """The superdiagonal filtration U = U_1 > U_2 > ... > U_d = 1 of the
+    upper-unitriangular d x d matrices over F_q.
+
+    U_k holds the matrices whose first k-1 superdiagonals vanish; reading
+    off the k-th superdiagonal, each entry flattened to prime-field
+    coordinates, maps U_k onto Z_p^{(d-k)e} with kernel U_{k+1}. The levels
+    are generated inside all of U, which contains any group generated by
+    unitriangular matrices.
+    """
+    F, d = group.field, group.d
+    if not all(_is_unitriangular(x) for x in group.generators()):
+        raise NotApplicableError("composition series required")
+    p, e = F.p, F.degree
+    levels, below = [], []
+    for k in range(d - 1, 0, -1):
+        idx = [(i, i + k) for i in range(d - k)]
+        gens = []
+        for i, j in idx:
+            for c in range(e):
                 rows = [[F.one if a == b else F.zero for b in range(d)] for a in range(d)]
-                for pos, (i, j) in enumerate(idx):
-                    rows[i][j] = F.from_prime_coeffs(v[pos * e : (pos + 1) * e])
-                return Matrix(F, rows)
-
-            levels.append(_GradedLevel(len(idx) * e, extract, build))
-        return levels
-    return None
+                rows[i][j] = F.from_prime_coeffs([int(c == m) for m in range(e)])
+                gens.append(Matrix(F, rows))
+        psi = Hom(
+            group,
+            VectorGroup(p, len(gens)),
+            lambda M, idx=idx: tuple(a % p for i, j in idx for a in F.to_prime_coeffs(M.rows[i][j])),
+            kernel_generators=below,
+            description=f"superdiagonal {k}",
+        )
+        below = gens + below
+        levels.append(ChainLevel(generators=below, psi=psi, tag="solvable"))
+    return NormalChain(levels=levels)
 
 
 def _is_unitriangular(M: Matrix) -> bool:
@@ -320,11 +340,11 @@ def solve_solvable(inst: SdlpInstance, config: SolverConfig | None = None) -> So
     """SDLP on a solvable group with built-in composition structure.
 
     Supported: elementary abelian groups (delegated), cyclic groups of
-    prime order, Heisenberg groups, full upper-unitriangular matrix groups
-    over a prime field, and pair-image groups with a vector-group labeling.
-    Each filtration level maps onto Z_p^r, is solved by the
-    elementary-abelian solver, and the recursion descends into the kernel
-    with the shifted automorphism. Anything else needs an explicit chain
+    prime order, Heisenberg groups, groups generated by upper-unitriangular
+    matrices under conjugation, and pair-image groups with a vector-group
+    labeling. The Heisenberg and unitriangular filtrations are folded down
+    like a master chain, with every layer Z_p^r solved by the
+    elementary-abelian solver. Anything else needs an explicit chain
     (solve_master) and raises "composition series required".
     """
     config = config or SolverConfig()
@@ -349,13 +369,15 @@ def solve_solvable(inst: SdlpInstance, config: SolverConfig | None = None) -> So
                 base = base.parent
             inner = SdlpInstance(base, sigma.inner, inst.g[0], inst.h[0])
             return _verified(inst, solve_solvable(inner, config))
-    levels = _graded_levels(grp)
-    if levels is None:
-        raise NotApplicableError("composition series required")
-    if isinstance(grp, MatrixGroup) and not isinstance(sigma, ConjugationEndo):
+    if isinstance(grp, HeisenbergGroup):
+        chain = heisenberg_chain(grp)
+    elif isinstance(grp, MatrixGroup) and isinstance(sigma, ConjugationEndo):
+        chain = unitriangular_chain(grp)
+    else:
         raise NotApplicableError("composition series required")
     ensure_endo_order(sigma)
-    return _verified(inst, _solve_graded(inst, levels, config))
+    sol = _descend(inst, chain, lambda q_inst, level, config: _solve_elem_abelian_rec(q_inst, config), config)
+    return _verified(inst, sol)
 
 
 def _solve_prime_cyclic(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
@@ -393,63 +415,8 @@ def _solve_pair_over_vector(inst: SdlpInstance, config: SolverConfig) -> Solutio
             return c
 
         proj = Hom(grp, Vr, func, description="image coordinates")
-    q_inst, follow = recurse_through_quotient(inst, proj, config)
-    q_sol = _solve_elem_abelian_rec(q_inst, config)
-    # proj is injective on labels: the quotient answers the whole instance
-    return q_sol
-
-
-def _solve_graded(inst: SdlpInstance, levels, config: SolverConfig) -> SolutionSet:
-    grp, sigma = inst.group, inst.sigma
-    F = PrimeField(grp.p if hasattr(grp, "p") else grp.field.p)
-    p = F.p
-    builders = [
-        [lev.build(tuple(1 if i == j else 0 for j in range(lev.dim))) for i in range(lev.dim)]
-        for lev in levels
-    ]
-    cur = inst
-    lifts = []
-    for li, lev in enumerate(levels):
-        deeper = [b for lvl in builders[li + 1 :] for b in lvl]
-        source = Subgroup(grp, builders[li] + deeper)
-        _check_filtration(grp, sigma, levels, li, builders, config)
-        target = VectorGroup(p, lev.dim)
-        psi = Hom(
-            source,
-            target,
-            lambda x, lev=lev: tuple(a % p for a in lev.extract(x)),
-            kernel_generators=deeper,
-            description=f"filtration level {li + 1}",
-        )
-        q_inst, follow = recurse_through_quotient(cur, psi, config)
-        if not q_inst.sigma.is_automorphism():
-            raise NotApplicableError("automorphism does not act invertibly on a filtration layer")
-        q_sol = _solve_elem_abelian_rec(q_inst, config)
-        sub, lift = follow(q_sol)
-        lifts.append(lift)
-        if sub is None:
-            cur = None
-            break
-        cur = sub
-    if cur is None:
-        base = SolutionSet.empty()
-    else:
-        if not cur.group.is_identity(cur.g):
-            raise InternalAssertionError("descent did not reach the trivial group on g")
-        base = SolutionSet.progression(0, 1) if cur.group.is_identity(cur.h) else SolutionSet.empty()
-    for lift in reversed(lifts):
-        base = lift(base)
-    return base
-
-
-def _check_filtration(grp, sigma, levels, li, builders, config):
-    """sigma must keep each filtration layer inside itself."""
-    p = grp.p if hasattr(grp, "p") else grp.field.p
-    for b in builders[li]:
-        img = sigma.apply(b)
-        for shallower in range(li):
-            if any(a % p for a in levels[shallower].extract(img)):
-                raise NotApplicableError("automorphism does not preserve the coordinate filtration")
+    q_inst, _ = recurse_through_quotient(inst, proj, config)
+    return _solve_elem_abelian_rec(q_inst, config)
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +661,15 @@ def solve_master(inst: SdlpInstance, chain: NormalChain, config: SolverConfig | 
         raise SdlpError("not an automorphism")
     chain.validate(inst.group, inst.sigma)
     ensure_endo_order(inst.sigma)
+    return _verified(inst, _descend(inst, chain, _dispatch_tag, config))
+
+
+def _descend(inst: SdlpInstance, chain: NormalChain, solve_image, config: SolverConfig, bottom=None) -> SolutionSet:
+    """Walk the chain top-down: solve each level's image with
+    solve_image(q_inst, level, config), then descend into its kernel with
+    sigma^{n0}. The instance left in the last kernel goes to bottom
+    (default: the trivial group) and the answers lift back up. Errors name
+    their level; the caller verifies the result."""
     cur = inst
     lifts = []
     for level_index in range(len(chain.levels) - 1, -1, -1):
@@ -701,24 +677,22 @@ def solve_master(inst: SdlpInstance, chain: NormalChain, config: SolverConfig | 
         psi = _rebind_level_hom(inst.group, chain, level_index)
         try:
             q_inst, follow = recurse_through_quotient(cur, psi, config)
-            q_sol = _dispatch_tag(q_inst, level, config)
-            sub, lift = follow(q_sol)
-        except (SdlpError, NotApplicableError) as err:
+            cur, lift = follow(solve_image(q_inst, level, config))
+        except SdlpError as err:
             raise type(err)(f"chain level {level_index + 1}: {err}") from err
         lifts.append(lift)
-        if sub is None:
-            cur = None
+        if cur is None:
             break
-        cur = sub
-    if cur is None:
-        base = SolutionSet.empty()
-    else:
-        if not cur.group.is_identity(cur.g):
-            raise InternalAssertionError("chain descent did not trivialize g")
-        base = SolutionSet.progression(0, 1) if cur.group.is_identity(cur.h) else SolutionSet.empty()
+    sol = SolutionSet.empty() if cur is None else (bottom or _solve_trivial_group)(cur)
     for lift in reversed(lifts):
-        base = lift(base)
-    return _verified(inst, base)
+        sol = lift(sol)
+    return sol
+
+
+def _solve_trivial_group(inst: SdlpInstance) -> SolutionSet:
+    if not inst.group.is_identity(inst.g):
+        raise InternalAssertionError("chain descent did not trivialize g")
+    return SolutionSet.progression(0, 1) if inst.group.is_identity(inst.h) else SolutionSet.empty()
 
 
 def _rebind_level_hom(group, chain: NormalChain, level_index: int) -> Hom:
@@ -738,50 +712,50 @@ def _rebind_level_hom(group, chain: NormalChain, level_index: int) -> Hom:
 
 
 def _dispatch_tag(q_inst: SdlpInstance, level: ChainLevel, config: SolverConfig) -> SolutionSet:
-    tag = level.tag
-    if tag == "small":
-        return brute_solve(q_inst, config)
-    if tag == "small-order":
-        return solve_small_order(q_inst, config)
-    if tag == "solvable":
-        return solve_solvable(q_inst, config)
-    if tag == "matrix-inner":
-        cfg = config
-        if level.n_hint:
-            from dataclasses import replace
-
-            cfg = replace(config, matrix_inner_max_k=level.n_hint, trace=config.trace)
-        return solve_matrix_inner(q_inst, cfg)
-    raise SdlpError(f"unknown chain tag {tag!r}")
+    if level.tag not in CHAIN_TAGS:
+        raise SdlpError(f"unknown chain tag {level.tag!r}")
+    if level.tag == "matrix-inner" and level.n_hint:
+        config = replace(config, matrix_inner_max_k=level.n_hint)
+    return _SOLVERS[level.tag](q_inst, config)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
+def _own_chain(inst: SdlpInstance) -> NormalChain:
+    if inst.chain is None:
+        raise SdlpError("master solver needs a chain")
+    return inst.chain
+
+
+# The one name -> solver table. `solve` takes the names in SOLVER_NAMES and
+# chain levels the tags in CHAIN_TAGS; a "small" level skips the check that
+# "brute" makes, because solve_master checks the whole answer. Each entry
+# looks its solver up when called, so wrappers bound over the module-level
+# names are honoured.
+_SOLVERS = {
+    "auto": lambda inst, config: _solve_auto(inst, config),
+    "brute": lambda inst, config: _verified(inst, brute_solve(inst, config)),
+    "small": lambda inst, config: brute_solve(inst, config),
+    "small-order": lambda inst, config: solve_small_order(inst, config),
+    "elem-abelian": lambda inst, config: solve_elementary_abelian(inst, config),
+    "solvable": lambda inst, config: solve_solvable(inst, config),
+    "matrix-inner": lambda inst, config: solve_matrix_inner(inst, config),
+    "master": lambda inst, config: solve_master(inst, _own_chain(inst), config),
+}
 SOLVER_NAMES = ("auto", "brute", "small-order", "elem-abelian", "solvable", "matrix-inner", "master")
+CHAIN_TAGS = ("small", "small-order", "solvable", "matrix-inner")
 
 
 def solve(inst: SdlpInstance, config: SolverConfig | None = None, solver: str = "auto") -> SolutionSet:
-    """Entry point: dispatch an instance to a solver path and verify."""
+    """Entry point: dispatch an instance to a solver path and verify. Each
+    call starts config.trace afresh."""
     config = config or SolverConfig()
-    if solver == "brute":
-        return _verified(inst, brute_solve(inst, config))
-    if solver == "small-order":
-        return solve_small_order(inst, config)
-    if solver == "elem-abelian":
-        return solve_elementary_abelian(inst, config)
-    if solver == "solvable":
-        return solve_solvable(inst, config)
-    if solver == "matrix-inner":
-        return solve_matrix_inner(inst, config)
-    if solver == "master":
-        if inst.chain is None:
-            raise SdlpError("master solver needs a chain")
-        return solve_master(inst, inst.chain, config)
-    if solver != "auto":
+    if solver not in SOLVER_NAMES:
         raise SdlpError(f"unknown solver {solver!r}")
-    return _solve_auto(inst, config)
+    config.trace = []
+    return _SOLVERS[solver](inst, config)
 
 
 def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
@@ -808,12 +782,13 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
         if n <= config.small_order_bound and _cheap_order_estimate(grp) is not None:
             try:
                 return solve_small_order(inst, config)
-            except (NotApplicableError, SdlpError):
-                pass
+            except SdlpError as err:
+                config.record("declined", solver="small-order", reason=str(err))
         return solve_matrix_inner(inst, config)
     try:
         return solve_small_order(inst, config)
-    except (NotApplicableError, SdlpError):
+    except SdlpError as err:
+        config.record("declined", solver="small-order", reason=str(err))
         return _verified(inst, brute_solve(inst, config))
 
 

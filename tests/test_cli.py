@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sdlp.cli import main
 
 HEISENBERG_INSTANCE = {
@@ -9,6 +11,9 @@ HEISENBERG_INSTANCE = {
     "h": [1, 2, 3],
     "chain": "heisenberg-default",
 }
+
+# the example instance file of the README
+README_INSTANCE = dict(HEISENBERG_INSTANCE, h=[5, 1, 0])
 
 CYCLIC_INSTANCE = {
     "group": {"family": "cyclic", "n": 8},
@@ -71,6 +76,26 @@ class TestSolve:
         assert code == 0
         doc = json.loads(out)
         assert any("quotient-recursion" in line for line in doc["trace"])
+
+    @pytest.mark.parametrize("solver", ["master", "solvable", "auto"])
+    def test_readme_explain_output_is_pinned(self, tmp_path, capsys, solver):
+        # the master chain and the built-in filtration descend alike
+        path = write(tmp_path, README_INSTANCE)
+        code, out, _ = run(capsys, "solve", "--instance", path, "--explain", "--solver", solver)
+        assert code == 0
+        assert out == (
+            '{"kind": "empty", "trace": ["quotient-recursion: image=Vector(7,2)", '
+            '"quotient-recursion: image=Vector(7,1)", "quotient-recursion-descend: t0=4, n0=6"], '
+            '"verified": true}\n'
+        )
+
+    def test_explain_records_declined_solvers(self, tmp_path, capsys):
+        # sigma has order 2048 > 1024, so auto falls back from small-order to brute
+        doc = {"group": {"family": "cyclic", "n": 8192}, "sigma": {"kind": "power", "e": 3}, "g": 1, "h": 5}
+        path = write(tmp_path, doc)
+        code, out, _ = run(capsys, "solve", "--instance", path, "--explain")
+        assert code == 0
+        assert json.loads(out)["trace"] == ["declined: solver=small-order, reason=automorphism order too large"]
 
     def test_matrix_group_with_modulus(self, tmp_path, capsys):
         doc = {
@@ -148,6 +173,12 @@ class TestExchangeAttack:
         assert code == 0
         doc = json.loads(out)
         assert doc["A"] == doc["B"] == [1, 2, 3]
+
+    @pytest.mark.parametrize("flag", ["--x", "--y"])
+    def test_exchange_non_positive_secret_exits_1(self, tmp_path, capsys, flag):
+        inst = write(tmp_path, HEISENBERG_INSTANCE)
+        code, out, err = run(capsys, "exchange", "--instance", inst, "--x", "4", "--y", "9", flag, "0")
+        assert code == 1 and out == "" and "secrets must be positive" in err
 
     def test_tampered_attack_exits_2(self, tmp_path, capsys):
         inst = write(tmp_path, HEISENBERG_INSTANCE)

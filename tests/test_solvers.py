@@ -47,6 +47,7 @@ from sdlp.solvers import (
     solve_orbit_problem,
     solve_small_order,
     solve_solvable,
+    unitriangular_chain,
 )
 
 F5 = PrimeField(5)
@@ -170,6 +171,7 @@ class TestSolveSolvable:
         got = solve_solvable(inst, CFG)
         assert got.contains(77)
         assert got == brute_solve(inst, SolverConfig(max_walk=1 << 18))
+        assert solve_master(inst, unitriangular_chain(G), CFG) == got
 
     def test_unitriangular_over_extension_field(self):
         rng = random.Random(13)
@@ -192,6 +194,17 @@ class TestSolveSolvable:
         got = solve_solvable(inst, SolverConfig(max_walk=1 << 16))
         assert got.contains(91)
         assert got == brute_solve(inst, SolverConfig(max_walk=1 << 16))
+        assert solve_master(inst, unitriangular_chain(G), SolverConfig(max_walk=1 << 16)) == got
+
+    def test_filtration_must_be_invariant(self):
+        # a lower-triangular conjugator moves the superdiagonal filtration
+        F = PrimeField(5)
+        gens = [Matrix(F, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]), Matrix(F, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])]
+        G = MatrixGroup(F, 3, gens)
+        sigma = ConjugationEndo(G, Matrix(F, [[2, 0, 0], [1, 3, 0], [1, 0, 4]]))
+        g = Matrix(F, [[1, 2, 3], [0, 1, 4], [0, 0, 1]])
+        with pytest.raises(SdlpError, match="kernel not invariant"):
+            solve_solvable(SdlpInstance(G, sigma, g, G.identity), CFG)
 
     def test_composition_series_required(self):
         C = CyclicGroup(12)  # composite: no built-in series
@@ -467,6 +480,24 @@ class TestAutoDispatch:
             except NotApplicableError:
                 continue
             assert solve(inst, CFG) == want
+
+    def test_declines_are_recorded(self):
+        # sigma has order 2048 > 1024: small-order declines, brute answers
+        C = CyclicGroup(8192)
+        cfg = SolverConfig()
+        inst = SdlpInstance(C, PowerMapEndo(C, 3), 1, 5)
+        assert solve(inst, cfg) == SolutionSet.progression(3623, 4096)
+        assert cfg.trace == [{"kind": "declined", "solver": "small-order", "reason": "automorphism order too large"}]
+
+    def test_each_solve_starts_a_fresh_trace(self):
+        H = HeisenbergGroup(7)
+        sigma = ConjugationEndo(H, Matrix(H.field, [[3, 2, 1], [0, 2, 4], [0, 0, 5]]))
+        inst = SdlpInstance(H, sigma, (1, 2, 3), (5, 1, 0), chain=heisenberg_chain(H))
+        cfg = SolverConfig()
+        solve(inst, cfg)
+        first = len(cfg.trace)
+        solve(inst, cfg)
+        assert first > 0 and len(cfg.trace) == first
 
     def test_unknown_solver_rejected(self):
         rng = random.Random(11)
