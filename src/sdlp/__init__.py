@@ -10,7 +10,7 @@ checkable against brute force.
 """
 
 from .config import SolverConfig
-from .errors import InstanceFormatError, InternalAssertionError, NotApplicableError, SdlpError
+from .errors import InstanceFormatError, InternalAssertionError, NoSolutionError, NotApplicableError, SdlpError
 from .groups import (
     ConjugationEndo,
     CyclicGroup,

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .config import SolverConfig, default_seed
-from .errors import InstanceFormatError, InternalAssertionError, NotApplicableError, SdlpError
+from .errors import InstanceFormatError, InternalAssertionError, NoSolutionError, NotApplicableError, SdlpError
 from .ff import field_of_size
 from .groups import (
     ConjugationEndo,
@@ -435,10 +435,10 @@ def cmd_attack(args) -> int:
         key, x_prime = spdke_attack(tr, config, solver=args.solver)
     except InternalAssertionError:
         raise
+    except NoSolutionError:
+        print(json.dumps({"error": "no solution"}))
+        return 2
     except SdlpError as err:
-        if "no solution" in str(err):
-            print(json.dumps({"error": "no solution"}))
-            return 2
         print(f"solver not applicable: {err}", file=sys.stderr)
         return 2
     out = {"key": element_to_json(key, group), "x": x_prime}

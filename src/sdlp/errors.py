@@ -9,6 +9,11 @@ class NotApplicableError(SdlpError):
     """A solver or oracle declined the instance (wrong shape, bound exceeded)."""
 
 
+class NoSolutionError(SdlpError):
+    """The instance is well formed but has no solution (e.g. a transcript
+    element outside the orbit)."""
+
+
 class InstanceFormatError(SdlpError):
     """Malformed instance file or element literal."""
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from . import integers
 from .config import SolverConfig
 from .errors import NotApplicableError, SdlpError
+from .ff import Poly, _poly_half_ext_gcd, factor_degrees
 from .groups import Endo, GroupHandle, rho_apply, rho_pow
 
 
@@ -65,6 +66,89 @@ class UnitGroup(GroupHandle):
         return f"Units({self.fld!r})"
 
 
+class PolyUnitGroup(GroupHandle):
+    """Unit group of the ring F[x]/(f) for a monic f, as a labeled handle
+    for the order and dlog oracles. Elements are coefficient tuples of
+    length deg f, constant term first."""
+
+    name = "poly-units"
+
+    def __init__(self, fld, modulus: Poly):
+        if modulus.degree() < 1 or not modulus.is_monic():
+            raise SdlpError("modulus must be monic of degree >= 1")
+        self.fld = fld
+        self.modulus = modulus
+        self.degree = modulus.degree()
+        # x^deg f = sum_k t_k x^k mod f; reducing adds multiples of the
+        # nonzero (k, t_k) and needs no field inversion
+        self._tail = [(k, fld.neg(c)) for k, c in enumerate(modulus.coeffs[:-1]) if c != fld.zero]
+
+    def element(self, coeffs):
+        """The class of sum_i coeffs[i] x^i."""
+        raw = list(coeffs) + [self.fld.zero] * (self.degree - len(coeffs))
+        return self._reduce(raw)
+
+    @property
+    def identity(self):
+        return self.element([self.fld.one])
+
+    def mul(self, x, y):
+        F = self.fld
+        add, mul, zero = F.add, F.mul, F.zero
+        xs = [(i, a) for i, a in enumerate(x) if a != zero]
+        raw = [zero] * (2 * self.degree - 1)
+        if x is y:  # squaring: each cross product once, doubled
+            for s, (i, a) in enumerate(xs):
+                raw[2 * i] = add(raw[2 * i], mul(a, a))
+                for k, b in xs[s + 1 :]:
+                    ab = mul(a, b)
+                    raw[i + k] = add(raw[i + k], add(ab, ab))
+        else:
+            ys = [(k, b) for k, b in enumerate(y) if b != zero]
+            for i, a in xs:
+                for k, b in ys:
+                    raw[i + k] = add(raw[i + k], mul(a, b))
+        return self._reduce(raw)
+
+    def _reduce(self, raw):
+        F = self.fld
+        add, mul, zero = F.add, F.mul, F.zero
+        e = self.degree
+        for i in range(len(raw) - 1, e - 1, -1):
+            c = raw[i]
+            if c != zero:
+                for k, t in self._tail:
+                    raw[i - e + k] = add(raw[i - e + k], mul(c, t))
+        return tuple(raw[:e])
+
+    def pow(self, x, n: int):
+        # Left to right, so that every multiply is by x itself; the orbit
+        # solver's base is the class of x, for which that product costs
+        # O(deg f) field products instead of O(deg f ^ 2).
+        if n <= 0:
+            return self.identity if n == 0 else self.pow(self.inv(x), -n)
+        out = x
+        for bit in bin(n)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, x)
+        return out
+
+    def inv(self, x):
+        F = self.fld
+        g, s = _poly_half_ext_gcd(Poly(F, list(x)), self.modulus)
+        if g.degree() != 0:
+            raise SdlpError("element is not a unit modulo f")
+        return self.element(s.scale(F.inv(g.coeffs[0])).coeffs)
+
+    def label(self, x):
+        to_int = self.fld.to_int
+        return tuple(to_int(c) for c in x)
+
+    def exponent_multiple(self):
+        return _unit_exponent_multiple(self.fld, self.modulus)
+
+
 # ---------------------------------------------------------------------------
 # element and endomorphism orders
 
@@ -102,19 +186,21 @@ def element_order(group: GroupHandle, x, factored_multiple: dict | None = None):
 
 
 def matrix_order_multiple(A) -> dict:
-    """Factored multiple of ord(A): lcm(q^e - 1) over the factor degrees e
-    of the minimal polynomial, times the p-part for repeated factors."""
-    from .ff import factor_degrees
+    """Factored multiple of ord(A), read off its minimal polynomial."""
     from .linalg import min_poly
 
-    F = A.field
-    m = min_poly(A)
-    p = F.char
+    return _unit_exponent_multiple(A.field, min_poly(A))
+
+
+def _unit_exponent_multiple(fld, f: Poly) -> dict:
+    """Factored multiple of the exponent of (F[x]/(f))^*: lcm(q^e - 1) over
+    the factor degrees e of f, times the p-part for repeated factors."""
+    p = fld.char
     out: dict = {}
-    for e in factor_degrees(m):
-        out = integers.merge_lcm(out, integers.factor_prime_power_minus_one(p, F.degree * e))
+    for e in factor_degrees(f):
+        out = integers.merge_lcm(out, integers.factor_prime_power_minus_one(p, fld.degree * e))
     k = 0
-    while p**k < max(1, m.degree()):
+    while p**k < max(1, f.degree()):
         k += 1
     if k:
         out = integers.merge_lcm(out, {p: k})
@@ -380,10 +466,13 @@ def _rho_round(group, base, target, n, rng):
             # r*t = a-A (mod n); enumerate the g candidates
             n1 = n // g
             t0 = (base_t // g) * pow(r // g, -1, n1) % n1
+            want = group.label(target)
+            cur = group.pow(base, t0)
+            stride = group.pow(base, n1)
             for k in range(g):
-                t = (t0 + k * n1) % n
-                if group.label(group.pow(base, t)) == group.label(target):
-                    return t
+                if group.label(cur) == want:
+                    return t0 + k * n1
+                cur = group.mul(cur, stride)
             return None
     return None
 

@@ -5,7 +5,7 @@ import random
 from dataclasses import dataclass
 
 from .config import SolverConfig
-from .errors import SdlpError
+from .errors import NoSolutionError, SdlpError
 from .groups import (
     ConjugationEndo,
     Endo,
@@ -67,7 +67,7 @@ def spdke_attack(transcript: ExchangeTranscript, config: SolverConfig | None = N
     inst = SdlpInstance(grp, sigma, transcript.g, transcript.A, chain=getattr(transcript, "chain", None))
     sol = solve(inst, config, solver=solver)
     if sol.is_empty():
-        raise SdlpError("no solution: transcript element is outside the orbit")
+        raise NoSolutionError("no solution: transcript element is outside the orbit")
     x_prime = sol.smallest()
     key = grp.mul(transcript.A, sigma_pow_apply(sigma, x_prime, transcript.B))
     return key, x_prime

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from . import integers
 from .config import SolverConfig
 from .errors import InternalAssertionError, NotApplicableError, SdlpError
-from .ff import ExtField, PrimeField
+from .ff import ExtField, Poly, PrimeField
 from .groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -39,6 +39,7 @@ from .linalg import (
     solve_linear,
 )
 from .oracles import (
+    PolyUnitGroup,
     UnitGroup,
     dlog,
     element_order,
@@ -534,9 +535,10 @@ class OrbitProblemInstance:
 def solve_orbit_problem(opi: OrbitProblemInstance, config: SolverConfig | None = None):
     """Smallest t >= 0 with Phi^t a = b, or None.
 
-    Kannan-Lipton style: build the Krylov space W of a, restrict Phi to W
-    (companion matrix A in the Krylov basis), check membership of b, and
-    solve the Matrix Power Problem A^t = B by dlog in <A>.
+    Kannan-Lipton style: the Krylov space W of a is F[x]/(f), with f the
+    monic annihilator of a under Phi, Phi^i a <-> x^i, and Phi acting as
+    multiplication by x. Once b is in W with coordinates c_b, Phi^t a = b
+    becomes x^t = c_b(x) mod f, a dlog in the unit group of F[x]/(f).
     """
     sol = _orbit_problem_set(opi, config or SolverConfig())
     if sol.is_empty():
@@ -545,6 +547,7 @@ def solve_orbit_problem(opi: OrbitProblemInstance, config: SolverConfig | None =
 
 
 def _orbit_problem_set(opi: OrbitProblemInstance, config: SolverConfig) -> SolutionSet:
+    """{t : Phi^t a = b} as {t0 + ord(x) k}, solved in (F[x]/(f))^*."""
     F = opi.field
     if all(a == F.zero for a in opi.a):
         if all(b == F.zero for b in opi.b):
@@ -554,31 +557,22 @@ def _orbit_problem_set(opi: OrbitProblemInstance, config: SolverConfig) -> Solut
         raise SdlpError("orbit problem needs an invertible map")
     krylov = [opi.a]
     cur = opi.phi.matvec(opi.a)
-    while coordinates_in_basis(F, krylov, cur) is None:
+    while (dep := coordinates_in_basis(F, krylov, cur)) is None:
         krylov.append(cur)
         cur = opi.phi.matvec(cur)
-    j = len(krylov)
-    dep = coordinates_in_basis(F, krylov, cur)
-    cols = []
-    for i in range(1, j):
-        cols.append(tuple(F.one if r == i else F.zero for r in range(j)))
-    cols.append(dep)
-    A = Matrix.from_columns(F, cols)
     c_b = coordinates_in_basis(F, krylov, opi.b)
     if c_b is None:
         return SolutionSet.empty()
-    B_cols = [c_b]
-    for _ in range(j - 1):
-        B_cols.append(A.matvec(B_cols[-1]))
-    B_mat = Matrix.from_columns(F, B_cols)
-    handle = MatrixGroup(F, j, [])
-    ord_A, fact = element_order(handle, A)
-    t = dlog(handle, A, B_mat, factored_order=fact, config=config)
+    # Phi^j a = sum dep_i Phi^i a, so f = x^j - sum dep_i x^i
+    ring = PolyUnitGroup(F, Poly(F, [F.neg(c) for c in dep] + [F.one]))
+    x = ring.element([F.zero, F.one])
+    period, fact = element_order(ring, x)
+    t = dlog(ring, x, ring.element(c_b), factored_order=fact, config=config)
     if t is None:
         return SolutionSet.empty()
     if (opi.phi**t).matvec(opi.a) != tuple(opi.b):
         raise InternalAssertionError("orbit problem self-verification failed")
-    return SolutionSet.progression(t, ord_A)
+    return SolutionSet.progression(t, period)
 
 
 def _matrix_view(inst: SdlpInstance):

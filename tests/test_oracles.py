@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_cyclic_instance, random_vector_instance
 from sdlp.config import SolverConfig
-from sdlp.errors import NotApplicableError
-from sdlp.ff import ExtField, Poly, PrimeField
+from sdlp.errors import NotApplicableError, SdlpError
+from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -19,6 +19,7 @@ from sdlp.groups import (
 from sdlp.linalg import Matrix
 from sdlp.oracles import (
     OrbitShape,
+    PolyUnitGroup,
     UnitGroup,
     dlog,
     element_order,
@@ -140,6 +141,35 @@ class TestElementOrder:
         G = MatrixGroup(F5, 2, [])
         n, fact = element_order(G, B)
         assert n == 3 and fact == {3: 1}
+
+
+class TestPolyUnitGroup:
+    @pytest.mark.parametrize("q", [2, 4, 5, 9])
+    def test_matches_poly_arithmetic(self, q):
+        F = field_of_size(q)
+        rng = random.Random(q)
+        for _ in range(30):
+            d = rng.randrange(1, 6)
+            f = Poly(F, [F.rand(rng) for _ in range(d)] + [F.one])
+            R = PolyUnitGroup(F, f)
+            a = R.element([F.rand(rng) for _ in range(d)])
+            b = R.element([F.rand(rng) for _ in range(d)])
+            pa, pb = Poly(F, list(a)), Poly(F, list(b))
+            assert Poly(F, list(R.mul(a, b))) == (pa * pb).mod(f)
+            assert Poly(F, list(R.mul(a, a))) == (pa * pa).mod(f)
+            for n in (0, 1, 2, 7, 100):
+                assert Poly(F, list(R.pow(a, n))) == pa.pow_mod(n, f)
+            if pa.gcd(f).degree() == 0:
+                assert R.is_identity(R.mul(a, R.inv(a)))
+            else:
+                with pytest.raises(SdlpError, match="not a unit"):
+                    R.inv(a)
+
+    def test_order_of_x_over_repeated_factor(self):
+        # (x - 3)^3 over F_5: ord(x) = ord(3) * 5
+        x3 = Poly(F5, [2, 1])
+        R = PolyUnitGroup(F5, x3 * x3 * x3)
+        assert element_order(R, R.element([0, 1])) == (20, {2: 2, 5: 1})
 
 
 class TestEndoOrder:

@@ -8,7 +8,7 @@ from conftest import (
     random_vector_instance,
 )
 from sdlp.config import SolverConfig
-from sdlp.errors import SdlpError
+from sdlp.errors import NoSolutionError, SdlpError
 from sdlp.groups import CyclicGroup, PowerMapEndo, SdlpInstance, rho_pow
 from sdlp.oracles import orbit_walk
 from sdlp.protocol import (
@@ -85,7 +85,7 @@ class TestAttack:
         tr = spdke_exchange(G, sigma, g, 3, 4)
         pub = tr.public_part()
         pub.A = bad
-        with pytest.raises(SdlpError, match="no solution"):
+        with pytest.raises(NoSolutionError, match="no solution"):
             spdke_attack(pub, CFG)
 
     def test_any_class_representative_recovers_key(self):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     rand_invertible,
@@ -38,6 +40,7 @@ from sdlp.solvers import (
     ChainLevel,
     NormalChain,
     OrbitProblemInstance,
+    _orbit_problem_set,
     brute_solve,
     find_conjugator,
     solve,
@@ -297,6 +300,67 @@ class TestSolveOrbitProblem:
             t = solve_orbit_problem(OrbitProblemInstance(F, phi, a, b), CFG)
             assert t is not None and (phi ** t).matvec(a) == b
             assert t <= t_star
+
+    def test_non_unit_target(self):
+        # b = 2a - Phi a lies in the Krylov space, but c_b = 2 - x shares
+        # the factor x - 2 with f = (x - 1)(x - 2), so it is not a power of x
+        phi = Matrix(F5, [[1, 0], [0, 2]])
+        assert solve_orbit_problem(OrbitProblemInstance(F5, phi, (1, 1), (1, 0)), CFG) is None
+
+    def test_repeated_factors(self):
+        # f = (x - 3)^3: ord(x) = ord(3) * 5 = 20
+        J = Matrix(F5, [[3, 1, 0], [0, 3, 1], [0, 0, 3]])
+        a = (0, 0, 1)
+        assert _orbit_problem_set(OrbitProblemInstance(F5, J, a, a), CFG) == SolutionSet.progression(0, 20)
+        cur = a
+        for t in range(400):
+            got = solve_orbit_problem(OrbitProblemInstance(F5, J, a, cur), CFG)
+            assert got is not None and got <= t and (J ** got).matvec(a) == cur
+            cur = J.matvec(cur)
+        # f = (x - 1)^3 over F_4: ord(x) = 4
+        F4 = field_of_size(4)
+        one, zero = F4.one, F4.zero
+        U = Matrix(F4, [[one, one, zero], [zero, one, one], [zero, zero, one]])
+        a4 = (zero, zero, one)
+        assert _orbit_problem_set(OrbitProblemInstance(F4, U, a4, a4), CFG) == SolutionSet.progression(0, 4)
+
+    @pytest.mark.parametrize("q", [65521, 65536])
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_beyond_brute_force_scale(self, q, n):
+        rng = random.Random(f"orbit-scale-{q}-{n}")
+        F = field_of_size(q)
+        phi = rand_upper_triangular(F, n, rng)
+        a = tuple(F.rand(rng) for _ in range(n))
+        t_star = rng.randrange(1 << 40)
+        opi = OrbitProblemInstance(F, phi, a, (phi ** t_star).matvec(a))
+        sol = _orbit_problem_set(opi, SolverConfig(oracle="bsgs"))
+        assert sol.contains(t_star)
+        assert _orbit_problem_set(opi, SolverConfig(oracle="rho")) == sol
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        q=st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        t_star=st.integers(0, 499),
+    )
+    def test_matches_orbit_walk(self, q, n, seed, t_star):
+        rng = random.Random(seed)
+        F = field_of_size(q)
+        phi = rand_invertible(F, n, rng)
+        a = tuple(F.rand(rng) for _ in range(n))
+        b = (phi ** t_star).matvec(a)
+        t = solve_orbit_problem(OrbitProblemInstance(F, phi, a, b), CFG)
+        assert t is not None and t <= t_star and (phi ** t).matvec(a) == b
+        # Phi is invertible, so the orbit of a is a pure cycle through a
+        orbit = [a]
+        cur = phi.matvec(a)
+        while cur != a:
+            orbit.append(cur)
+            cur = phi.matvec(cur)
+        b = tuple(F.rand(rng) for _ in range(n))
+        want = orbit.index(b) if b in orbit else None
+        assert solve_orbit_problem(OrbitProblemInstance(F, phi, a, b), CFG) == want
 
 
 class TestSolveMatrixInner:
