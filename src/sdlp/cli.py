@@ -2,11 +2,13 @@
 exchanges and attacks on JSON instance files.
 
 Exit codes: 0 solved/ok (including an empty solution set), 1 malformed
-input (including non-positive exchange secrets), 2 solver-not-applicable
-(or no solution for the attack).
+input (including non-positive exchange secrets and group, sigma or chain
+parameters the backends reject), 2 solver-not-applicable (or no solution
+for the attack), 3 a failed internal self-check.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -69,6 +71,27 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _rejects_as_malformed(what: str):
+    """Report a plain SdlpError raised while building `what` as malformed
+    input: the backend constructors reject bad parameters (a non-prime p,
+    a reducible modulus) with it."""
+
+    def wrap(build):
+        @functools.wraps(build)
+        def checked(*args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except SdlpError as err:
+                if type(err) is not SdlpError:
+                    raise
+                raise InstanceFormatError(f"{what}: {err}") from err
+
+        return checked
+
+    return wrap
+
+
+@_rejects_as_malformed("group")
 def build_group(spec: dict) -> GroupHandle:
     _check_keys(spec, "group", ("family",), ("n", "p", "q", "d", "generators", "factors", "modulus"))
     family = spec["family"]
@@ -160,6 +183,7 @@ def element_to_json(x, group: GroupHandle):
     raise SdlpError(f"elements of {group!r} have no file literal")
 
 
+@_rejects_as_malformed("sigma")
 def build_sigma(spec: dict, group: GroupHandle) -> Endo:
     _check_keys(spec, "sigma", ("kind",), ("e", "matrix", "map", "components", "order"))
     kind = spec["kind"]
@@ -208,6 +232,7 @@ def build_sigma(spec: dict, group: GroupHandle) -> Endo:
     return endo
 
 
+@_rejects_as_malformed("chain")
 def build_chain(spec, group: GroupHandle, where: str = "chain") -> NormalChain:
     if spec == "heisenberg-default":
         if not isinstance(group, HeisenbergGroup):

@@ -8,6 +8,7 @@ the coefficient list never has trailing zeros.
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .errors import SdlpError
@@ -40,6 +41,10 @@ class PrimeField:
 
     def mul(self, a, b):
         return a * b % self.p
+
+    def dot(self, a, b):
+        """sum_i a_i b_i, reduced once."""
+        return sum(map(operator.mul, a, b)) % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -99,6 +104,8 @@ class ExtField:
             raise SdlpError("extension field size out of range")
         self.zero = (0,) * self.degree
         self.one = tuple([1] + [0] * (self.degree - 1))
+        # x^e = sum_j t_j x^j mod the modulus: the nonzero (j, t_j)
+        self._tail = [(j, -c % self.p) for j, c in enumerate(mod.coeffs[:-1]) if c]
 
     def gen(self):
         """The class of x (a root of the modulus)."""
@@ -124,25 +131,32 @@ class ExtField:
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
+        return self.dot((a,), (b,))
+
+    def dot(self, a, b):
+        """sum_i a_i b_i: the unreduced products are summed, then reduced once."""
         raw = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    raw[i + j] += x * y
+        for u, v in zip(a, b):
+            for i, x in enumerate(u):
+                if x:
+                    for j, y in enumerate(v):
+                        raw[i + j] += x * y
         return self._reduce(raw)
 
     def _reduce(self, raw):
+        """The class of sum_i raw[i] x^i, for ints raw[i] of any size.
+
+        Each top coefficient is reduced mod p once before it is folded down;
+        the e survivors are reduced once at the end."""
         p = self.p
-        mod = self.modulus.coeffs
         e = self.degree
-        raw = [x % p for x in raw]
+        tail = self._tail
         for i in range(len(raw) - 1, e - 1, -1):
-            c = raw[i]
+            c = raw[i] % p
             if c:
-                raw[i] = 0
-                for j in range(e):
-                    raw[i - e + j] = (raw[i - e + j] - c * mod[j]) % p
-        return tuple(raw[:e])
+                for j, t in tail:
+                    raw[i - e + j] += c * t
+        return tuple(x % p for x in raw[:e])
 
     def inv(self, a):
         if all(x == 0 for x in a):
@@ -261,6 +275,16 @@ class BinaryField:
             if b & top:
                 b ^= mod
         return r
+
+    def dot(self, a, b):
+        """sum_i a_i b_i: the carry-less products are XORed, then reduced once."""
+        acc = 0
+        for x, y in zip(a, b):
+            while x:
+                low = x & -x
+                acc ^= y << (low.bit_length() - 1)
+                x ^= low
+        return self._mod_bits(acc)
 
     def inv(self, a):
         if a == 0:

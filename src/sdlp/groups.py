@@ -680,11 +680,21 @@ class ConjugationEndo(Endo):
     """x -> a^-1 x a by a fixed invertible matrix (possibly outside G)."""
 
     def __init__(self, group, a: Matrix):
-        super().__init__(group)
         if not a.is_invertible():
             raise SdlpError("conjugating matrix must be invertible")
+        self._setup(group, a, a.inverse())
+
+    @classmethod
+    def _trusted(cls, group, a: Matrix, a_inv: Matrix) -> "ConjugationEndo":
+        """conj_a for an a_inv already known to invert a; skips validation."""
+        out = cls.__new__(cls)
+        out._setup(group, a, a_inv)
+        return out
+
+    def _setup(self, group, a, a_inv):
+        Endo.__init__(self, group)
         self.a = a
-        self.a_inv = a.inverse()
+        self.a_inv = a_inv
         base = group
         while isinstance(base, Subgroup):
             base = base.parent
@@ -702,13 +712,16 @@ class ConjugationEndo(Endo):
         return self._from_mat(self.a_inv * self._to_mat(x) * self.a)
 
     def pow(self, k):
-        return ConjugationEndo(self.group, self.a**k)
+        # inverting b once is cheaper than powering a_inv as well, which
+        # would take about 2 log k more products
+        b = self.a**k if k >= 0 else self.a_inv ** (-k)
+        return ConjugationEndo._trusted(self.group, b, b.inverse())
 
     def compose(self, other):
         if not isinstance(other, ConjugationEndo):
             raise SdlpError("cannot compose endomorphisms of different kinds")
         # (conj_a . conj_b)(x) = a^-1 b^-1 x b a = conj_{b a}(x)
-        return ConjugationEndo(self.group, other.a * self.a)
+        return ConjugationEndo._trusted(self.group, other.a * self.a, self.a_inv * other.a_inv)
 
     def is_automorphism(self):
         return True
@@ -838,7 +851,7 @@ class ProductEndo(Endo):
 def restrict_endo(sigma: Endo, subgroup: Subgroup) -> Endo:
     """View sigma as an endomorphism of a subgroup it stabilizes."""
     if isinstance(sigma, ConjugationEndo):
-        out = ConjugationEndo(subgroup, sigma.a)
+        out = ConjugationEndo._trusted(subgroup, sigma.a, sigma.a_inv)
     else:
         out = sigma  # element-level action is unchanged
     if out.cached_order is None and sigma.cached_order is not None:

@@ -14,11 +14,9 @@ class Matrix:
 
     def __init__(self, field, rows):
         self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise SdlpError("ragged matrix rows")
+        self.rows = tuple(map(tuple, rows))
+        if len(set(map(len, self.rows))) > 1:
+            raise SdlpError("ragged matrix rows")
 
     @classmethod
     def identity(cls, field, n):
@@ -78,18 +76,15 @@ class Matrix:
         return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows])
 
     def __mul__(self, other):
-        F = self.field
         if self.ncols != other.nrows:
             raise SdlpError("matrix dimension mismatch")
-        cols = other.transpose().rows
-        out = []
-        for r in self.rows:
-            out.append([_dot(F, r, c) for c in cols])
-        return Matrix(F, out)
+        dot = self.field.dot
+        cols = list(zip(*other.rows))
+        return Matrix(self.field, [[dot(r, c) for c in cols] for r in self.rows])
 
     def matvec(self, v):
-        F = self.field
-        return tuple(_dot(F, r, v) for r in self.rows)
+        dot = self.field.dot
+        return tuple(dot(r, v) for r in self.rows)
 
     def transpose(self):
         return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
@@ -170,14 +165,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.rows]})"
-
-
-def _dot(F, a, b):
-    out = F.zero
-    for x, y in zip(a, b):
-        if x != F.zero and y != F.zero:
-            out = F.add(out, F.mul(x, y))
-    return out
 
 
 def _rref(rows, F):

@@ -356,9 +356,11 @@ def dlog(
     """Smallest t >= 0 with base^t = target, or None.
 
     With `factored_order` (a factored multiple of ord(base)) the search runs
-    Pohlig-Hellman style on the exact order; otherwise baby-step giant-step
-    over [0, order_bound). The returned value always satisfies the equation
-    (self-verified); None means no solution in range.
+    Pohlig-Hellman style on the exact order, solving each prime digit with
+    BSGS, or with Pollard rho for primes above 2^10 under `oracle="rho"`;
+    otherwise baby-step giant-step over [0, order_bound). The returned value
+    always satisfies the equation (self-verified); None means no solution in
+    range.
     """
     config = config or SolverConfig()
     if group.label(target) == group.label(group.identity):
@@ -367,8 +369,6 @@ def dlog(
         n, fact = _order_from_multiple(lambda k: group.is_identity(group.pow(base, k)), factored_order)
         if config.oracle == "brute":
             t = _dlog_brute(group, base, target, n)
-        elif config.oracle == "rho" and n > (1 << 10):
-            t = _rho_with_order(group, base, target, n, config)
         else:
             t = _pohlig_hellman(group, base, target, n, fact, config)
     else:
@@ -418,17 +418,24 @@ def _dlog_bsgs(group, base, target, bound, config: SolverConfig):
 
 
 def _dlog_rho(group, base, target, bound, config: SolverConfig):
-    """Pollard rho with Floyd cycle-finding; needs the exact base order."""
+    """Pohlig-Hellman on the exact order of base, which it computes (the
+    digits above 2^10 by rho); BSGS over the bound when no order is known."""
     try:
         n, fact = element_order(group, base)
     except (NotImplementedError, SdlpError):
         return _dlog_bsgs(group, base, target, bound, config)
-    if n <= 1 << 10:
-        return _dlog_brute(group, base, target, n)
-    return _rho_with_order(group, base, target, n, config)
+    return _pohlig_hellman(group, base, target, n, fact, config)
+
+
+def _dlog_prime_order(group, base, target, p, config: SolverConfig):
+    """dlog of target to a base of prime order p."""
+    if config.oracle == "rho" and p > (1 << 10):
+        return _rho_with_order(group, base, target, p, config)
+    return _dlog_bsgs(group, base, target, p, config)
 
 
 def _rho_with_order(group, base, target, n, config: SolverConfig):
+    """Pollard rho with Floyd cycle-finding, for a base of prime order n."""
     import random
 
     rng = random.Random(config.seed)
@@ -459,21 +466,9 @@ def _rho_round(group, base, target, n, rng):
             r = (B - b) % n
             if r == 0:
                 return None
-            g = math.gcd(r, n)
-            base_t = (a - A) % n
-            if base_t % g != 0:
-                return None
-            # r*t = a-A (mod n); enumerate the g candidates
-            n1 = n // g
-            t0 = (base_t // g) * pow(r // g, -1, n1) % n1
-            want = group.label(target)
-            cur = group.pow(base, t0)
-            stride = group.pow(base, n1)
-            for k in range(g):
-                if group.label(cur) == want:
-                    return t0 + k * n1
-                cur = group.mul(cur, stride)
-            return None
+            # r*t = a-A (mod n) has one solution, as n is prime
+            t = (a - A) * pow(r, -1, n) % n
+            return t if group.label(group.pow(base, t)) == group.label(target) else None
     return None
 
 
@@ -489,7 +484,7 @@ def _pohlig_hellman(group, base, target, n, fact, config: SolverConfig):
         cur = h
         for k in range(e):
             c = group.pow(cur, pe // p ** (k + 1))
-            d = _dlog_bsgs(group, gamma_p, c, p, config)
+            d = _dlog_prime_order(group, gamma_p, c, p, config)
             if d is None:
                 return None
             t_pe += d * p**k

@@ -21,6 +21,14 @@ from sdlp.linalg import Matrix
 from sdlp.oracles import ensure_endo_order
 
 
+def fold_dot(fld, a, b):
+    """Reference sum_i a_i b_i: a left fold of field add and mul."""
+    out = fld.zero
+    for x, y in zip(a, b):
+        out = fld.add(out, fld.mul(x, y))
+    return out
+
+
 def rand_invertible(fld, d, rng):
     while True:
         M = Matrix(fld, [[fld.rand(rng) for _ in range(d)] for _ in range(d)])

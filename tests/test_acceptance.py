@@ -344,14 +344,24 @@ def test_criterion_7_numerical_exactness():
          lambda g: ProductEndo(g, [PowerMapEndo(g.factors[0], 3), LinearMapEndo(g.factors[1], Matrix(PrimeField(3), [[2]]))]),
          (1, (1,))),
     ]
+    # The naive reference prod_{i<t} sigma^i(g) is built left to right in one
+    # pass per backend (rho_pow_naive at every t would cost O(t^2)); one
+    # direct rho_pow_naive call per backend keeps the library reference
+    # exercised.
     rho_ok = True
     for grp, mk, g in backends:
         sigma = mk(grp)
+        naive, cur = grp.identity, g
         for t in range(1025):
-            if grp.label(rho_pow(g, sigma, t)) != grp.label(rho_pow_naive(g, sigma, t)):
+            if grp.label(rho_pow(g, sigma, t)) != grp.label(naive):
                 rho_ok = False
                 print(f"  rho_pow mismatch on {grp!r} at t={t}")
                 break
+            naive = grp.mul(naive, cur)
+            cur = sigma.apply(cur)
+        if grp.label(rho_pow_naive(g, sigma, 1024)) != grp.label(rho_pow(g, sigma, 1024)):
+            rho_ok = False
+            print(f"  rho_pow_naive disagrees with rho_pow on {grp!r} at t=1024")
 
     B = Matrix(F5, [[0, 4], [1, 4]])
     fld, iso = field_from_matrix(B)

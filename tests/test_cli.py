@@ -70,6 +70,22 @@ class TestSolve:
         code, out, err = run(capsys, "solve", "--instance", str(path))
         assert code == 1 and "unknown field" in err
 
+    @pytest.mark.parametrize("command", ["solve", "orbit", "exchange"])
+    @pytest.mark.parametrize(
+        "group",
+        [{"family": "heisenberg", "p": 8}, {"family": "vector", "p": 6, "d": 2}],
+        ids=["heisenberg-p8", "vector-p6"],
+    )
+    def test_bad_group_parameters_exit_1(self, tmp_path, capsys, command, group):
+        # the backend constructors reject these with a plain SdlpError
+        if group["family"] == "heisenberg":
+            doc = dict(HEISENBERG_INSTANCE, group=group)
+        else:
+            doc = {"group": group, "sigma": {"kind": "power", "e": 1}, "g": [1, 1], "h": [1, 1]}
+        secrets = ["--x", "2", "--y", "3"] if command == "exchange" else []
+        code, out, err = run(capsys, command, "--instance", write(tmp_path, doc), *secrets)
+        assert code == 1 and out == "" and err.startswith("error: group: ")
+
     def test_explain_prints_trace(self, tmp_path, capsys):
         path = write(tmp_path, HEISENBERG_INSTANCE)
         code, out, _ = run(capsys, "solve", "--instance", path, "--explain", "--solver", "master")
@@ -179,6 +195,15 @@ class TestExchangeAttack:
         inst = write(tmp_path, HEISENBERG_INSTANCE)
         code, out, err = run(capsys, "exchange", "--instance", inst, "--x", "4", "--y", "9", flag, "0")
         assert code == 1 and out == "" and "secrets must be positive" in err
+
+    def test_bad_group_in_transcript_exits_1(self, tmp_path, capsys):
+        inst = write(tmp_path, HEISENBERG_INSTANCE)
+        transcript = str(tmp_path / "tr.json")
+        run(capsys, "exchange", "--instance", inst, "--x", "3", "--y", "4", "--out", transcript)
+        doc = json.loads(open(transcript).read())
+        doc["group"] = {"family": "heisenberg", "p": 8}
+        code, out, err = run(capsys, "attack", "--transcript", write(tmp_path, doc, "bad.json"))
+        assert code == 1 and out == "" and err.startswith("error: group: ")
 
     def test_tampered_attack_exits_2(self, tmp_path, capsys):
         inst = write(tmp_path, HEISENBERG_INSTANCE)

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fold_dot
 from sdlp.errors import SdlpError
 from sdlp.ff import (
     BinaryField,
@@ -120,6 +123,59 @@ class TestBinaryField:
         for _ in range(200):
             a = F.rand_nonzero(rng)
             assert F.mul(a, F.inv(a)) == 1
+
+
+# the dot kernels on every field representation: small and word-size
+# primes, extensions of small and large characteristic, carry-less F_2^k
+DOT_FIELDS = {
+    "F_2": PrimeField(2),
+    "F_5": PrimeField(5),
+    "F_65521": PrimeField(65521),
+    "F_9": field_of_size(9),
+    "F_3^10": field_of_size(3**10),
+    "F_65521^2": field_of_size(65521**2),
+    "F_2^1": BinaryField(1),
+    "F_2^4": BinaryField(4),
+    "F_2^16": BinaryField(16),
+}
+
+
+class TestDotKernel:
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(
+        name=st.sampled_from(sorted(DOT_FIELDS)),
+        length=st.integers(0, 8),
+        zeros=st.sampled_from(["none", "a", "both"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_left_fold(self, name, length, zeros, seed):
+        F = DOT_FIELDS[name]
+        rng = random.Random(seed)
+        a = [F.zero if zeros != "none" else F.rand(rng) for _ in range(length)]
+        b = [F.zero if zeros == "both" else F.rand(rng) for _ in range(length)]
+        assert F.dot(a, b) == fold_dot(F, a, b)
+        assert F.dot(b, a) == F.dot(a, b)
+
+    @pytest.mark.parametrize("name", sorted(DOT_FIELDS))
+    def test_empty_and_extreme_vectors(self, name):
+        F = DOT_FIELDS[name]
+        assert F.dot([], []) == F.zero
+        # q - 1 has every coefficient p - 1: the largest unreduced terms
+        top = F.from_int(F.size - 1)
+        for n in (1, 2, 17):
+            assert F.dot([top] * n, [top] * n) == fold_dot(F, [top] * n, [top] * n)
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        name=st.sampled_from(["F_9", "F_3^10", "F_65521^2"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ext_mul_matches_poly_product(self, name, seed):
+        F = DOT_FIELDS[name]
+        rng = random.Random(seed)
+        a, b = F.rand(rng), F.rand(rng)
+        want = (Poly(F.base, list(a)) * Poly(F.base, list(b))).mod(F.modulus).coeffs
+        assert F.mul(a, b) == tuple(want) + (0,) * (F.degree - len(want))
 
 
 class TestFactorDegrees:

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import rand_invertible, rand_upper_triangular
 from sdlp.errors import SdlpError
 from sdlp.ff import PrimeField, field_of_size
 from sdlp.groups import (
@@ -272,3 +275,57 @@ class TestSolutionSet:
     def test_json(self):
         assert SolutionSet.empty().to_json() == {"kind": "empty"}
         assert SolutionSet.progression(1, 2).to_json() == {"kind": "progression", "t0": 1, "period": 2}
+
+
+class TestConjugationCarriesInverse:
+    """compose and pow hand a^-1 on instead of re-deriving it; the carried
+    inverse must be exact and the map the same as a validated one."""
+
+    @staticmethod
+    def _platform(kind, rng):
+        """(group, two conjugations, sample elements)."""
+        if kind == "heisenberg":
+            group = HeisenbergGroup(7)
+            mats = [rand_upper_triangular(group.field, 3, rng) for _ in range(2)]
+            xs = [group.rand_element(rng) for _ in range(4)]
+        else:
+            F9 = field_of_size(9)
+            group = MatrixGroup(F9, 2, [])
+            mats = [rand_invertible(F9, 2, rng) for _ in range(2)]
+            xs = [rand_invertible(F9, 2, rng) for _ in range(4)]
+        return group, [ConjugationEndo(group, m) for m in mats], xs
+
+    @staticmethod
+    def _check(group, endo, xs):
+        a = endo.a
+        assert (a * endo.a_inv).is_identity() and (endo.a_inv * a).is_identity()
+        fresh = ConjugationEndo(group, a)
+        for x in xs:
+            assert group.label(endo.apply(x)) == group.label(fresh.apply(x))
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(kind=st.sampled_from(["heisenberg", "matrix"]), seed=st.integers(0, 2**32 - 1))
+    def test_compose(self, kind, seed):
+        group, (s, t), xs = self._platform(kind, random.Random(seed))
+        both = s.compose(t)
+        self._check(group, both, xs)
+        for x in xs:
+            assert group.label(both.apply(x)) == group.label(s.apply(t.apply(x)))
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        kind=st.sampled_from(["heisenberg", "matrix"]),
+        k=st.sampled_from([-3, 0, 1, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pow(self, kind, k, seed):
+        group, (s, _), xs = self._platform(kind, random.Random(seed))
+        sk = s.pow(k)
+        assert sk.a == s.a**k
+        self._check(group, sk, xs)
+        step = s if k >= 0 else ConjugationEndo(group, s.a_inv)
+        for x in xs:
+            y = x
+            for _ in range(abs(k)):
+                y = step.apply(y)
+            assert group.label(sk.apply(x)) == group.label(y)

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fold_dot
 from sdlp.errors import SdlpError
 from sdlp.ff import Poly, PrimeField, field_of_size
 from sdlp.linalg import (
@@ -17,6 +20,41 @@ from sdlp.linalg import (
 
 F5 = PrimeField(5)
 B_SPEC = Matrix(F5, [[0, 4], [1, 4]])  # minimal polynomial x^2 + x + 1
+
+
+PRODUCT_FIELDS = {"F_5": F5, "F_65521": PrimeField(65521), "F_9": field_of_size(9), "F_2^4": field_of_size(16)}
+
+
+class TestMatrixProducts:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        name=st.sampled_from(sorted(PRODUCT_FIELDS)),
+        r=st.integers(1, 4),
+        k=st.integers(1, 4),
+        c=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_product_and_matvec_match_entrywise_reference(self, name, r, k, c, seed):
+        F = PRODUCT_FIELDS[name]
+        rng = random.Random(seed)
+        A = Matrix(F, [[F.rand(rng) for _ in range(k)] for _ in range(r)])
+        B = Matrix(F, [[F.rand(rng) for _ in range(c)] for _ in range(k)])
+        v = tuple(F.rand(rng) for _ in range(k))
+        want = [[fold_dot(F, A.rows[i], B.column(j)) for j in range(c)] for i in range(r)]
+        assert (A * B).rows == tuple(map(tuple, want))
+        assert A.matvec(v) == tuple(fold_dot(F, row, v) for row in A.rows)
+        if k != r:
+            with pytest.raises(SdlpError, match="dimension mismatch"):
+                A * A
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(SdlpError, match="dimension mismatch"):
+            Matrix.identity(F5, 2) * Matrix.identity(F5, 3)
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], []], [[1, 2, 3], [4, 5, 6], [7, 8]]])
+    def test_ragged_rows_raise(self, rows):
+        with pytest.raises(SdlpError, match="ragged"):
+            Matrix(F5, rows)
 
 
 class TestNullspace:
