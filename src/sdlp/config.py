@@ -6,7 +6,7 @@ search is bounded and the bounds are configuration, not constants.
 """
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -18,9 +18,6 @@ class SolverConfig:
     matrix_inner_max_k: int = 64  # divisor scan bound of the inner-power search
     seed: int = 0
     trace: list = field(default_factory=list)
-
-    def with_seed(self, seed: int) -> "SolverConfig":
-        return replace(self, seed=seed, trace=[])
 
     def record(self, kind: str, **params):
         self.trace.append({"kind": kind, **params})

@@ -71,9 +71,6 @@ class GroupHandle:
             word = self.mul(word, g if rng.random() < 0.5 else self.inv(g))
         return word
 
-    def eq(self, x, y) -> bool:
-        return self.label(x) == self.label(y)
-
     def is_identity(self, x) -> bool:
         return self.label(x) == self.label(self.identity)
 

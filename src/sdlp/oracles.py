@@ -12,7 +12,19 @@ from . import integers
 from .config import SolverConfig
 from .errors import NotApplicableError, SdlpError
 from .ff import Poly, _poly_half_ext_gcd, factor_degrees
-from .groups import Endo, GroupHandle, rho_apply, rho_pow
+from .groups import (
+    ConjugationEndo,
+    Endo,
+    GroupHandle,
+    InducedPairEndo,
+    LinearMapEndo,
+    PowerMapEndo,
+    ProductEndo,
+    TableEndo,
+    rho_apply,
+    rho_pow,
+)
+from .linalg import Matrix, min_poly
 
 
 @dataclass(frozen=True)
@@ -154,41 +166,23 @@ class PolyUnitGroup(GroupHandle):
 
 
 def element_order(group: GroupHandle, x, factored_multiple: dict | None = None):
-    """(order, factored order) of a group element, via a factored multiple.
+    """(order, factored order) of a group element: a factored multiple,
+    checked to annihilate x, reduced by `_order_from_multiple`.
 
-    Matrix elements get a multiple from the factor degrees of their minimal
-    polynomial instead of the full GL exponent; that keeps the reduction
-    cheap for large extension fields.
+    Without a given multiple, a Matrix gets one from the factor degrees of
+    its minimal polynomial instead of the full GL exponent, which keeps the
+    reduction cheap for large extension fields; any other element gets the
+    group's `exponent_multiple()`.
     """
     if factored_multiple is None:
-        from .linalg import Matrix
-
-        if isinstance(x, Matrix):
-            factored_multiple = matrix_order_multiple(x)
-        else:
-            factored_multiple = group.exponent_multiple()
-    mult = factored_multiple
-    n = integers.factorization_product(mult)
-    if not group.is_identity(group.pow(x, n)):
+        factored_multiple = matrix_order_multiple(x) if isinstance(x, Matrix) else group.exponent_multiple()
+    if not group.is_identity(group.pow(x, integers.factorization_product(factored_multiple))):
         raise SdlpError("claimed exponent multiple does not annihilate the element")
-    order = 1
-    fact: dict = {}
-    for p, e in mult.items():
-        y = group.pow(x, n // p**e)
-        cnt = 0
-        while not group.is_identity(y):
-            y = group.pow(y, p)
-            cnt += 1
-        order *= p**cnt
-        if cnt:
-            fact[p] = cnt
-    return order, dict(sorted(fact.items()))
+    return _order_from_multiple(lambda k: group.is_identity(group.pow(x, k)), factored_multiple)
 
 
 def matrix_order_multiple(A) -> dict:
     """Factored multiple of ord(A), read off its minimal polynomial."""
-    from .linalg import min_poly
-
     return _unit_exponent_multiple(A.field, min_poly(A))
 
 
@@ -208,7 +202,9 @@ def _unit_exponent_multiple(fld, f: Poly) -> dict:
 
 
 def _order_from_multiple(is_trivial_power, factored_multiple: dict):
-    """Smallest n dividing the multiple with power n trivial."""
+    """(n, factored n): the smallest n dividing the multiple with power n
+    trivial. The one order reducer: element, endomorphism and orbit orders
+    all come through here."""
     n = integers.factorization_product(factored_multiple)
     fact = dict(factored_multiple)
     for p in list(fact):
@@ -222,9 +218,10 @@ def endo_order(sigma: Endo, generators=None, seed: int = 0) -> list:
     """Factored order of an automorphism: the lcm over generators of the
     period of t -> sigma^t(x).
 
-    Fast representation-specific multiples are reduced on the generators;
-    table endomorphisms read the order off their cycle structure. The
-    result is cached on the endo.
+    A representation-specific multiple (the minimal-polynomial multiple of
+    the matrix for linear maps and conjugations) is reduced on the
+    generators by `_order_from_multiple`; table endomorphisms read the order
+    off their cycle structure. The result is cached on the endo.
     """
     if not sigma.is_automorphism():
         raise SdlpError("endo_order expects an automorphism")
@@ -248,15 +245,6 @@ def endo_order(sigma: Endo, generators=None, seed: int = 0) -> list:
 
 def _endo_order_multiple(sigma: Endo, seed: int = 0):
     """A factored multiple of ord(sigma) read off the representation."""
-    from .groups import (
-        ConjugationEndo,
-        InducedPairEndo,
-        LinearMapEndo,
-        PowerMapEndo,
-        ProductEndo,
-        TableEndo,
-    )
-
     if isinstance(sigma, PowerMapEndo):
         n = sigma.modulus
         lam: dict = {}
@@ -268,17 +256,9 @@ def _endo_order_multiple(sigma: Endo, seed: int = 0):
             lam = integers.merge_lcm(lam, part)
         return lam
     if isinstance(sigma, LinearMapEndo):
-        from .groups import MatrixGroup
-
-        if sigma.matrix.nrows == 0:
-            return {}
-        return MatrixGroup(sigma.matrix.field, sigma.matrix.nrows, []).exponent_multiple()
+        return matrix_order_multiple(sigma.matrix)
     if isinstance(sigma, ConjugationEndo):
-        from .groups import MatrixGroup
-
-        ambient = MatrixGroup(sigma.a.field, sigma.a.nrows, [])
-        ord_a, fact_a = element_order(ambient, sigma.a)
-        return fact_a
+        return matrix_order_multiple(sigma.a)  # conj_a^k = 1 once a^k = 1
     if isinstance(sigma, TableEndo):
         return _table_order_factored(sigma)
     if isinstance(sigma, InducedPairEndo):
@@ -355,22 +335,23 @@ def dlog(
 ):
     """Smallest t >= 0 with base^t = target, or None.
 
-    With `factored_order` (a factored multiple of ord(base)) the search runs
-    Pohlig-Hellman style on the exact order, solving each prime digit with
-    BSGS, or with Pollard rho for primes above 2^10 under `oracle="rho"`;
-    otherwise baby-step giant-step over [0, order_bound). The returned value
-    always satisfies the equation (self-verified); None means no solution in
-    range.
+    With `factored_order`, the exact factored order of base as
+    `element_order` returns it, the search runs Pohlig-Hellman style,
+    solving each prime digit with BSGS, or with Pollard rho for primes above
+    2^10 under `oracle="rho"`; Pohlig-Hellman raises SdlpError when handed
+    a proper multiple of the order. Without it, baby-step giant-step runs
+    over [0, order_bound). The returned value always satisfies the equation
+    (self-verified); None means no solution in range.
     """
     config = config or SolverConfig()
     if group.label(target) == group.label(group.identity):
         return 0
     if factored_order is not None:
-        n, fact = _order_from_multiple(lambda k: group.is_identity(group.pow(base, k)), factored_order)
+        n = integers.factorization_product(factored_order)
         if config.oracle == "brute":
             t = _dlog_brute(group, base, target, n)
         else:
-            t = _pohlig_hellman(group, base, target, n, fact, config)
+            t = _pohlig_hellman(group, base, target, n, factored_order, config)
     else:
         if order_bound is None:
             raise SdlpError("dlog needs an order bound or a factored order")
@@ -473,13 +454,19 @@ def _rho_round(group, base, target, n, rng):
 
 
 def _pohlig_hellman(group, base, target, n, fact, config: SolverConfig):
-    """dlog for exactly known factored order n of base."""
+    """dlog for the exactly known factored order n of base.
+
+    Each gamma_p = base^(n/p) is a base of prime order p; if one is the
+    identity, n is not the exact order and SdlpError is raised.
+    """
     residues = []
     for p, e in fact.items():
         pe = p**e
         gamma = group.pow(base, n // pe)
         h = group.pow(target, n // pe)
         gamma_p = group.pow(gamma, pe // p)
+        if group.is_identity(gamma_p):
+            raise SdlpError("factored order is not the exact order of the base")
         t_pe = 0
         cur = h
         for k in range(e):

@@ -127,11 +127,16 @@ def _solve_trivial_sigma(inst: SdlpInstance, config: SolverConfig) -> SolutionSe
     grp = inst.group
     if grp.is_identity(inst.g):
         return SolutionSet.progression(0, 1) if grp.is_identity(inst.h) else SolutionSet.empty()
-    ord_g, fact = element_order(grp, inst.g)
-    t0 = dlog(grp, inst.g, inst.h, factored_order=fact, config=config)
+    return _power_solutions(grp, inst.g, inst.h, config)
+
+
+def _power_solutions(group: GroupHandle, base, target, config: SolverConfig) -> SolutionSet:
+    """{t : base^t = target} as {t0 + ord(base) k}: one exact order, one dlog."""
+    order, fact = element_order(group, base)
+    t0 = dlog(group, base, target, factored_order=fact, config=config)
     if t0 is None:
         return SolutionSet.empty()
-    return SolutionSet.progression(t0, ord_g)
+    return SolutionSet.progression(t0, order)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +260,7 @@ def _solve_elem_abelian_irreducible(inst: SdlpInstance, m, config: SolverConfig)
     target = fld.add(fld.one, fld.mul(fld.sub(beta, fld.one), u))
     if target == fld.zero:
         return SolutionSet.empty()
-    units = UnitGroup(fld)
-    ord_beta, fact = element_order(units, beta)
-    t0 = dlog(units, beta, target, factored_order=fact, config=config)
-    if t0 is None:
-        return SolutionSet.empty()
-    return SolutionSet.progression(t0, ord_beta)
+    return _power_solutions(UnitGroup(fld), beta, target, config)
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +565,10 @@ def _orbit_problem_set(opi: OrbitProblemInstance, config: SolverConfig) -> Solut
         return SolutionSet.empty()
     # Phi^j a = sum dep_i Phi^i a, so f = x^j - sum dep_i x^i
     ring = PolyUnitGroup(F, Poly(F, [F.neg(c) for c in dep] + [F.one]))
-    x = ring.element([F.zero, F.one])
-    period, fact = element_order(ring, x)
-    t = dlog(ring, x, ring.element(c_b), factored_order=fact, config=config)
-    if t is None:
-        return SolutionSet.empty()
-    if (opi.phi**t).matvec(opi.a) != tuple(opi.b):
+    sol = _power_solutions(ring, ring.element([F.zero, F.one]), ring.element(c_b), config)
+    if not sol.is_empty() and (opi.phi ** sol.smallest()).matvec(opi.a) != tuple(opi.b):
         raise InternalAssertionError("orbit problem self-verification failed")
-    return SolutionSet.progression(t, period)
+    return sol
 
 
 def _matrix_view(inst: SdlpInstance):

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from conftest import random_cyclic_instance, random_vector_instance
+from conftest import (
+    rand_invertible,
+    rand_upper_triangular,
+    random_cyclic_instance,
+    random_vector_instance,
+    sigma_closed_matrix_group,
+)
 from sdlp.config import SolverConfig
 from sdlp.errors import NotApplicableError, SdlpError
 from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
@@ -12,6 +18,7 @@ from sdlp.groups import (
     CyclicGroup,
     HeisenbergGroup,
     LinearMapEndo,
+    MatrixGroup,
     PowerMapEndo,
     VectorGroup,
     rho_pow,
@@ -21,6 +28,7 @@ from sdlp.oracles import (
     OrbitShape,
     PolyUnitGroup,
     UnitGroup,
+    _endo_order_by_walk,
     dlog,
     element_order,
     endo_order,
@@ -89,7 +97,7 @@ class TestDlog:
         for _ in range(30):
             base = U.fld.rand_nonzero(rng)
             target = U.fld.rand_nonzero(rng)
-            t = dlog(U, base, target, factored_order=U.exponent_multiple())
+            t = dlog(U, base, target, factored_order=element_order(U, base)[1])
             if t is not None:
                 assert U.label(U.pow(base, t)) == U.label(target)
 
@@ -116,11 +124,19 @@ class TestDlog:
             base = U.fld.rand_nonzero(rng)
             t_star = rng.randrange(30011)
             target = pow(base, t_star, 30011)
-            t = dlog(U, base, target, factored_order=U.exponent_multiple(), config=cfg)
+            t = dlog(U, base, target, factored_order=element_order(U, base)[1], config=cfg)
             assert t is not None and pow(base, t, 30011) == target
             # smallest representative: nothing smaller solves it
             n, _ = element_order(U, base)
             assert t < n
+
+    @pytest.mark.parametrize("oracle", ["bsgs", "rho"])
+    def test_proper_multiple_of_order_raises(self, oracle):
+        # 4 has order 50 in F_101^*; 100 is a multiple, not the order
+        U = UnitGroup(PrimeField(101))
+        assert element_order(U, 4) == (50, {2: 1, 5: 2})
+        with pytest.raises(SdlpError, match="exact order"):
+            dlog(U, 4, 16, factored_order=U.exponent_multiple(), config=SolverConfig(oracle=oracle))
 
     def test_memory_cap(self):
         U = UnitGroup(PrimeField(65521))
@@ -128,11 +144,43 @@ class TestDlog:
             dlog(U, 2, 3, order_bound=1 << 40, config=SolverConfig(bsgs_mem=1 << 10))
 
 
+def _order_by_powering(group, x, cap=1 << 12):
+    """Smallest k >= 1 with x^k = 1, by repeated multiplication."""
+    cur, k = x, 1
+    while not group.is_identity(cur):
+        cur, k = group.mul(cur, x), k + 1
+        assert k <= cap
+    return k
+
+
+def _assert_order_matches_powering(group, x):
+    n, fact = element_order(group, x)
+    assert n == _order_by_powering(group, x)
+    assert math.prod(p**e for p, e in fact.items()) == n and all(e > 0 for e in fact.values())
+
+
 class TestElementOrder:
     def test_unit_group(self):
         U = UnitGroup(PrimeField(101))
         n, fact = element_order(U, 2)
         assert n == 100 and pow(2, 100, 101) == 1 and pow(2, 50, 101) != 1
+        for x in range(1, 101):
+            _assert_order_matches_powering(U, x)
+        F9 = field_of_size(9)
+        for x in F9.elements():
+            if x != F9.zero:
+                _assert_order_matches_powering(UnitGroup(F9), x)
+
+    def test_poly_units_over_repeated_factor_match_powering(self):
+        # f = (x + 2)^2 (x^2 + 2) over F_5; x^2 + 2 is irreducible
+        R = PolyUnitGroup(F5, Poly(F5, [2, 1]) * Poly(F5, [2, 1]) * Poly(F5, [2, 0, 1]))
+        rng = random.Random(7)
+        units = 0
+        while units < 40:
+            a = R.element([rng.randrange(5) for _ in range(4)])
+            if Poly(F5, list(a)).gcd(R.modulus).degree() == 0:
+                _assert_order_matches_powering(R, a)
+                units += 1
 
     def test_matrix_uses_tight_multiple(self):
         B = Matrix(F5, [[0, 4], [1, 4]])
@@ -218,6 +266,23 @@ class TestEndoOrder:
             while cur != 1:
                 cur, period = sigma.apply(cur), period + 1
             assert got == period
+        # matrix-backed endos, whose multiple comes from the minimal polynomial
+        sigmas = []
+        for p, d in ((5, 3), (7, 2)):
+            for _ in range(6):
+                sigmas.append(LinearMapEndo(VectorGroup(p, d), rand_invertible(PrimeField(p), d, rng)))
+        H = HeisenbergGroup(7)
+        for _ in range(6):
+            sigmas.append(ConjugationEndo(H, rand_upper_triangular(H.field, 3, rng)))
+        F9 = field_of_size(9)
+        while len(sigmas) < 22:
+            raw = [rand_invertible(F9, 2, rng) for _ in range(2)]
+            cm = rand_invertible(F9, 2, rng)
+            if _endo_order_by_walk(ConjugationEndo(MatrixGroup(F9, 2, raw), cm), raw)[0] <= 16:
+                sigmas.append(sigma_closed_matrix_group(F9, 2, raw, cm)[1])
+        for sigma in sigmas:
+            want, _ = _endo_order_by_walk(sigma, sigma.group.generators())
+            assert math.prod(p**k for p, k in endo_order(sigma)) == want == sigma.cached_order
 
 
 class TestOrbitIndexPeriod:
