@@ -185,20 +185,20 @@ def element_to_json(x, group: GroupHandle):
 
 @_rejects_as_malformed("sigma")
 def build_sigma(spec: dict, group: GroupHandle) -> Endo:
-    _check_keys(spec, "sigma", ("kind",), ("e", "matrix", "map", "components", "order"))
+    _check_keys(spec, "sigma", ("kind",), ("e", "matrix", "map", "components"))
     kind = spec["kind"]
     if kind == "power":
-        _check_keys(spec, "sigma(power)", ("kind", "e"), ("order",))
+        _check_keys(spec, "sigma(power)", ("kind", "e"))
         endo = PowerMapEndo(group, _int(spec["e"], "sigma.e"))
     elif kind == "linear":
-        _check_keys(spec, "sigma(linear)", ("kind", "matrix"), ("order",))
+        _check_keys(spec, "sigma(linear)", ("kind", "matrix"))
         if not isinstance(group, VectorGroup):
             _fail("sigma(linear) needs a vector group")
         from .ff import PrimeField
 
         endo = LinearMapEndo(group, _parse_matrix(spec["matrix"], PrimeField(group.p), group.d, "sigma.matrix"))
     elif kind == "conjugation":
-        _check_keys(spec, "sigma(conjugation)", ("kind", "matrix"), ("order",))
+        _check_keys(spec, "sigma(conjugation)", ("kind", "matrix"))
         if isinstance(group, HeisenbergGroup):
             fld, d = group.field, 3
         elif isinstance(group, MatrixGroup):
@@ -212,7 +212,7 @@ def build_sigma(spec: dict, group: GroupHandle) -> Endo:
         except SdlpError as err:
             _fail(f"sigma.matrix does not act on the group: {err}")
     elif kind == "table":
-        _check_keys(spec, "sigma(table)", ("kind", "map"), ("order",))
+        _check_keys(spec, "sigma(table)", ("kind", "map"))
         if not hasattr(group, "elements"):
             _fail("sigma(table) needs an enumerable group")
         images = [parse_element(v, group, "sigma.map") for v in spec["map"]]
@@ -221,14 +221,12 @@ def build_sigma(spec: dict, group: GroupHandle) -> Endo:
             _fail("sigma.map must list one image per group element")
         endo = TableEndo(group, {group.label(x): y for x, y in zip(domain, images)})
     elif kind == "product":
-        _check_keys(spec, "sigma(product)", ("kind", "components"), ("order",))
+        _check_keys(spec, "sigma(product)", ("kind", "components"))
         if not isinstance(group, ProductGroup):
             _fail("sigma(product) needs a product group")
         endo = ProductEndo(group, [build_sigma(s, f) for s, f in zip(spec["components"], group.factors)])
     else:
         _fail(f"sigma: unknown kind {kind!r}")
-    if "order" in spec:
-        endo.set_order(_int(spec["order"], "sigma.order"))
     return endo
 
 

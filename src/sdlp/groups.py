@@ -574,19 +574,21 @@ def mulclose(group: GroupHandle, generators=None, cap: int = 1 << 14) -> list:
 class Endo:
     """An endomorphism of a group in an effectively-evaluable representation.
 
-    `cached_order` is a positive integer n with sigma^n = identity (exact
-    once oracles.endo_order has run; callers may install any multiple).
+    An endo carries no state beyond its representation: solving an instance
+    never writes to its sigma. `pow(k)` takes k < 0 for an automorphism,
+    from the representation's own inverse (a^-1 for a conjugation, M^-1 for
+    a linear map, e^-1 for a power map, the inverted table for a table), so
+    sigma^-1 needs no order; for a non-invertible endo it raises SdlpError.
     """
 
     def __init__(self, group):
         self.group = group
-        self.cached_order = None
-        self.cached_order_factored = None
 
     def apply(self, x):
         raise NotImplementedError
 
     def pow(self, k: int) -> "Endo":
+        """sigma^k; k < 0 needs an automorphism."""
         raise NotImplementedError
 
     def compose(self, other: "Endo") -> "Endo":
@@ -595,10 +597,6 @@ class Endo:
 
     def is_automorphism(self) -> bool:
         raise NotImplementedError
-
-    def set_order(self, n: int, factored=None):
-        self.cached_order = n
-        self.cached_order_factored = factored
 
     def spot_check_morphism(self, rng: random.Random, samples: int = 16):
         g = self.group
@@ -630,7 +628,10 @@ class PowerMapEndo(Endo):
         return tuple(a * self.e % self.modulus for a in x)
 
     def pow(self, k):
-        return PowerMapEndo(self.group, pow(self.e, k, self.modulus))
+        try:
+            return PowerMapEndo(self.group, pow(self.e, k, self.modulus))
+        except ValueError:  # k < 0 and e is not a unit
+            raise SdlpError("power map is not invertible") from None
 
     def compose(self, other):
         if not isinstance(other, PowerMapEndo) or other.group is not self.group:
@@ -758,8 +759,13 @@ class TableEndo(Endo):
             raise SdlpError("element outside the table domain") from None
 
     def pow(self, k):
-        out = {lab: self._elem(lab) for lab in self.mapping}  # identity map
         acc = self.mapping
+        if k < 0:
+            if not self.is_automorphism():
+                raise SdlpError("table endomorphism is not invertible")
+            acc = {self.group.label(y): self._elem(lab) for lab, y in acc.items()}
+            k = -k
+        out = {lab: self._elem(lab) for lab in self.mapping}  # identity map
         while k:
             if k & 1:
                 out = self._compose_maps(acc, out)
@@ -848,12 +854,8 @@ class ProductEndo(Endo):
 def restrict_endo(sigma: Endo, subgroup: Subgroup) -> Endo:
     """View sigma as an endomorphism of a subgroup it stabilizes."""
     if isinstance(sigma, ConjugationEndo):
-        out = ConjugationEndo._trusted(subgroup, sigma.a, sigma.a_inv)
-    else:
-        out = sigma  # element-level action is unchanged
-    if out.cached_order is None and sigma.cached_order is not None:
-        out.set_order(sigma.cached_order, sigma.cached_order_factored)
-    return out
+        return ConjugationEndo._trusted(subgroup, sigma.a, sigma.a_inv)
+    return sigma  # element-level action is unchanged
 
 
 def _enumerate_handle(group):
@@ -954,7 +956,7 @@ class SolutionSet:
 def sigma_pow_apply(sigma: Endo, i: int, x):
     """sigma^i(x) in O(log i) representation-power steps."""
     if i < 0:
-        raise SdlpError("negative power; resolve through the cached order")
+        raise SdlpError("sigma_pow_apply needs i >= 0; an automorphism takes sigma.pow(i)")
     if i == 0:
         return x
     if i == 1:
@@ -1001,22 +1003,19 @@ def rho_apply(g, sigma: Endo, x):
 
 
 def rho_pow_inverse_apply(g, sigma: Endo, s: int, h):
-    """rho_(g,1)^{-s}(h) for an automorphism with a cached order.
+    """rho_(g,1)^{-s}(h) = sigma^{-s}((rho^s(1))^{-1} h) for an automorphism.
 
-    Returns sigma^{-s}((rho^s(1))^{-1} h) where sigma^{-s} is resolved as
-    sigma^{n - (s mod n)} through the cached order n.
+    sigma^{-s} is the representation's own negative power, so no order of
+    sigma is looked up or computed.
     """
     if not sigma.is_automorphism():
         raise SdlpError("not an automorphism")
-    n = sigma.cached_order
-    if n is None:
-        raise SdlpError("not an automorphism with known order; compute endo_order first")
     if s < 0:
         raise SdlpError("rho_pow_inverse_apply needs s >= 0")
     grp = sigma.group
     u = rho_pow(g, sigma, s)
     v = grp.mul(grp.inv(u), h)
-    return sigma.pow((n - s % n) % n).apply(v)
+    return sigma.pow(-s).apply(v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Dense exact matrices over finite fields, with the invariant-subspace and
-matrix-to-field machinery the solvers are built on.
+"""Dense exact matrices over finite fields, with the minimal-polynomial and
+invariant-subspace machinery the solvers are built on.
 
 Vectors are tuples of field elements; a Matrix is immutable and hashable so
 it can double as a black-box group code-word.
 """
 
 from .errors import SdlpError
-from .ff import ExtField, Poly, PrimeField, factor_poly
+from .ff import Poly, factor_poly
 
 
 class Matrix:
@@ -338,56 +338,3 @@ def invariant_subspace(B: Matrix, basis, seed: int = 0):
         cyclic.append(R.matvec(cyclic[-1]))
     lift = Matrix.from_columns(F, basis)
     return [lift.matvec(u) for u in cyclic]
-
-
-class MatrixFieldIso:
-    """Two-way ring isomorphism between the algebra generated by B and a field."""
-
-    def __init__(self, B: Matrix, field, powers, echelon_solver):
-        self.B = B
-        self.field = field
-        self._powers = powers
-        self._solve = echelon_solver
-
-    def to_field(self, M: Matrix):
-        coeffs = self._solve(M.flatten())
-        if coeffs is None:
-            raise SdlpError("matrix is not in the algebra generated by B")
-        if isinstance(self.field, PrimeField):
-            return coeffs[0]
-        return self.field.from_coeffs(coeffs)
-
-    def from_field(self, a) -> Matrix:
-        coeffs = [a] if isinstance(self.field, PrimeField) else list(a)
-        n = self.B.nrows
-        out = Matrix.zeros(self.B.field, n, n)
-        for c, P in zip(coeffs, self._powers):
-            out = out + P.scale(c)
-        return out
-
-
-def field_from_matrix(B: Matrix, seed: int = 0):
-    """(field, iso) where the algebra F_p[B] is the field F_{p^e}.
-
-    e is the degree of the minimal polynomial of B, which must be
-    irreducible; otherwise the algebra has zero divisors and this raises
-    "not a field".
-    """
-    F = B.field
-    if not isinstance(F, PrimeField):
-        raise SdlpError("field_from_matrix expects a matrix over a prime field")
-    m = min_poly(B)
-    factors = factor_poly(m, seed=seed)
-    if len(factors) != 1 or factors[0][1] != 1:
-        raise SdlpError("not a field")
-    e = m.degree()
-    powers = [Matrix.identity(F, B.nrows)]
-    for _ in range(e - 1):
-        powers.append(powers[-1] * B)
-    pow_matrix = Matrix.from_columns(F, [P.flatten() for P in powers])
-
-    def solver(flat):
-        return solve_linear(pow_matrix, flat)
-
-    target = F if e == 1 else ExtField(F, m)
-    return target, MatrixFieldIso(B, target, powers, solver)

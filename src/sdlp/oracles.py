@@ -165,17 +165,16 @@ class PolyUnitGroup(GroupHandle):
 # element and endomorphism orders
 
 
-def element_order(group: GroupHandle, x, factored_multiple: dict | None = None):
+def element_order(group: GroupHandle, x):
     """(order, factored order) of a group element: a factored multiple,
     checked to annihilate x, reduced by `_order_from_multiple`.
 
-    Without a given multiple, a Matrix gets one from the factor degrees of
-    its minimal polynomial instead of the full GL exponent, which keeps the
-    reduction cheap for large extension fields; any other element gets the
-    group's `exponent_multiple()`.
+    A Matrix takes its multiple from the factor degrees of its minimal
+    polynomial instead of the full GL exponent, which keeps the reduction
+    cheap for large extension fields; any other element takes the group's
+    `exponent_multiple()`.
     """
-    if factored_multiple is None:
-        factored_multiple = matrix_order_multiple(x) if isinstance(x, Matrix) else group.exponent_multiple()
+    factored_multiple = matrix_order_multiple(x) if isinstance(x, Matrix) else group.exponent_multiple()
     if not group.is_identity(group.pow(x, integers.factorization_product(factored_multiple))):
         raise SdlpError("claimed exponent multiple does not annihilate the element")
     return _order_from_multiple(lambda k: group.is_identity(group.pow(x, k)), factored_multiple)
@@ -214,19 +213,19 @@ def _order_from_multiple(is_trivial_power, factored_multiple: dict):
     return n, {p: e for p, e in sorted(fact.items()) if e > 0}
 
 
-def endo_order(sigma: Endo, generators=None, seed: int = 0) -> list:
+def endo_order(sigma: Endo) -> list:
     """Factored order of an automorphism: the lcm over generators of the
     period of t -> sigma^t(x).
 
     A representation-specific multiple (the minimal-polynomial multiple of
     the matrix for linear maps and conjugations) is reduced on the
     generators by `_order_from_multiple`; table endomorphisms read the order
-    off their cycle structure. The result is cached on the endo.
+    off their cycle structure. Nothing is stored on sigma.
     """
     if not sigma.is_automorphism():
         raise SdlpError("endo_order expects an automorphism")
-    gens = list(generators) if generators is not None else sigma.group.generators()
-    mult = _endo_order_multiple(sigma, seed=seed)
+    gens = sigma.group.generators()
+    mult = _endo_order_multiple(sigma)
     if mult is None:
         n, fact = _endo_order_by_walk(sigma, gens)
     else:
@@ -239,20 +238,19 @@ def endo_order(sigma: Endo, generators=None, seed: int = 0) -> list:
         if not trivial(integers.factorization_product(mult)):
             raise SdlpError("representation multiple does not annihilate the generators")
         n, fact = _order_from_multiple(trivial, mult)
-    sigma.set_order(n, fact)
     return sorted(fact.items())
 
 
-def _endo_order_multiple(sigma: Endo, seed: int = 0):
+def _endo_order_multiple(sigma: Endo):
     """A factored multiple of ord(sigma) read off the representation."""
     if isinstance(sigma, PowerMapEndo):
         n = sigma.modulus
         lam: dict = {}
-        for p, e in integers.factorize(n, seed=seed).items():
+        for p, e in integers.factorize(n).items():
             if p == 2:
                 part = {} if e == 1 else ({2: 1} if e == 2 else {2: e - 2})
             else:
-                part = integers.merge_lcm({p: e - 1} if e > 1 else {}, integers.factorize(p - 1, seed=seed))
+                part = integers.merge_lcm({p: e - 1} if e > 1 else {}, integers.factorize(p - 1))
             lam = integers.merge_lcm(lam, part)
         return lam
     if isinstance(sigma, LinearMapEndo):
@@ -262,7 +260,7 @@ def _endo_order_multiple(sigma: Endo, seed: int = 0):
     if isinstance(sigma, TableEndo):
         return _table_order_factored(sigma)
     if isinstance(sigma, InducedPairEndo):
-        inner_mult = _endo_order_multiple(sigma.inner, seed=seed)
+        inner_mult = _endo_order_multiple(sigma.inner)
         if inner_mult is not None:
             return inner_mult
         n, fact = _endo_order_by_walk(sigma.inner, sigma.inner.group.generators())
@@ -270,7 +268,7 @@ def _endo_order_multiple(sigma: Endo, seed: int = 0):
     if isinstance(sigma, ProductEndo):
         out: dict = {}
         for comp in sigma.components:
-            part = _endo_order_multiple(comp, seed=seed)
+            part = _endo_order_multiple(comp)
             if part is None:
                 return None
             out = integers.merge_lcm(out, part)
@@ -315,53 +313,34 @@ def _endo_order_by_walk(sigma: Endo, gens, cap: int = 1 << 20):
     return n, integers.factorize(n)
 
 
-def ensure_endo_order(sigma: Endo, generators=None):
-    if sigma.cached_order is None:
-        endo_order(sigma, generators)
-    return sigma.cached_order
+def ensure_endo_order(sigma: Endo) -> int:
+    """ord(sigma) as an integer."""
+    return integers.factorization_product(dict(endo_order(sigma)))
 
 
 # ---------------------------------------------------------------------------
 # discrete logarithm
 
 
-def dlog(
-    group: GroupHandle,
-    base,
-    target,
-    order_bound: int | None = None,
-    factored_order: dict | None = None,
-    config: SolverConfig | None = None,
-):
+def dlog(group: GroupHandle, base, target, factored_order: dict, config: SolverConfig | None = None):
     """Smallest t >= 0 with base^t = target, or None.
 
-    With `factored_order`, the exact factored order of base as
-    `element_order` returns it, the search runs Pohlig-Hellman style,
-    solving each prime digit with BSGS, or with Pollard rho for primes above
-    2^10 under `oracle="rho"`; Pohlig-Hellman raises SdlpError when handed
-    a proper multiple of the order. Without it, baby-step giant-step runs
-    over [0, order_bound). The returned value always satisfies the equation
-    (self-verified); None means no solution in range.
+    `factored_order` is the exact factored order of base, as `element_order`
+    returns it. The search runs Pohlig-Hellman style, solving each prime
+    digit with BSGS, or with Pollard rho for primes above 2^10 under
+    `oracle="rho"`; Pohlig-Hellman raises SdlpError when handed a proper
+    multiple of the order. `oracle="brute"` walks the powers of base. The
+    returned value always satisfies the equation (self-verified); None means
+    target is not a power of base.
     """
     config = config or SolverConfig()
     if group.label(target) == group.label(group.identity):
         return 0
-    if factored_order is not None:
-        n = integers.factorization_product(factored_order)
-        if config.oracle == "brute":
-            t = _dlog_brute(group, base, target, n)
-        else:
-            t = _pohlig_hellman(group, base, target, n, factored_order, config)
+    n = integers.factorization_product(factored_order)
+    if config.oracle == "brute":
+        t = _dlog_brute(group, base, target, n)
     else:
-        if order_bound is None:
-            raise SdlpError("dlog needs an order bound or a factored order")
-        method = config.oracle
-        if method == "brute" or order_bound <= (1 << 10):
-            t = _dlog_brute(group, base, target, order_bound)
-        elif method == "rho":
-            t = _dlog_rho(group, base, target, order_bound, config)
-        else:
-            t = _dlog_bsgs(group, base, target, order_bound, config)
+        t = _pohlig_hellman(group, base, target, n, factored_order, config)
     if t is None:
         return None
     if group.label(group.pow(base, t)) != group.label(target):
@@ -396,16 +375,6 @@ def _dlog_bsgs(group, base, target, bound, config: SolverConfig):
             return i * m + j
         gamma = group.mul(gamma, giant)
     return None
-
-
-def _dlog_rho(group, base, target, bound, config: SolverConfig):
-    """Pohlig-Hellman on the exact order of base, which it computes (the
-    digits above 2^10 by rho); BSGS over the bound when no order is known."""
-    try:
-        n, fact = element_order(group, base)
-    except (NotImplementedError, SdlpError):
-        return _dlog_bsgs(group, base, target, bound, config)
-    return _pohlig_hellman(group, base, target, n, fact, config)
 
 
 def _dlog_prime_order(group, base, target, p, config: SolverConfig):
@@ -507,12 +476,9 @@ def orbit_index_period(g, sigma: Endo, config: SolverConfig | None = None) -> Or
 
 def _automorphism_orbit_period(g, sigma: Endo) -> int:
     grp = sigma.group
-    ensure_endo_order(sigma)
-    m = sigma.cached_order
-    m_fact = sigma.cached_order_factored or integers.factorize(m)
-    g_m = rho_pow(g, sigma, m)
+    mult = dict(endo_order(sigma))
+    g_m = rho_pow(g, sigma, integers.factorization_product(mult))
     ord_gm, gm_fact = element_order(grp, g_m)
-    mult: dict = dict(m_fact)
     for p, e in gm_fact.items():
         mult[p] = mult.get(p, 0) + e
     period, _ = _order_from_multiple(lambda k: grp.is_identity(rho_pow(g, sigma, k)), mult)

@@ -24,7 +24,6 @@ from .groups import (
     rho_pow_inverse_apply,
 )
 from .linalg import Matrix, coordinates_in_basis, extract_basis, restrict_to_subspace
-from .oracles import ensure_endo_order
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +149,8 @@ def shift_to_power(inst: SdlpInstance, k: int, config: SolverConfig | None = Non
     sigma = inst.sigma
     if not sigma.is_automorphism():
         raise SdlpError("not an automorphism")
-    ensure_endo_order(sigma)
     g2 = rho_pow(inst.g, sigma, k)
     sigma_k = sigma.pow(k)
-    sigma_k.set_order(sigma.cached_order // math.gcd(sigma.cached_order, k))
     subs = []
     for s in range(k):
         h_s = rho_pow_inverse_apply(inst.g, sigma, s, inst.h)
@@ -211,7 +208,6 @@ def recurse_through_quotient(inst: SdlpInstance, psi: Hom, config: SolverConfig 
         if q_sol.kind == "singleton":
             raise InternalAssertionError("automorphism quotient produced a singleton")
         t0, n0 = q_sol.t0, q_sol.period
-        ensure_endo_order(sigma)
         g2 = rho_pow(inst.g, sigma, n0)
         h2 = rho_pow_inverse_apply(inst.g, sigma, t0, inst.h)
         tgt = psi.target
@@ -220,9 +216,7 @@ def recurse_through_quotient(inst: SdlpInstance, psi: Hom, config: SolverConfig 
                 "follow-up elements fell outside the kernel (wrong n0 or non-invariant kernel)"
             )
         M = Subgroup(inst.group, psi.kernel_generators)
-        sigma_n0 = sigma.pow(n0)
-        sigma_n0.set_order(sigma.cached_order // math.gcd(sigma.cached_order, n0))
-        sub = SdlpInstance(M, restrict_endo(sigma_n0, M), g2, h2)
+        sub = SdlpInstance(M, restrict_endo(sigma.pow(n0), M), g2, h2)
         config.record("quotient-recursion-descend", t0=t0, n0=n0)
         return sub, lambda sub_sol: sub_sol.map_affine(t0, n0)
 

@@ -43,6 +43,7 @@ from .oracles import (
     UnitGroup,
     dlog,
     element_order,
+    endo_order,
     ensure_endo_order,
     orbit_walk,
 )
@@ -111,10 +112,13 @@ def solve_small_order(inst: SdlpInstance, config: SolverConfig | None = None) ->
     """Shift to sigma^n with n = ord(sigma); each residue instance has a
     trivial endomorphism, so rho^t(1) = g'^t and a dlog finishes it."""
     config = config or SolverConfig()
-    sigma = inst.sigma
-    if not sigma.is_automorphism():
+    if not inst.sigma.is_automorphism():
         raise SdlpError("not an automorphism")
-    n = ensure_endo_order(sigma)
+    return _solve_small_order(inst, ensure_endo_order(inst.sigma), config)
+
+
+def _solve_small_order(inst: SdlpInstance, n: int, config: SolverConfig) -> SolutionSet:
+    """solve_small_order for an automorphism of order n."""
     if n > config.small_order_bound:
         raise NotApplicableError("automorphism order too large")
     subs, recombine = shift_to_power(inst, n, config)
@@ -148,7 +152,7 @@ def solve_elementary_abelian(inst: SdlpInstance, config: SolverConfig | None = N
 
     Reducible modules are split along a minimal invariant subspace and
     recursed through the quotient; the irreducible base case becomes a
-    discrete logarithm in F_{p^d}^* via the matrix-algebra field.
+    discrete logarithm in F_{p^d}^* through the cyclic-basis field of g.
     """
     config = config or SolverConfig()
     grp, sigma = inst.group, inst.sigma
@@ -242,25 +246,40 @@ def _solve_elem_abelian_irreducible(inst: SdlpInstance, m, config: SolverConfig)
         return SolutionSet.progression(0, 1) if all(a == 0 for a in inst.h) else SolutionSet.empty()
 
     # view V as the field F_{p^d}: g becomes 1, h becomes u, B becomes beta
-    basis = [inst.g]
-    for _ in range(grp.d - 1):
-        basis.append(B.matvec(basis[-1]))
-    coords = coordinates_in_basis(F, basis, inst.h)
-    if coords is None:
-        raise InternalAssertionError("cyclic basis failed to span an irreducible module")
-    if m.degree() == 1:
-        fld = F
-        beta = F.neg(m.coeffs[0])  # root of x - b
-        u = coords[0]
-    else:
-        fld = ExtField(F, m)
-        beta = fld.gen()
-        u = fld.from_coeffs(list(coords))
+    fld, beta, to_field = _cyclic_field(B, m, inst.g)
+    u = to_field(inst.h)
     # rho^t(1) = h  <=>  beta^t = 1 + (beta - 1) u
     target = fld.add(fld.one, fld.mul(fld.sub(beta, fld.one), u))
     if target == fld.zero:
         return SolutionSet.empty()
     return _power_solutions(UnitGroup(fld), beta, target, config)
+
+
+def _cyclic_field(B: Matrix, m: Poly, v):
+    """(field, beta, to_field): an irreducible module F_p^d under B, with
+    minimal polynomial m, as the field F_p[x]/(m).
+
+    The cyclic basis v, Bv, ..., B^{d-1}v sends c(B)v to the class of c(x),
+    so v becomes 1 and B acts as multiplication by beta = x; to_field(w)
+    reads w's coordinates in that basis.
+    """
+    F = B.field
+    basis = [v]
+    for _ in range(m.degree() - 1):
+        basis.append(B.matvec(basis[-1]))
+    if m.degree() == 1:
+        fld, beta = F, F.neg(m.coeffs[0])  # root of x - b
+    else:
+        fld = ExtField(F, m)
+        beta = fld.gen()
+
+    def to_field(w):
+        coords = coordinates_in_basis(F, basis, w)
+        if coords is None:
+            raise InternalAssertionError("cyclic basis failed to span an irreducible module")
+        return coords[0] if fld is F else fld.from_coeffs(list(coords))
+
+    return fld, beta, to_field
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +395,6 @@ def solve_solvable(inst: SdlpInstance, config: SolverConfig | None = None) -> So
         chain = unitriangular_chain(grp)
     else:
         raise NotApplicableError("composition series required")
-    ensure_endo_order(sigma)
     sol = _descend(inst, chain, lambda q_inst, level, config: _solve_elem_abelian_rec(q_inst, config), config)
     return _verified(inst, sol)
 
@@ -593,15 +611,19 @@ def solve_matrix_inner(inst: SdlpInstance, config: SolverConfig | None = None) -
     on the full matrix space.
     """
     config = config or SolverConfig()
-    sigma = inst.sigma
-    if not sigma.is_automorphism():
+    if not inst.sigma.is_automorphism():
         raise SdlpError("not an automorphism")
+    return _solve_matrix_inner(inst, dict(endo_order(inst.sigma)), config)
+
+
+def _solve_matrix_inner(inst: SdlpInstance, order_fact: dict, config: SolverConfig) -> SolutionSet:
+    """solve_matrix_inner for an automorphism of factored order order_fact."""
+    sigma = inst.sigma
     fld, d, to_mat = _matrix_view(inst)
     gens = inst.group.generators()
     gen_mats = [to_mat(x) for x in gens]
-    n = ensure_endo_order(sigma)
     max_k = config.matrix_inner_max_k
-    for k in integers.divisors_ascending(sigma.cached_order_factored or integers.factorize(n)):
+    for k in integers.divisors_ascending(order_fact):
         if k > max_k:
             break
         sigma_k = sigma.pow(k)
@@ -650,7 +672,6 @@ def solve_master(inst: SdlpInstance, chain: NormalChain, config: SolverConfig | 
     if not inst.sigma.is_automorphism():
         raise SdlpError("not an automorphism")
     chain.validate(inst.group, inst.sigma)
-    ensure_endo_order(inst.sigma)
     return _verified(inst, _descend(inst, chain, _dispatch_tag, config))
 
 
@@ -768,13 +789,15 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     if isinstance(grp, PairImageGroup) and isinstance(grp.target, VectorGroup):
         return solve_solvable(inst, config)
     if isinstance(grp, MatrixGroup):
-        n = ensure_endo_order(sigma)
+        # one order computation serves both solvers
+        order_fact = dict(endo_order(sigma))
+        n = integers.factorization_product(order_fact)
         if n <= config.small_order_bound and _cheap_order_estimate(grp) is not None:
             try:
-                return solve_small_order(inst, config)
+                return _solve_small_order(inst, n, config)
             except SdlpError as err:
                 config.record("declined", solver="small-order", reason=str(err))
-        return solve_matrix_inner(inst, config)
+        return _solve_matrix_inner(inst, order_fact, config)
     try:
         return solve_small_order(inst, config)
     except SdlpError as err:

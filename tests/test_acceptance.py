@@ -37,7 +37,7 @@ from sdlp.groups import (
     rho_pow,
     rho_pow_naive,
 )
-from sdlp.linalg import Matrix, field_from_matrix
+from sdlp.linalg import Matrix, eval_poly_at_matrix, min_poly
 from sdlp.oracles import orbit_walk
 from sdlp.protocol import (
     draw_secrets,
@@ -47,7 +47,7 @@ from sdlp.protocol import (
     spdke_exchange,
 )
 from sdlp.reductions import reduce_to_automorphism_case
-from sdlp.solvers import _intertwiner_basis, brute_solve, solve
+from sdlp.solvers import _cyclic_field, _intertwiner_basis, brute_solve, solve
 
 ORBIT_CAP = 1 << 12
 
@@ -363,13 +363,16 @@ def test_criterion_7_numerical_exactness():
             rho_ok = False
             print(f"  rho_pow_naive disagrees with rho_pow on {grp!r} at t=1024")
 
+    # the elementary-abelian solver's cyclic-basis field: P -> to_field(P v)
+    # must be a ring isomorphism F_5[B] -> F_25, checked on u(B) and w(B)
     B = Matrix(F5, [[0, 4], [1, 4]])
-    fld, iso = field_from_matrix(B)
-    iso_ok = True
+    v = (1, 0)
+    fld, _, to_field = _cyclic_field(B, min_poly(B), v)
+    iso_ok = fld.size == 25
     for _ in range(100):
-        u, v = fld.rand(rng), fld.rand(rng)
-        U, V = iso.from_field(u), iso.from_field(v)
-        if iso.to_field(U * V) != fld.mul(u, v) or iso.to_field(U + V) != fld.add(u, v):
+        u, w = fld.rand(rng), fld.rand(rng)
+        U, W = (eval_poly_at_matrix(Poly(F5, list(fld.to_prime_coeffs(c))), B) for c in (u, w))
+        if to_field((U * W).matvec(v)) != fld.mul(u, w) or to_field((U + W).matvec(v)) != fld.add(u, w):
             iso_ok = False
 
     # Schwartz-Zippel frequency: random elements of an intertwiner space

@@ -70,6 +70,13 @@ class TestSolve:
         code, out, err = run(capsys, "solve", "--instance", str(path))
         assert code == 1 and "unknown field" in err
 
+    def test_sigma_order_field_rejected(self, tmp_path, capsys):
+        # sigma's order is computed where a solver needs it, never read in
+        doc = dict(CYCLIC_INSTANCE, sigma={"kind": "power", "e": 3, "order": 2})
+        path = write(tmp_path, doc)
+        code, out, err = run(capsys, "solve", "--instance", str(path))
+        assert code == 1 and out == "" and "unknown field 'order'" in err
+
     @pytest.mark.parametrize("command", ["solve", "orbit", "exchange"])
     @pytest.mark.parametrize(
         "group",

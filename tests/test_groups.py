@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_invertible, rand_upper_triangular
+from conftest import rand_invertible, rand_upper_triangular, sigma_closed_matrix_group
 from sdlp.errors import SdlpError
 from sdlp.ff import PrimeField, field_of_size
 from sdlp.groups import (
@@ -12,10 +13,12 @@ from sdlp.groups import (
     CyclicGroup,
     HeisenbergGroup,
     Hom,
+    InducedPairEndo,
     LinearMapEndo,
     MatrixGroup,
     PairImageGroup,
     PowerMapEndo,
+    ProductEndo,
     ProductGroup,
     SolutionSet,
     TableEndo,
@@ -28,8 +31,9 @@ from sdlp.groups import (
     sigma_pow_apply,
 )
 from sdlp.linalg import Matrix
-from sdlp.oracles import ensure_endo_order, orbit_index_period
+from sdlp.oracles import orbit_index_period
 
+F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 
@@ -173,9 +177,9 @@ class TestRhoPow:
 
 class TestRhoPowInverse:
     def setup_method(self):
+        # a fresh sigma: no order of it is computed before the inverse
         self.V = VectorGroup(5, 2)
         self.sigma = LinearMapEndo(self.V, Matrix(F5, [[0, 4], [1, 4]]))
-        ensure_endo_order(self.sigma)
 
     def test_s_zero_is_identity_map(self):
         assert rho_pow_inverse_apply((1, 0), self.sigma, 0, (1, 1)) == (1, 1)
@@ -203,6 +207,71 @@ class TestRhoPowInverse:
             rho_pow_inverse_apply((1, 0), singular, 1, (0, 0))
 
 
+AUTOMORPHISM_KINDS = ["power", "linear", "heisenberg", "matrix", "table", "pair", "product"]
+
+
+def _unit_mod(n, rng):
+    while True:
+        e = rng.randrange(n)
+        if math.gcd(e, n) == 1:
+            return e
+
+
+def fresh_automorphism(kind, rng):
+    """A newly built automorphism of the given representation kind."""
+    if kind == "power":
+        n = rng.randrange(2, 200)
+        return PowerMapEndo(CyclicGroup(n), _unit_mod(n, rng))
+    if kind == "linear":
+        V = VectorGroup(5, 3)
+        return LinearMapEndo(V, rand_invertible(F5, 3, rng))
+    if kind == "heisenberg":
+        H = HeisenbergGroup(7)
+        return ConjugationEndo(H, rand_upper_triangular(H.field, 3, rng))
+    if kind == "matrix":
+        F9 = field_of_size(9)
+        return sigma_closed_matrix_group(F9, 2, [rand_invertible(F9, 2, rng)], rand_invertible(F9, 2, rng))[1]
+    if kind == "table":
+        n = rng.randrange(2, 60)
+        e = _unit_mod(n, rng)
+        return TableEndo.from_callable(CyclicGroup(n), lambda x: e * x % n)
+    if kind == "pair":
+        H = HeisenbergGroup(5)
+        P = PairImageGroup(Hom(H, VectorGroup(5, 2), lambda t: (t[0], t[1])))
+        return InducedPairEndo(P, ConjugationEndo(H, rand_upper_triangular(H.field, 3, rng)))
+    C, V = CyclicGroup(12), VectorGroup(3, 2)
+    P = ProductGroup([C, V])
+    return ProductEndo(P, [PowerMapEndo(C, _unit_mod(12, rng)), LinearMapEndo(V, rand_invertible(F3, 2, rng))])
+
+
+class TestNegativePowers:
+    """Every automorphism kind inverts itself through its representation."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(AUTOMORPHISM_KINDS), k=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    def test_negative_power_undoes_power(self, kind, k, seed):
+        sigma = fresh_automorphism(kind, random.Random(seed))
+        grp = sigma.group
+        for endo in (sigma.pow(-k).compose(sigma.pow(k)), sigma.pow(k).compose(sigma.pow(-k))):
+            for x in grp.generators():
+                assert grp.label(endo.apply(x)) == grp.label(x)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(kind=st.sampled_from(AUTOMORPHISM_KINDS), s=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+    def test_rho_pow_inverse_on_fresh_sigma(self, kind, s, seed):
+        rng = random.Random(seed)
+        sigma = fresh_automorphism(kind, rng)
+        grp = sigma.group
+        g, h = grp.rand_element(rng), grp.rand_element(rng)
+        w = rho_pow_inverse_apply(g, sigma, s, h)
+        # rho^s(w) = rho^s(1) sigma^s(w) = h
+        assert grp.label(grp.mul(rho_pow(g, sigma, s), sigma_pow_apply(sigma, s, w))) == grp.label(h)
+
+    def test_non_unit_power_map_raises(self):
+        with pytest.raises(SdlpError, match="not invertible"):
+            PowerMapEndo(CyclicGroup(6), 2).pow(-1)
+
+
 class TestTableEndo:
     def test_power_and_compose(self):
         C = CyclicGroup(8)
@@ -214,6 +283,16 @@ class TestTableEndo:
     def test_size_cap(self):
         with pytest.raises(SdlpError):
             TableEndo.from_callable(CyclicGroup(1 << 13), lambda x: x)
+
+    def test_negative_power_inverts_the_table(self):
+        t = TableEndo.from_callable(CyclicGroup(6), lambda x: 5 * x % 6)
+        assert [t.pow(-1).apply(x) for x in range(6)] == [0, 5, 4, 3, 2, 1]
+        assert t.pow(-3).apply(1) == 5
+
+    def test_negative_power_of_non_bijective_table_raises(self):
+        t = TableEndo.from_callable(CyclicGroup(6), lambda x: 2 * x % 6)
+        with pytest.raises(SdlpError, match="not invertible"):
+            t.pow(-1)
 
 
 class TestInducedAutomorphism:

@@ -11,7 +11,6 @@ from sdlp.linalg import (
     Matrix,
     coordinates_in_basis,
     eval_poly_at_matrix,
-    field_from_matrix,
     invariant_subspace,
     min_poly,
     nullspace,
@@ -179,32 +178,6 @@ def _cyclic_module(F, B, v):
         basis.append(cur)
         cur = B.matvec(cur)
     return basis
-
-
-class TestFieldFromMatrix:
-    def test_spec_matrix_gives_f25(self):
-        fld, iso = field_from_matrix(B_SPEC)
-        assert fld.size == 25
-        assert fld.modulus == Poly(F5, [1, 1, 1])
-        assert iso.to_field(B_SPEC) == fld.gen()
-
-    def test_scalar_gives_prime_field(self):
-        fld, iso = field_from_matrix(Matrix(F5, [[2]]))
-        assert isinstance(fld, PrimeField) and fld.p == 5
-        assert iso.to_field(Matrix(F5, [[2]])) == 2
-
-    def test_reducible_is_not_a_field(self):
-        with pytest.raises(SdlpError, match="not a field"):
-            field_from_matrix(Matrix(F5, [[1, 0], [0, 2]]))
-
-    def test_iso_is_ring_homomorphism(self):
-        fld, iso = field_from_matrix(B_SPEC)
-        rng = random.Random(11)
-        for _ in range(100):
-            u, v = fld.rand(rng), fld.rand(rng)
-            U, V = iso.from_field(u), iso.from_field(v)
-            assert iso.to_field(U * V) == fld.mul(u, v)
-            assert iso.to_field(U + V) == fld.add(u, v)
 
 
 def test_solve_linear_consistency():

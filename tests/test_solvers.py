@@ -33,13 +33,14 @@ from sdlp.groups import (
     mulclose,
     rho_pow,
 )
-from sdlp.linalg import Matrix
+from sdlp.linalg import Matrix, min_poly
 from sdlp.oracles import orbit_walk
 from sdlp.protocol import heisenberg_chain
 from sdlp.solvers import (
     ChainLevel,
     NormalChain,
     OrbitProblemInstance,
+    _cyclic_field,
     _orbit_problem_set,
     brute_solve,
     find_conjugator,
@@ -130,6 +131,24 @@ class TestSolveElementaryAbelian:
         singular = LinearMapEndo(V, Matrix(PrimeField(3), [[1, 0], [2, 0]]))
         with pytest.raises(SdlpError):
             solve_elementary_abelian(SdlpInstance(V, singular, (1, 0), (0, 0)), CFG)
+
+
+class TestCyclicField:
+    """The irreducible base case views F_p^d as F_p[x]/(m) through the
+    cyclic basis of its g."""
+
+    def test_spec_matrix_gives_f25(self):
+        B = Matrix(F5, [[0, 4], [1, 4]])  # minimal polynomial x^2 + x + 1
+        fld, beta, to_field = _cyclic_field(B, min_poly(B), (1, 0))
+        assert fld.size == 25 and fld.modulus == Poly(F5, [1, 1, 1])
+        assert beta == fld.gen() and to_field((1, 0)) == fld.one
+        assert to_field(B.matvec((3, 2))) == fld.mul(beta, to_field((3, 2)))
+
+    def test_scalar_gives_prime_field(self):
+        B = Matrix(F5, [[2]])
+        fld, beta, to_field = _cyclic_field(B, min_poly(B), (3,))
+        assert isinstance(fld, PrimeField) and fld.p == 5
+        assert beta == 2 and to_field((1,)) == 2  # 1 = 2 * 3 in F_5
 
 
 class TestSolveSolvable:
@@ -562,6 +581,23 @@ class TestAutoDispatch:
         first = len(cfg.trace)
         solve(inst, cfg)
         assert first > 0 and len(cfg.trace) == first
+
+    @pytest.mark.parametrize("solver", ["auto", "master", "solvable", "matrix-inner"])
+    def test_solve_leaves_its_instance_unchanged(self, solver):
+        # nothing is cached on sigma, so a second solve sees the same input
+        rng = random.Random(f"no-mutation-{solver}")
+        for _ in range(6):
+            if solver in ("auto", "matrix-inner"):
+                inst = random_matrix_instance(rng, q_choices=(3, 4, 5), d_max=2)
+            else:
+                inst = random_heisenberg_instance(rng, p_choices=(5, 7))
+                if solver == "master":
+                    inst.chain = heisenberg_chain(inst.group)
+            before = dict(vars(inst.sigma))
+            first = solve(inst, SolverConfig(), solver)
+            assert vars(inst.sigma) == before
+            assert solve(inst, SolverConfig(), solver) == first
+            assert vars(inst.sigma) == before
 
     def test_unknown_solver_rejected(self):
         rng = random.Random(11)
