@@ -16,6 +16,7 @@ from sdlp.linalg import (
     nullspace,
     solve_linear,
 )
+from sdlp.solvers import _cyclic_field
 
 F5 = PrimeField(5)
 B_SPEC = Matrix(F5, [[0, 4], [1, 4]])  # minimal polynomial x^2 + x + 1
@@ -178,6 +179,25 @@ def _cyclic_module(F, B, v):
         basis.append(cur)
         cur = B.matvec(cur)
     return basis
+
+
+class TestFieldFromMatrix:
+    """F_5[B] for B = B_SPEC is a field: the cyclic basis v, Bv sends c(B)
+    to the class of c(x) in F_5[x]/(x^2 + x + 1)."""
+
+    def test_iso_is_ring_homomorphism(self):
+        v = (1, 0)
+        fld, _, to_field = _cyclic_field(B_SPEC, min_poly(B_SPEC), v)
+
+        def from_field(u):
+            return eval_poly_at_matrix(Poly(F5, list(u)), B_SPEC)
+
+        rng = random.Random(11)
+        for _ in range(100):
+            u, w = fld.rand(rng), fld.rand(rng)
+            U, W = from_field(u), from_field(w)
+            assert to_field((U * W).matvec(v)) == fld.mul(u, w)
+            assert to_field((U + W).matvec(v)) == fld.add(u, w)
 
 
 def test_solve_linear_consistency():

@@ -104,6 +104,19 @@ class TestDlog:
                 assert U.label(U.pow(base, t)) == U.label(target)
 
     @pytest.mark.parametrize("oracle", ["bsgs", "rho", "brute"])
+    def test_oracles_agree(self, oracle):
+        rng = random.Random(2)
+        F = PrimeField(30011)
+        U = UnitGroup(F)
+        cfg = SolverConfig(oracle=oracle)
+        for _ in range(8):
+            base = U.fld.rand_nonzero(rng)
+            t_star = rng.randrange(30011)
+            target = pow(base, t_star, 30011)
+            t = dlog(U, base, target, factored_order=element_order(U, base)[1], config=cfg)
+            assert t is not None and pow(base, t, 30011) == target
+
+    @pytest.mark.parametrize("oracle", ["bsgs", "rho", "brute"])
     def test_oracles_agree_with_factored_order(self, oracle):
         rng = random.Random(3)
         F = PrimeField(30011)
