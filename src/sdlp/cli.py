@@ -370,7 +370,7 @@ def cmd_solve(args) -> int:
         print(f"solver not applicable: {err}", file=sys.stderr)
         return 2
     doc = sol.to_json()
-    doc["verified"] = True  # solvers self-verify before returning
+    doc["verified"] = True  # solve checks every answer before returning it
     if args.explain:
         doc["trace"] = []
         for step in config.trace:

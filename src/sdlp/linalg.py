@@ -259,13 +259,13 @@ def min_poly(B: Matrix) -> Poly:
         if m.degree() == n:
             break
         e = tuple(F.one if j == i else F.zero for j in range(n))
-        loc = _local_min_poly(B, e)
+        loc = annihilator(B, e)
         m = _poly_lcm(m, loc)
     return m
 
 
-def _local_min_poly(B: Matrix, v) -> Poly:
-    """Least monic m with m(B)v = 0."""
+def annihilator(B: Matrix, v) -> Poly:
+    """Least monic m with m(B)v = 0: the first dependency among v, Bv, ..."""
     F = B.field
     echelon = []  # (reduced vector, combo coefficients over Krylov powers)
     k = 0
@@ -314,27 +314,21 @@ def restrict_to_subspace(B: Matrix, basis) -> Matrix:
     return Matrix.from_columns(F, cols)
 
 
-def invariant_subspace(B: Matrix, basis, seed: int = 0):
-    """A minimal proper nontrivial B-invariant subspace of span(basis).
+def invariant_subspace(B: Matrix, seed: int = 0):
+    """A minimal proper nontrivial B-invariant subspace of the whole space.
 
-    Returns a basis of the subspace in ambient coordinates, or None when
-    the space is irreducible (no proper nontrivial invariant subspace).
-    The route: factor the minimal polynomial of the restriction, take the
-    kernel of one irreducible factor, and cut out a cyclic submodule.
+    Returns a basis of the subspace, or None when the space is irreducible
+    (no proper nontrivial invariant subspace). The route: factor the
+    minimal polynomial, take the kernel of one irreducible factor, and cut
+    out a cyclic submodule.
     """
-    if not basis:
+    if B.nrows == 0:
         raise SdlpError("invariant_subspace expects dim >= 1")
-    F = B.field
-    R = restrict_to_subspace(B, basis)
-    m = min_poly(R)
-    factors = factor_poly(m, seed=seed)
+    factors = factor_poly(min_poly(B), seed=seed)
     f, mult = factors[0]
-    if len(factors) == 1 and mult == 1 and f.degree() == len(basis):
+    if len(factors) == 1 and mult == 1 and f.degree() == B.nrows:
         return None
-    ker = nullspace(eval_poly_at_matrix(f, R))
-    w = ker[0]
-    cyclic = [w]
+    cyclic = [nullspace(eval_poly_at_matrix(f, B))[0]]
     for _ in range(f.degree() - 1):
-        cyclic.append(R.matvec(cyclic[-1]))
-    lift = Matrix.from_columns(F, basis)
-    return [lift.matvec(u) for u in cyclic]
+        cyclic.append(B.matvec(cyclic[-1]))
+    return cyclic

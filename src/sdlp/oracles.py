@@ -260,11 +260,7 @@ def _endo_order_multiple(sigma: Endo):
     if isinstance(sigma, TableEndo):
         return _table_order_factored(sigma)
     if isinstance(sigma, InducedPairEndo):
-        inner_mult = _endo_order_multiple(sigma.inner)
-        if inner_mult is not None:
-            return inner_mult
-        n, fact = _endo_order_by_walk(sigma.inner, sigma.inner.group.generators())
-        return fact
+        return _endo_order_multiple(sigma.inner)
     if isinstance(sigma, ProductEndo):
         out: dict = {}
         for comp in sigma.components:

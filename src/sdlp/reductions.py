@@ -149,12 +149,16 @@ def shift_to_power(inst: SdlpInstance, k: int, config: SolverConfig | None = Non
     sigma = inst.sigma
     if not sigma.is_automorphism():
         raise SdlpError("not an automorphism")
+    grp = inst.group
     g2 = rho_pow(inst.g, sigma, k)
     sigma_k = sigma.pow(k)
-    subs = []
-    for s in range(k):
-        h_s = rho_pow_inverse_apply(inst.g, sigma, s, inst.h)
-        subs.append(SdlpInstance(inst.group, sigma_k, g2, h_s))
+    # rho^{-(s+1)}(h) = rho^{-1}(rho^{-s}(h)) with rho^{-1}(x) = sigma^{-1}(g^-1 x)
+    targets = [inst.h]
+    if k > 1:
+        g_inv, sigma_inv = grp.inv(inst.g), sigma.pow(-1)
+        for _ in range(k - 1):
+            targets.append(sigma_inv.apply(grp.mul(g_inv, targets[-1])))
+    subs = [SdlpInstance(grp, sigma_k, g2, h_s) for h_s in targets]
     config.record("power-shift", k=k)
 
     def recombine(sub_sols) -> SolutionSet:

@@ -1,7 +1,7 @@
 """Base-case solvers (small order, elementary abelian, solvable, matrix
 inner) and the master solver folding a chain of sigma-invariant normal
-subgroups. Every returned SolutionSet is self-verified against the defining
-equation before it leaves this module.
+subgroups. Each public solver is `solve` under its name, and `solve` checks
+every answer against the defining equation once, on its way out.
 """
 
 import random
@@ -31,6 +31,7 @@ from .groups import (
 )
 from .linalg import (
     Matrix,
+    annihilator,
     coordinates_in_basis,
     extract_basis,
     invariant_subspace,
@@ -92,8 +93,11 @@ class NormalChain:
 
 
 def brute_solve(inst: SdlpInstance, config: SolverConfig | None = None) -> SolutionSet:
-    """Exhaustive orbit walk; the reference answer for everything else."""
-    config = config or SolverConfig()
+    """Exhaustive orbit walk, unchecked: the reference answer for everything else."""
+    return _solve_brute(inst, config or SolverConfig())
+
+
+def _solve_brute(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     values, index, period = orbit_walk(inst.g, inst.sigma, config.max_walk)
     want = inst.group.label(inst.h)
     for t, v in enumerate(values):
@@ -111,19 +115,19 @@ def brute_solve(inst: SdlpInstance, config: SolverConfig | None = None) -> Solut
 def solve_small_order(inst: SdlpInstance, config: SolverConfig | None = None) -> SolutionSet:
     """Shift to sigma^n with n = ord(sigma); each residue instance has a
     trivial endomorphism, so rho^t(1) = g'^t and a dlog finishes it."""
-    config = config or SolverConfig()
-    if not inst.sigma.is_automorphism():
-        raise SdlpError("not an automorphism")
-    return _solve_small_order(inst, ensure_endo_order(inst.sigma), config)
+    return solve(inst, config, "small-order")
 
 
-def _solve_small_order(inst: SdlpInstance, n: int, config: SolverConfig) -> SolutionSet:
-    """solve_small_order for an automorphism of order n."""
+def _solve_small_order(inst: SdlpInstance, config: SolverConfig, n: int | None = None) -> SolutionSet:
+    """Core of solve_small_order; n is ord(sigma) when the caller has it."""
+    if n is None:
+        if not inst.sigma.is_automorphism():
+            raise SdlpError("not an automorphism")
+        n = ensure_endo_order(inst.sigma)
     if n > config.small_order_bound:
         raise NotApplicableError("automorphism order too large")
     subs, recombine = shift_to_power(inst, n, config)
-    sols = [_solve_trivial_sigma(sub, config) for sub in subs]
-    return _verified(inst, recombine(sols))
+    return recombine([_solve_trivial_sigma(sub, config) for sub in subs])
 
 
 def _solve_trivial_sigma(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
@@ -154,7 +158,10 @@ def solve_elementary_abelian(inst: SdlpInstance, config: SolverConfig | None = N
     recursed through the quotient; the irreducible base case becomes a
     discrete logarithm in F_{p^d}^* through the cyclic-basis field of g.
     """
-    config = config or SolverConfig()
+    return solve(inst, config, "elem-abelian")
+
+
+def _solve_elementary_abelian(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     grp, sigma = inst.group, inst.sigma
     if not isinstance(grp, VectorGroup):
         raise NotApplicableError("elementary-abelian solver needs a vector group")
@@ -166,7 +173,7 @@ def solve_elementary_abelian(inst: SdlpInstance, config: SolverConfig | None = N
         raise NotApplicableError("elementary-abelian solver needs a linear map")
     if not sigma.is_automorphism():
         raise SdlpError("sigma is singular; reduce to the automorphism case first")
-    return _verified(inst, _solve_elem_abelian_rec(inst, config))
+    return _solve_elem_abelian_rec(inst, config)
 
 
 def _solve_elem_abelian_rec(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
@@ -176,10 +183,9 @@ def _solve_elem_abelian_rec(inst: SdlpInstance, config: SolverConfig) -> Solutio
     d = grp.d
     if d == 0:
         return SolutionSet.progression(0, 1)
-    m = min_poly(B)
-    W = invariant_subspace(B, [tuple(F.one if i == j else F.zero for j in range(d)) for i in range(d)], seed=config.seed)
+    W = invariant_subspace(B, seed=config.seed)
     if W is None:
-        return _solve_elem_abelian_irreducible(inst, m, config)
+        return _solve_elem_abelian_irreducible(inst, min_poly(B), config)
 
     # split: the one-level chain V > span(W) for a minimal invariant
     # subspace W; the kernel instance is solved in W-coordinates
@@ -367,18 +373,21 @@ def solve_solvable(inst: SdlpInstance, config: SolverConfig | None = None) -> So
     elementary-abelian solver. Anything else needs an explicit chain
     (solve_master) and raises "composition series required".
     """
-    config = config or SolverConfig()
+    return solve(inst, config, "solvable")
+
+
+def _solve_solvable(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     grp, sigma = inst.group, inst.sigma
     if not sigma.is_automorphism():
         raise SdlpError("not an automorphism")
     if isinstance(grp, VectorGroup):
-        return solve_elementary_abelian(inst, config)
+        return _solve_elementary_abelian(inst, config)
     if isinstance(grp, CyclicGroup):
         if not integers.is_prime(grp.n):
             raise NotApplicableError("composition series required")
-        return _verified(inst, _solve_prime_cyclic(inst, config))
+        return _solve_prime_cyclic(inst, config)
     if isinstance(grp, PairImageGroup) and isinstance(grp.target, VectorGroup):
-        return _verified(inst, _solve_pair_over_vector(inst, config))
+        return _solve_pair_over_vector(inst, config)
     if isinstance(grp, PairImageGroup) and grp.hom.is_identity:
         # labels coincide with inner elements; solve the inner instance
         from .groups import InducedPairEndo
@@ -388,15 +397,14 @@ def solve_solvable(inst: SdlpInstance, config: SolverConfig | None = None) -> So
             while isinstance(base, Subgroup):
                 base = base.parent
             inner = SdlpInstance(base, sigma.inner, inst.g[0], inst.h[0])
-            return _verified(inst, solve_solvable(inner, config))
+            return _solve_solvable(inner, config)
     if isinstance(grp, HeisenbergGroup):
         chain = heisenberg_chain(grp)
     elif isinstance(grp, MatrixGroup) and isinstance(sigma, ConjugationEndo):
         chain = unitriangular_chain(grp)
     else:
         raise NotApplicableError("composition series required")
-    sol = _descend(inst, chain, lambda q_inst, level, config: _solve_elem_abelian_rec(q_inst, config), config)
-    return _verified(inst, sol)
+    return _descend(inst, chain, lambda q_inst, level, config: _solve_elem_abelian_rec(q_inst, config), config)
 
 
 def _solve_prime_cyclic(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
@@ -561,7 +569,10 @@ def solve_orbit_problem(opi: OrbitProblemInstance, config: SolverConfig | None =
     sol = _orbit_problem_set(opi, config or SolverConfig())
     if sol.is_empty():
         return None
-    return sol.smallest()
+    t = sol.smallest()
+    if (opi.phi**t).matvec(opi.a) != tuple(opi.b):
+        raise InternalAssertionError("orbit problem self-verification failed")
+    return t
 
 
 def _orbit_problem_set(opi: OrbitProblemInstance, config: SolverConfig) -> SolutionSet:
@@ -573,20 +584,15 @@ def _orbit_problem_set(opi: OrbitProblemInstance, config: SolverConfig) -> Solut
         return SolutionSet.empty()
     if not opi.phi.is_invertible():
         raise SdlpError("orbit problem needs an invertible map")
+    f = annihilator(opi.phi, opi.a)
     krylov = [opi.a]
-    cur = opi.phi.matvec(opi.a)
-    while (dep := coordinates_in_basis(F, krylov, cur)) is None:
-        krylov.append(cur)
-        cur = opi.phi.matvec(cur)
+    for _ in range(f.degree() - 1):
+        krylov.append(opi.phi.matvec(krylov[-1]))
     c_b = coordinates_in_basis(F, krylov, opi.b)
     if c_b is None:
         return SolutionSet.empty()
-    # Phi^j a = sum dep_i Phi^i a, so f = x^j - sum dep_i x^i
-    ring = PolyUnitGroup(F, Poly(F, [F.neg(c) for c in dep] + [F.one]))
-    sol = _power_solutions(ring, ring.element([F.zero, F.one]), ring.element(c_b), config)
-    if not sol.is_empty() and (opi.phi ** sol.smallest()).matvec(opi.a) != tuple(opi.b):
-        raise InternalAssertionError("orbit problem self-verification failed")
-    return sol
+    ring = PolyUnitGroup(F, f)
+    return _power_solutions(ring, ring.element([F.zero, F.one]), ring.element(c_b), config)
 
 
 def _matrix_view(inst: SdlpInstance):
@@ -610,15 +616,16 @@ def solve_matrix_inner(inst: SdlpInstance, config: SolverConfig | None = None) -
     for the linear extension Phi = (left multiplication by g') o sigma^k
     on the full matrix space.
     """
-    config = config or SolverConfig()
-    if not inst.sigma.is_automorphism():
-        raise SdlpError("not an automorphism")
-    return _solve_matrix_inner(inst, dict(endo_order(inst.sigma)), config)
+    return solve(inst, config, "matrix-inner")
 
 
-def _solve_matrix_inner(inst: SdlpInstance, order_fact: dict, config: SolverConfig) -> SolutionSet:
-    """solve_matrix_inner for an automorphism of factored order order_fact."""
+def _solve_matrix_inner(inst: SdlpInstance, config: SolverConfig, order_fact: dict | None = None) -> SolutionSet:
+    """Core of solve_matrix_inner; order_fact is ord(sigma), factored, if known."""
     sigma = inst.sigma
+    if order_fact is None:
+        if not sigma.is_automorphism():
+            raise SdlpError("not an automorphism")
+        order_fact = dict(endo_order(sigma))
     fld, d, to_mat = _matrix_view(inst)
     gens = inst.group.generators()
     gen_mats = [to_mat(x) for x in gens]
@@ -633,7 +640,7 @@ def _solve_matrix_inner(inst: SdlpInstance, order_fact: dict, config: SolverConf
         except NotApplicableError:
             continue
         config.record("matrix-inner", k=k, lifted=repr(lifted) if lifted is not fld else None)
-        return _verified(inst, _solve_with_conjugator(inst, k, a, lifted, embed, to_mat, d, config))
+        return _solve_with_conjugator(inst, k, a, lifted, embed, to_mat, d, config)
     raise NotApplicableError("no inner power within bound")
 
 
@@ -668,11 +675,17 @@ def _solve_with_conjugator(inst, k, a, fld, embed, to_mat, d, config) -> Solutio
 def solve_master(inst: SdlpInstance, chain: NormalChain, config: SolverConfig | None = None) -> SolutionSet:
     """Fold the quotient recursion down a chain of sigma-invariant normal
     subgroups, dispatching each image instance by its case tag."""
-    config = config or SolverConfig()
+    return solve(replace(inst, chain=chain), config, "master")
+
+
+def _solve_master(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
+    """Core of solve_master, on the instance's own chain."""
+    if inst.chain is None:
+        raise SdlpError("master solver needs a chain")
     if not inst.sigma.is_automorphism():
         raise SdlpError("not an automorphism")
-    chain.validate(inst.group, inst.sigma)
-    return _verified(inst, _descend(inst, chain, _dispatch_tag, config))
+    inst.chain.validate(inst.group, inst.sigma)
+    return _descend(inst, inst.chain, _dispatch_tag, config)
 
 
 def _descend(inst: SdlpInstance, chain: NormalChain, solve_image, config: SolverConfig, bottom=None) -> SolutionSet:
@@ -680,7 +693,7 @@ def _descend(inst: SdlpInstance, chain: NormalChain, solve_image, config: Solver
     solve_image(q_inst, level, config), then descend into its kernel with
     sigma^{n0}. The instance left in the last kernel goes to bottom
     (default: the trivial group) and the answers lift back up. Errors name
-    their level; the caller verifies the result."""
+    their level; `solve` checks the result."""
     cur = inst
     lifts = []
     for level_index in range(len(chain.levels) - 1, -1, -1):
@@ -734,75 +747,47 @@ def _dispatch_tag(q_inst: SdlpInstance, level: ChainLevel, config: SolverConfig)
 # dispatch
 
 
-def _own_chain(inst: SdlpInstance) -> NormalChain:
-    if inst.chain is None:
-        raise SdlpError("master solver needs a chain")
-    return inst.chain
-
-
-# The one name -> solver table. `solve` takes the names in SOLVER_NAMES and
-# chain levels the tags in CHAIN_TAGS; a "small" level skips the check that
-# "brute" makes, because solve_master checks the whole answer. Each entry
-# looks its solver up when called, so wrappers bound over the module-level
-# names are honoured.
-_SOLVERS = {
-    "auto": lambda inst, config: _solve_auto(inst, config),
-    "brute": lambda inst, config: _verified(inst, brute_solve(inst, config)),
-    "small": lambda inst, config: brute_solve(inst, config),
-    "small-order": lambda inst, config: solve_small_order(inst, config),
-    "elem-abelian": lambda inst, config: solve_elementary_abelian(inst, config),
-    "solvable": lambda inst, config: solve_solvable(inst, config),
-    "matrix-inner": lambda inst, config: solve_matrix_inner(inst, config),
-    "master": lambda inst, config: solve_master(inst, _own_chain(inst), config),
-}
-SOLVER_NAMES = ("auto", "brute", "small-order", "elem-abelian", "solvable", "matrix-inner", "master")
-CHAIN_TAGS = ("small", "small-order", "solvable", "matrix-inner")
-
-
 def solve(inst: SdlpInstance, config: SolverConfig | None = None, solver: str = "auto") -> SolutionSet:
-    """Entry point: dispatch an instance to a solver path and verify. Each
+    """Entry point: run the named solver's core and check its answer. Each
     call starts config.trace afresh."""
     config = config or SolverConfig()
     if solver not in SOLVER_NAMES:
         raise SdlpError(f"unknown solver {solver!r}")
     config.trace = []
-    return _SOLVERS[solver](inst, config)
+    return _verified(inst, _SOLVERS[solver](inst, config))
 
 
 def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     sigma = inst.sigma
     grp = inst.group
     if inst.chain is not None and sigma.is_automorphism():
-        return solve_master(inst, inst.chain, config)
+        return _solve_master(inst, config)
     if isinstance(grp, ProductGroup) and isinstance(sigma, ProductEndo):
         # componentwise even for endomorphisms: rho acts per factor
-        return _verified(inst, _solve_product(inst, config))
+        return _solve_product(inst, config)
     if not sigma.is_automorphism():
         sub, recombine = reduce_to_automorphism_case(inst, config)
-        return _verified(inst, recombine(_solve_auto(sub, config)))
-    if isinstance(grp, VectorGroup):
-        return solve_elementary_abelian(inst, config)
-    if isinstance(grp, CyclicGroup) and integers.is_prime(grp.n):
-        return solve_solvable(inst, config)
-    if isinstance(grp, HeisenbergGroup):
-        return solve_solvable(inst, config)
-    if isinstance(grp, PairImageGroup) and isinstance(grp.target, VectorGroup):
-        return solve_solvable(inst, config)
+        # checked here: a wrong stable-image answer can search to a silent Empty
+        return recombine(_verified(sub, _solve_auto(sub, config)))
+    if isinstance(grp, (VectorGroup, HeisenbergGroup)) or (
+        isinstance(grp, CyclicGroup) and integers.is_prime(grp.n)
+    ) or (isinstance(grp, PairImageGroup) and isinstance(grp.target, VectorGroup)):
+        return _solve_solvable(inst, config)
     if isinstance(grp, MatrixGroup):
         # one order computation serves both solvers
         order_fact = dict(endo_order(sigma))
         n = integers.factorization_product(order_fact)
         if n <= config.small_order_bound and _cheap_order_estimate(grp) is not None:
             try:
-                return _solve_small_order(inst, n, config)
+                return _solve_small_order(inst, config, n)
             except SdlpError as err:
                 config.record("declined", solver="small-order", reason=str(err))
-        return _solve_matrix_inner(inst, order_fact, config)
+        return _solve_matrix_inner(inst, config, order_fact)
     try:
-        return solve_small_order(inst, config)
+        return _solve_small_order(inst, config)
     except SdlpError as err:
         config.record("declined", solver="small-order", reason=str(err))
-        return _verified(inst, brute_solve(inst, config))
+        return _solve_brute(inst, config)
 
 
 def _cheap_order_estimate(grp):
@@ -819,7 +804,8 @@ def _solve_product(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     sols = []
     for i, (factor, endo) in enumerate(zip(grp.factors, inst.sigma.components)):
         sub = SdlpInstance(factor, endo, inst.g[i], inst.h[i])
-        sols.append(_solve_auto(sub, config))
+        # checked here: a wrong factor answer can intersect to a silent Empty
+        sols.append(_verified(sub, _solve_auto(sub, config)))
     return _intersect_solutions(sols)
 
 
@@ -854,6 +840,23 @@ def _intersect_two(a: SolutionSet, b: SolutionSet) -> SolutionSet:
     while t < start:
         t += lcm
     return SolutionSet.progression(t, lcm)
+
+
+# The one name -> core table. `solve` takes the names in SOLVER_NAMES and
+# chain levels the tags in CHAIN_TAGS; "small" and "brute" both walk the
+# orbit.
+_SOLVERS = {
+    "auto": _solve_auto,
+    "brute": _solve_brute,
+    "small": _solve_brute,
+    "small-order": _solve_small_order,
+    "elem-abelian": _solve_elementary_abelian,
+    "solvable": _solve_solvable,
+    "matrix-inner": _solve_matrix_inner,
+    "master": _solve_master,
+}
+SOLVER_NAMES = ("auto", "brute", "small-order", "elem-abelian", "solvable", "matrix-inner", "master")
+CHAIN_TAGS = ("small", "small-order", "solvable", "matrix-inner")
 
 
 def _verified(inst: SdlpInstance, sol: SolutionSet) -> SolutionSet:

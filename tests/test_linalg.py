@@ -9,6 +9,7 @@ from sdlp.errors import SdlpError
 from sdlp.ff import Poly, PrimeField, field_of_size
 from sdlp.linalg import (
     Matrix,
+    annihilator,
     coordinates_in_basis,
     eval_poly_at_matrix,
     invariant_subspace,
@@ -110,23 +111,38 @@ class TestMinPoly:
             Z = eval_poly_at_matrix(m, B)
             assert all(v == F.zero for v in Z.flatten())
 
+    def test_annihilator_is_least_and_divides_min_poly(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            F = field_of_size(rng.choice([2, 3, 5, 9]))
+            n = rng.randrange(1, 5)
+            B = Matrix(F, [[F.rand(rng) for _ in range(n)] for _ in range(n)])
+            v = tuple(F.rand(rng) for _ in range(n))
+            f = annihilator(B, v)
+            assert f.is_monic()
+            assert eval_poly_at_matrix(f, B).matvec(v) == (F.zero,) * n
+            krylov = [v]
+            for _ in range(f.degree() - 1):
+                krylov.append(B.matvec(krylov[-1]))
+            # v, Bv, ..., B^{deg f - 1} v are independent, so no lower degree annihilates v
+            assert f.degree() == 0 or Matrix.from_columns(F, krylov).rank() == f.degree()
+            assert min_poly(B).divmod(f)[1].is_zero()
+
 
 class TestInvariantSubspace:
-    FULL2 = [(1, 0), (0, 1)]
-
     def test_irreducible_companion(self):
         comp = Matrix.companion(Poly(F5, [1, 1, 1]))
-        assert invariant_subspace(comp, self.FULL2) is None
+        assert invariant_subspace(comp) is None
 
     def test_diagonal_gives_eigenline(self):
         D = Matrix(F5, [[1, 0], [0, 2]])
-        W = invariant_subspace(D, self.FULL2)
+        W = invariant_subspace(D)
         assert W is not None and len(W) == 1
         v = W[0]
         assert coordinates_in_basis(F5, W, D.matvec(v)) is not None
 
     def test_identity_gives_line(self):
-        W = invariant_subspace(Matrix.identity(F5, 2), self.FULL2)
+        W = invariant_subspace(Matrix.identity(F5, 2))
         assert W is not None and len(W) == 1
 
     def test_minimality_brute_force(self):
@@ -139,8 +155,7 @@ class TestInvariantSubspace:
                 continue
             F = PrimeField(p)
             B = Matrix(F, [[F.rand(rng) for _ in range(d)] for _ in range(d)])
-            full = [tuple(F.one if i == j else F.zero for j in range(d)) for i in range(d)]
-            W = invariant_subspace(B, full)
+            W = invariant_subspace(B)
             if W is None:
                 m = min_poly(B)
                 from sdlp.ff import factor_poly

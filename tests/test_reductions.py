@@ -1,8 +1,11 @@
+import math
 import random
 
 import pytest
 
 from conftest import (
+    rand_invertible,
+    rand_upper_triangular,
     random_cyclic_instance,
     random_heisenberg_instance,
     random_matrix_instance,
@@ -16,12 +19,15 @@ from sdlp.groups import (
     HeisenbergGroup,
     Hom,
     LinearMapEndo,
+    MatrixGroup,
     PowerMapEndo,
     SdlpInstance,
     SolutionSet,
+    TableEndo,
     VectorGroup,
     ConjugationEndo,
     rho_pow,
+    rho_pow_inverse_apply,
 )
 from sdlp.linalg import Matrix
 from sdlp.oracles import orbit_index_period, orbit_walk
@@ -135,6 +141,32 @@ class TestShiftToPower:
             got = recombine([solve(s, cfg) for s in subs])
             assert got.contains(t_star)
             assert got == brute_solve(inst, cfg)
+
+    @pytest.mark.parametrize("family", ["gl2-f1021", "heisenberg-7", "table", "power"])
+    def test_targets_are_the_inverse_powers(self, family):
+        # residue s asks for rho^{-s}(h), built one step at a time
+        rng = random.Random(f"shift-targets-{family}")
+        if family == "gl2-f1021":
+            F = PrimeField(1021)
+            grp = MatrixGroup(F, 2, [rand_invertible(F, 2, rng) for _ in range(2)])
+            sigma = ConjugationEndo(grp, rand_invertible(F, 2, rng))
+        elif family == "heisenberg-7":
+            grp = HeisenbergGroup(7)
+            sigma = ConjugationEndo(grp, rand_upper_triangular(grp.field, 3, rng))
+        else:
+            grp = CyclicGroup(360)
+            e = rng.choice([e for e in range(2, 360) if math.gcd(e, 360) == 1])
+            if family == "table":
+                sigma = TableEndo.from_callable(grp, lambda x: e * x % 360)
+            else:
+                sigma = PowerMapEndo(grp, e)
+        g, h = grp.rand_element(rng), grp.rand_element(rng)
+        inst = SdlpInstance(grp, sigma, g, h)
+        for k in (1, 2, 37):
+            subs, _ = shift_to_power(inst, k)
+            assert len(subs) == k
+            for s, sub in enumerate(subs):
+                assert grp.label(sub.h) == grp.label(rho_pow_inverse_apply(g, sigma, s, h))
 
 
 class TestRecurseThroughQuotient:

@@ -13,8 +13,9 @@ from conftest import (
     random_vector_instance,
     sigma_closed_matrix_group,
 )
+import sdlp.solvers as solvers
 from sdlp.config import SolverConfig
-from sdlp.errors import NotApplicableError, SdlpError
+from sdlp.errors import InternalAssertionError, NotApplicableError, SdlpError
 from sdlp.ff import Poly, PrimeField, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
@@ -35,8 +36,9 @@ from sdlp.groups import (
 )
 from sdlp.linalg import Matrix, min_poly
 from sdlp.oracles import orbit_walk
-from sdlp.protocol import heisenberg_chain
+from sdlp.protocol import heisenberg_chain, heisenberg_instance
 from sdlp.solvers import (
+    SOLVER_NAMES,
     ChainLevel,
     NormalChain,
     OrbitProblemInstance,
@@ -604,3 +606,92 @@ class TestAutoDispatch:
         inst = random_cyclic_instance(rng)
         with pytest.raises(SdlpError):
             solve(inst, CFG, solver="nonsense")
+
+
+def _heisenberg_master_instance(p=65521, t=123456):
+    grp, sigma, g = heisenberg_instance(p, seed=1)
+    return SdlpInstance(grp, sigma, g, rho_pow(g, sigma, t), chain=heisenberg_chain(grp))
+
+
+# the public face of each solver name; "auto" and "brute" are reached through
+# solve alone (brute_solve is the unchecked reference)
+FACES = {
+    "small-order": solve_small_order,
+    "elem-abelian": solve_elementary_abelian,
+    "solvable": solve_solvable,
+    "matrix-inner": solve_matrix_inner,
+    "master": lambda inst, config: solve_master(inst, inst.chain, config),
+}
+
+
+class TestCheckOnce:
+    @pytest.mark.parametrize("name", SOLVER_NAMES)
+    def test_a_wrong_core_answer_is_caught(self, name, monkeypatch):
+        inst = _heisenberg_master_instance(p=7, t=4)
+        assert inst.group.label(inst.h) != inst.group.label(inst.group.identity)
+        monkeypatch.setitem(solvers._SOLVERS, name, lambda inst, config: SolutionSet.singleton(0))
+        with pytest.raises(InternalAssertionError):
+            solve(inst, SolverConfig(), name)
+        if name in FACES:
+            with pytest.raises(InternalAssertionError):
+                FACES[name](inst, SolverConfig())
+
+    def test_a_wrong_level_answer_is_caught_by_the_kernel_check(self, monkeypatch):
+        real = solvers._SOLVERS["solvable"]
+
+        def off_by_one(q_inst, config):
+            sol = real(q_inst, config)
+            return SolutionSet.progression(sol.t0 + 1, sol.period)
+
+        monkeypatch.setitem(solvers._SOLVERS, "solvable", off_by_one)
+        with pytest.raises(InternalAssertionError, match="chain level 2: follow-up elements fell outside the kernel"):
+            solve(_heisenberg_master_instance(), SolverConfig(), "master")
+
+    def test_a_wrong_factor_answer_is_caught_not_emptied(self, monkeypatch):
+        # both factors have period 10, so shifting one factor's answer by 1
+        # leaves the intersection empty: only the per-factor check sees it
+        C = CyclicGroup(11)
+        P = ProductGroup([C, C])
+        sigma = ProductEndo(P, [PowerMapEndo(C, 2), PowerMapEndo(C, 2)])
+        inst = SdlpInstance(P, sigma, (1, 1), rho_pow((1, 1), sigma, 7))
+        assert solve(inst, SolverConfig()) == SolutionSet.progression(7, 10)
+        real = solvers._solve_auto
+        factors_seen = []
+
+        def wrong_first_factor(sub, config):
+            sol = real(sub, config)
+            factors_seen.append(sub)
+            if len(factors_seen) == 1:
+                return SolutionSet.progression(sol.t0 + 1, sol.period)
+            return sol
+
+        monkeypatch.setattr(solvers, "_solve_auto", wrong_first_factor)
+        with pytest.raises(InternalAssertionError):
+            solve(inst, SolverConfig())
+
+    def test_one_check_per_solve(self, monkeypatch):
+        real = solvers._verified
+        checked = []
+
+        def counting(inst, sol):
+            checked.append(inst)
+            return real(inst, sol)
+
+        monkeypatch.setattr(solvers, "_verified", counting)
+        inst = _heisenberg_master_instance()
+        assert solve(inst, SolverConfig(), "master").contains(123456)
+        assert checked == [inst]
+
+    def test_a_public_solver_starts_a_fresh_trace(self):
+        inst = _heisenberg_master_instance()
+        cfg = SolverConfig()
+        solve_solvable(inst, cfg)
+        first = len(cfg.trace)
+        solve_solvable(inst, cfg)
+        assert first > 0 and len(cfg.trace) == first
+
+    def test_solve_master_leaves_the_instance_chain_alone(self):
+        inst = _heisenberg_master_instance()
+        chain, inst.chain = inst.chain, None
+        assert solve_master(inst, chain, CFG).contains(123456)
+        assert inst.chain is None
