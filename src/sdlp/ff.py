@@ -560,22 +560,9 @@ def _poly_half_ext_gcd(a: Poly, b: Poly):
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin test: x^(q^d) = x mod f and gcd conditions at maximal divisors."""
-    d = f.degree()
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    F = f.field
-    q = F.size
-    x = Poly.x(F)
-    from .integers import factorize
-
-    for ell in factorize(d):
-        h = x.pow_mod(q ** (d // ell), f) - x
-        if not h.gcd(f).degree() == 0:
-            return False
-    return x.pow_mod(q**d, f).mod(f) == x.mod(f)
+    """Distinct-degree test: f is irreducible when its only factor degree is
+    its own."""
+    return f.degree() >= 1 and factor_degrees(f) == [f.degree()]
 
 
 def factor_poly(f: Poly, seed: int = 0) -> list:

@@ -1,12 +1,13 @@
-"""Dense exact matrices over finite fields, with the minimal-polynomial and
-invariant-subspace machinery the solvers are built on.
+"""Dense exact matrices over finite fields: products, inverses, row
+reduction, and the minimal polynomial and Krylov annihilator the orbit
+problem is built on.
 
 Vectors are tuples of field elements; a Matrix is immutable and hashable so
 it can double as a black-box group code-word.
 """
 
 from .errors import SdlpError
-from .ff import Poly, factor_poly
+from .ff import Poly
 
 
 class Matrix:
@@ -312,23 +313,3 @@ def restrict_to_subspace(B: Matrix, basis) -> Matrix:
             raise SdlpError("subspace is not invariant under the map")
         cols.append(c)
     return Matrix.from_columns(F, cols)
-
-
-def invariant_subspace(B: Matrix, seed: int = 0):
-    """A minimal proper nontrivial B-invariant subspace of the whole space.
-
-    Returns a basis of the subspace, or None when the space is irreducible
-    (no proper nontrivial invariant subspace). The route: factor the
-    minimal polynomial, take the kernel of one irreducible factor, and cut
-    out a cyclic submodule.
-    """
-    if B.nrows == 0:
-        raise SdlpError("invariant_subspace expects dim >= 1")
-    factors = factor_poly(min_poly(B), seed=seed)
-    f, mult = factors[0]
-    if len(factors) == 1 and mult == 1 and f.degree() == B.nrows:
-        return None
-    cyclic = [nullspace(eval_poly_at_matrix(f, B))[0]]
-    for _ in range(f.degree() - 1):
-        cyclic.append(B.matvec(cyclic[-1]))
-    return cyclic

@@ -6,11 +6,12 @@ every answer against the defining equation once, on its way out.
 
 import random
 from dataclasses import dataclass, replace
+from functools import reduce
 
 from . import integers
 from .config import SolverConfig
 from .errors import InternalAssertionError, NotApplicableError, SdlpError
-from .ff import ExtField, Poly, PrimeField
+from .ff import ExtField, Poly, PrimeField, factor_poly
 from .groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -34,8 +35,6 @@ from .linalg import (
     annihilator,
     coordinates_in_basis,
     extract_basis,
-    invariant_subspace,
-    min_poly,
     nullspace,
     solve_linear,
 )
@@ -152,11 +151,12 @@ def _power_solutions(group: GroupHandle, base, target, config: SolverConfig) -> 
 
 
 def solve_elementary_abelian(inst: SdlpInstance, config: SolverConfig | None = None) -> SolutionSet:
-    """SDLP on Z_p^d with an invertible linear sigma.
+    """SDLP on Z_p^d with an invertible linear sigma = B.
 
-    Reducible modules are split along a minimal invariant subspace and
-    recursed through the quotient; the irreducible base case becomes a
-    discrete logarithm in F_{p^d}^* through the cyclic-basis field of g.
+    rho^t(1) = g + Bg + ... + B^{t-1}g is the t-th iterate from 0 of the
+    affine map x -> g + Bx, so the instance is an orbit problem: solved in
+    closed form when B = 1, as B^t g = g + (B - 1)h when B - 1 is
+    invertible, and otherwise on the augmented matrix [[B, g], [0, 1]].
     """
     return solve(inst, config, "elem-abelian")
 
@@ -173,119 +173,33 @@ def _solve_elementary_abelian(inst: SdlpInstance, config: SolverConfig) -> Solut
         raise NotApplicableError("elementary-abelian solver needs a linear map")
     if not sigma.is_automorphism():
         raise SdlpError("sigma is singular; reduce to the automorphism case first")
-    return _solve_elem_abelian_rec(inst, config)
+    return _solve_layer_as_orbit(inst, config)
 
 
-def _solve_elem_abelian_rec(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
-    grp: VectorGroup = inst.group
+def _solve_layer_as_orbit(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
+    """An elementary-abelian layer Z_p^d with sigma = B, as an orbit problem."""
     B = inst.sigma.matrix
     F = B.field
-    d = grp.d
-    if d == 0:
-        return SolutionSet.progression(0, 1)
-    W = invariant_subspace(B, seed=config.seed)
-    if W is None:
-        return _solve_elem_abelian_irreducible(inst, min_poly(B), config)
-
-    # split: the one-level chain V > span(W) for a minimal invariant
-    # subspace W; the kernel instance is solved in W-coordinates
-    chain = NormalChain(levels=[ChainLevel(grp.generators(), _quotient_hom(grp, B, W), tag="solvable")])
-    return _descend(
-        inst,
-        chain,
-        lambda q_inst, level, config: _solve_elem_abelian_rec(q_inst, config),
-        config,
-        bottom=lambda sub: _solve_elem_abelian_rec(_vector_subinstance(sub, W, F), config),
-    )
-
-
-def _quotient_hom(grp: VectorGroup, B: Matrix, W: list) -> Hom:
-    """The coordinate map Z_p^d -> Z_p^{d-w} with kernel span(W)."""
-    F = B.field
-    d = grp.d
-    basis = list(W)
-    for e in Matrix.identity(F, d).rows:
-        if len(basis) == d:
-            break
-        if coordinates_in_basis(F, basis, e) is None:
-            basis.append(tuple(e))
-    L = Matrix.from_columns(F, basis)
-    L_inv = L.inverse()
-    w = len(W)
-    proj = Matrix(F, L_inv.rows[w:])
-    target = VectorGroup(grp.p, d - w)
-    return Hom(grp, target, proj.matvec, kernel_generators=list(W), description="mod minimal invariant subspace")
-
-
-def _vector_subinstance(sub: SdlpInstance, W: list, F) -> SdlpInstance:
-    """Rewrite an instance living inside span(W) in W-coordinates."""
-    w = len(W)
-    target = VectorGroup(F.p, w)
-    B_n0 = sub.sigma.matrix
-    R_cols = []
-    for v in W:
-        c = coordinates_in_basis(F, W, B_n0.matvec(v))
-        if c is None:
-            raise InternalAssertionError("subspace is not invariant under the shifted map")
-        R_cols.append(c)
-    R = Matrix.from_columns(F, R_cols)
-    g2 = coordinates_in_basis(F, W, sub.g)
-    h2 = coordinates_in_basis(F, W, sub.h)
-    if g2 is None or h2 is None:
-        raise InternalAssertionError("follow-up elements are not inside the subspace")
-    return SdlpInstance(target, LinearMapEndo(target, R), g2, h2)
-
-
-def _solve_elem_abelian_irreducible(inst: SdlpInstance, m, config: SolverConfig) -> SolutionSet:
-    grp: VectorGroup = inst.group
-    B = inst.sigma.matrix
-    F = B.field
-    p = grp.p
+    d = inst.group.d
+    g, h = tuple(inst.g), tuple(inst.h)
     if B.is_identity():
-        # 1 is an eigenvalue; irreducibility forces d = 1 and sigma trivial
-        g0 = inst.g[0] if grp.d else 0
-        h0 = inst.h[0] if grp.d else 0
-        if g0 == 0:
-            return SolutionSet.progression(0, 1) if h0 == 0 else SolutionSet.empty()
-        return SolutionSet.progression(h0 * F.inv(g0) % p, p)
-    if all(a == 0 for a in inst.g):
-        return SolutionSet.progression(0, 1) if all(a == 0 for a in inst.h) else SolutionSet.empty()
-
-    # view V as the field F_{p^d}: g becomes 1, h becomes u, B becomes beta
-    fld, beta, to_field = _cyclic_field(B, m, inst.g)
-    u = to_field(inst.h)
-    # rho^t(1) = h  <=>  beta^t = 1 + (beta - 1) u
-    target = fld.add(fld.one, fld.mul(fld.sub(beta, fld.one), u))
-    if target == fld.zero:
-        return SolutionSet.empty()
-    return _power_solutions(UnitGroup(fld), beta, target, config)
-
-
-def _cyclic_field(B: Matrix, m: Poly, v):
-    """(field, beta, to_field): an irreducible module F_p^d under B, with
-    minimal polynomial m, as the field F_p[x]/(m).
-
-    The cyclic basis v, Bv, ..., B^{d-1}v sends c(B)v to the class of c(x),
-    so v becomes 1 and B acts as multiplication by beta = x; to_field(w)
-    reads w's coordinates in that basis.
-    """
-    F = B.field
-    basis = [v]
-    for _ in range(m.degree() - 1):
-        basis.append(B.matvec(basis[-1]))
-    if m.degree() == 1:
-        fld, beta = F, F.neg(m.coeffs[0])  # root of x - b
+        # rho^t(1) = t g
+        i = next((i for i, a in enumerate(g) if a != F.zero), None)
+        if i is None:
+            return SolutionSet.progression(0, 1) if all(b == F.zero for b in h) else SolutionSet.empty()
+        t = F.mul(h[i], F.inv(g[i]))
+        if any(F.mul(t, a) != b for a, b in zip(g, h)):
+            return SolutionSet.empty()
+        return SolutionSet.progression(t, F.p)
+    B1 = B - Matrix.identity(F, d)
+    if B1.is_invertible():
+        # (B - 1) rho^t(1) = (B^t - 1) g
+        opi = OrbitProblemInstance(F, B, g, tuple(map(F.add, g, B1.matvec(h))))
     else:
-        fld = ExtField(F, m)
-        beta = fld.gen()
-
-    def to_field(w):
-        coords = coordinates_in_basis(F, basis, w)
-        if coords is None:
-            raise InternalAssertionError("cyclic basis failed to span an irreducible module")
-        return coords[0] if fld is F else fld.from_coeffs(list(coords))
-
-    return fld, beta, to_field
+        # (rho^t(1), 1) = [[B, g], [0, 1]]^t (0, 1)
+        phi = Matrix(F, [row + (a,) for row, a in zip(B.rows, g)] + [(F.zero,) * d + (F.one,)])
+        opi = OrbitProblemInstance(F, phi, (F.zero,) * d + (F.one,), h + (F.one,))
+    return _orbit_problem_set(opi, config)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +283,8 @@ def solve_solvable(inst: SdlpInstance, config: SolverConfig | None = None) -> So
     prime order, Heisenberg groups, groups generated by upper-unitriangular
     matrices under conjugation, and pair-image groups with a vector-group
     labeling. The Heisenberg and unitriangular filtrations are folded down
-    like a master chain, with every layer Z_p^r solved by the
-    elementary-abelian solver. Anything else needs an explicit chain
+    like a master chain, with every layer Z_p^r solved as an orbit problem,
+    as in solve_elementary_abelian. Anything else needs an explicit chain
     (solve_master) and raises "composition series required".
     """
     return solve(inst, config, "solvable")
@@ -404,7 +318,7 @@ def _solve_solvable(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
         chain = unitriangular_chain(grp)
     else:
         raise NotApplicableError("composition series required")
-    return _descend(inst, chain, lambda q_inst, level, config: _solve_elem_abelian_rec(q_inst, config), config)
+    return _descend(inst, chain, lambda q_inst, level, config: _solve_layer_as_orbit(q_inst, config), config)
 
 
 def _solve_prime_cyclic(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
@@ -416,7 +330,7 @@ def _solve_prime_cyclic(inst: SdlpInstance, config: SolverConfig) -> SolutionSet
         # generic automorphism of Z_p is multiplication by sigma(1)
         e = inst.sigma.apply(1 % grp.n)
     sub = SdlpInstance(V, LinearMapEndo(V, Matrix(F, [[e]])), (inst.g,), (inst.h,))
-    return _solve_elem_abelian_rec(sub, config)
+    return _solve_layer_as_orbit(sub, config)
 
 
 def _solve_pair_over_vector(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
@@ -443,7 +357,7 @@ def _solve_pair_over_vector(inst: SdlpInstance, config: SolverConfig) -> Solutio
 
         proj = Hom(grp, Vr, func, description="image coordinates")
     q_inst, _ = recurse_through_quotient(inst, proj, config)
-    return _solve_elem_abelian_rec(q_inst, config)
+    return _solve_layer_as_orbit(q_inst, config)
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +373,13 @@ def find_conjugator(generators, images, d: int, fld, config: SolverConfig | None
     intertwiner exists. Fields with q < 2d are lifted to an extension
     (prime q) or searched exhaustively (small prime-power q).
     """
-    a, _, _ = _find_conjugator_lifted(generators, images, d, fld, config or SolverConfig())
+    a, _, _, _ = _find_conjugator_lifted(generators, images, d, fld, config or SolverConfig())
     return a
 
 
 def _find_conjugator_lifted(generators, images, d: int, fld, config: SolverConfig):
-    """(a, field, embed) where embed maps input matrices into a's field."""
+    """(a, a^-1, field, embed) where embed maps input matrices into a's
+    field; a^-1 is the intertwiner drawn."""
     if fld.size >= 2 * d or not isinstance(fld, PrimeField):
         lifted, embed = fld, lambda M: M
         if fld.size < 2 * d:
@@ -492,8 +407,8 @@ def _find_conjugator_lifted(generators, images, d: int, fld, config: SolverConfi
             y = y + Y.scale(lifted.rand(rng))
         if y.is_invertible():
             a = y.inverse()
-            _assert_conjugation_matches(gens, imgs, a)
-            return a, lifted, embed
+            _assert_conjugation_matches(gens, imgs, a, y)
+            return a, y, lifted, embed
     raise NotApplicableError("no invertible intertwiner found")
 
 
@@ -509,8 +424,8 @@ def _conjugator_by_enumeration(generators, images, d, fld, config):
             y = y + Y.scale(c)
         if any(c != fld.zero for c in coeffs) and y.is_invertible():
             a = y.inverse()
-            _assert_conjugation_matches(generators, images, a)
-            return a, fld, (lambda M: M)
+            _assert_conjugation_matches(generators, images, a, y)
+            return a, y, fld, (lambda M: M)
     raise NotApplicableError("no invertible intertwiner found")
 
 
@@ -541,8 +456,7 @@ def _intertwiner_basis(gens, imgs, d, fld):
     return [Matrix.unflatten(fld, v, d, d) for v in nullspace(system)]
 
 
-def _assert_conjugation_matches(gens, imgs, a: Matrix):
-    a_inv = a.inverse()
+def _assert_conjugation_matches(gens, imgs, a: Matrix, a_inv: Matrix):
     for x, s in zip(gens, imgs):
         if (a_inv * x * a).entries_key() != s.entries_key():
             raise InternalAssertionError("conjugator does not implement sigma on the generators")
@@ -564,7 +478,10 @@ def solve_orbit_problem(opi: OrbitProblemInstance, config: SolverConfig | None =
     Kannan-Lipton style: the Krylov space W of a is F[x]/(f), with f the
     monic annihilator of a under Phi, Phi^i a <-> x^i, and Phi acting as
     multiplication by x. Once b is in W with coordinates c_b, Phi^t a = b
-    becomes x^t = c_b(x) mod f, a dlog in the unit group of F[x]/(f).
+    becomes x^t = c_b(x) mod f. Over a prime field the ring splits by the
+    factors u^k of f: a dlog in F or F[x]/(u) for each simple factor, in
+    (F[x]/(u^k))^* for each repeated one, recombined by CRT. Over an
+    extension field it is one dlog in (F[x]/(f))^*.
     """
     sol = _orbit_problem_set(opi, config or SolverConfig())
     if sol.is_empty():
@@ -576,7 +493,8 @@ def solve_orbit_problem(opi: OrbitProblemInstance, config: SolverConfig | None =
 
 
 def _orbit_problem_set(opi: OrbitProblemInstance, config: SolverConfig) -> SolutionSet:
-    """{t : Phi^t a = b} as {t0 + ord(x) k}, solved in (F[x]/(f))^*."""
+    """{t : Phi^t a = b} as {t0 + ord(x) k}: x^t = c_b(x) in F[x]/(f), one
+    ring per factor of f over a prime field."""
     F = opi.field
     if all(a == F.zero for a in opi.a):
         if all(b == F.zero for b in opi.b):
@@ -584,15 +502,41 @@ def _orbit_problem_set(opi: OrbitProblemInstance, config: SolverConfig) -> Solut
         return SolutionSet.empty()
     if not opi.phi.is_invertible():
         raise SdlpError("orbit problem needs an invertible map")
-    f = annihilator(opi.phi, opi.a)
-    krylov = [opi.a]
-    for _ in range(f.degree() - 1):
-        krylov.append(opi.phi.matvec(krylov[-1]))
-    c_b = coordinates_in_basis(F, krylov, opi.b)
+    f, coords = _krylov_coordinates(opi.phi, opi.a)
+    c_b = coords(opi.b)
     if c_b is None:
         return SolutionSet.empty()
-    ring = PolyUnitGroup(F, f)
-    return _power_solutions(ring, ring.element([F.zero, F.one]), ring.element(c_b), config)
+    if not isinstance(F, PrimeField):
+        return _ring_power_solutions(F, f, 1, c_b, config)
+    return _intersect_solutions(_ring_power_solutions(F, u, k, c_b, config) for u, k in factor_poly(f, seed=config.seed))
+
+
+def _krylov_coordinates(phi: Matrix, a):
+    """(f, coords): f is the annihilator of a under Phi, and coords(w) reads
+    w = c(Phi) a off the Krylov basis a, Phi a, ..., Phi^{deg f - 1} a as the
+    coefficients of c (None when w is outside it). In these coordinates a is
+    1 and Phi is multiplication by x in F[x]/(f)."""
+    f = annihilator(phi, a)
+    krylov = [a]
+    for _ in range(f.degree() - 1):
+        krylov.append(phi.matvec(krylov[-1]))
+    return f, lambda w: coordinates_in_basis(phi.field, krylov, w)
+
+
+def _ring_power_solutions(F, u: Poly, k: int, c, config: SolverConfig) -> SolutionSet:
+    """{t : x^t = c(x)} in F[x]/(u^k). Over a prime field u is irreducible,
+    and k = 1 gives the field F[x]/(u); over an extension field u = f."""
+    c = Poly(F, list(c))
+    if c.mod(u).is_zero():
+        return SolutionSet.empty()  # c is not a unit
+    if k > 1 or not isinstance(F, PrimeField):
+        ring = PolyUnitGroup(F, reduce(Poly.__mul__, [u] * k))
+        return _power_solutions(ring, ring.element([F.zero, F.one]), ring.element(c.coeffs), config)
+    if u.degree() == 1:
+        root = F.neg(u.coeffs[0])
+        return _power_solutions(UnitGroup(F), root, c.eval(root), config)
+    fld = ExtField(F, u)
+    return _power_solutions(UnitGroup(fld), fld.gen(), fld.from_coeffs(c.coeffs), config)
 
 
 def _matrix_view(inst: SdlpInstance):
@@ -636,17 +580,16 @@ def _solve_matrix_inner(inst: SdlpInstance, config: SolverConfig, order_fact: di
         sigma_k = sigma.pow(k)
         img_mats = [to_mat(sigma_k.apply(x)) for x in gens]
         try:
-            a, lifted, embed = _find_conjugator_lifted(gen_mats, img_mats, d, fld, config)
+            a, a_inv, lifted, embed = _find_conjugator_lifted(gen_mats, img_mats, d, fld, config)
         except NotApplicableError:
             continue
         config.record("matrix-inner", k=k, lifted=repr(lifted) if lifted is not fld else None)
-        return _solve_with_conjugator(inst, k, a, lifted, embed, to_mat, d, config)
+        return _solve_with_conjugator(inst, k, a, a_inv, lifted, embed, to_mat, d, config)
     raise NotApplicableError("no inner power within bound")
 
 
-def _solve_with_conjugator(inst, k, a, fld, embed, to_mat, d, config) -> SolutionSet:
+def _solve_with_conjugator(inst, k, a, a_inv, fld, embed, to_mat, d, config) -> SolutionSet:
     subs, recombine = shift_to_power(inst, k, config)
-    a_inv = a.inverse()
     basis_mats = []
     for i in range(d):
         for j in range(d):
@@ -688,12 +631,12 @@ def _solve_master(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     return _descend(inst, inst.chain, _dispatch_tag, config)
 
 
-def _descend(inst: SdlpInstance, chain: NormalChain, solve_image, config: SolverConfig, bottom=None) -> SolutionSet:
+def _descend(inst: SdlpInstance, chain: NormalChain, solve_image, config: SolverConfig) -> SolutionSet:
     """Walk the chain top-down: solve each level's image with
     solve_image(q_inst, level, config), then descend into its kernel with
-    sigma^{n0}. The instance left in the last kernel goes to bottom
-    (default: the trivial group) and the answers lift back up. Errors name
-    their level; `solve` checks the result."""
+    sigma^{n0}. The instance left in the last kernel lives in the trivial
+    group, and the answers lift back up. Errors name their level; `solve`
+    checks the result."""
     cur = inst
     lifts = []
     for level_index in range(len(chain.levels) - 1, -1, -1):
@@ -707,7 +650,7 @@ def _descend(inst: SdlpInstance, chain: NormalChain, solve_image, config: Solver
         lifts.append(lift)
         if cur is None:
             break
-    sol = SolutionSet.empty() if cur is None else (bottom or _solve_trivial_group)(cur)
+    sol = SolutionSet.empty() if cur is None else _solve_trivial_group(cur)
     for lift in reversed(lifts):
         sol = lift(sol)
     return sol
@@ -777,7 +720,7 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
         # one order computation serves both solvers
         order_fact = dict(endo_order(sigma))
         n = integers.factorization_product(order_fact)
-        if n <= config.small_order_bound and _cheap_order_estimate(grp) is not None:
+        if n <= config.small_order_bound:
             try:
                 return _solve_small_order(inst, config, n)
             except SdlpError as err:
@@ -788,13 +731,6 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     except SdlpError as err:
         config.record("declined", solver="small-order", reason=str(err))
         return _solve_brute(inst, config)
-
-
-def _cheap_order_estimate(grp):
-    try:
-        return grp.exponent_multiple()
-    except (SdlpError, NotImplementedError):
-        return None
 
 
 def _solve_product(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:

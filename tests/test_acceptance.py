@@ -19,7 +19,7 @@ from conftest import (
 )
 from sdlp.config import SolverConfig
 from sdlp.errors import NotApplicableError, SdlpError
-from sdlp.ff import Poly, PrimeField, field_of_size, is_irreducible
+from sdlp.ff import ExtField, Poly, PrimeField, field_of_size, is_irreducible
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -37,7 +37,7 @@ from sdlp.groups import (
     rho_pow,
     rho_pow_naive,
 )
-from sdlp.linalg import Matrix, eval_poly_at_matrix, min_poly
+from sdlp.linalg import Matrix, eval_poly_at_matrix
 from sdlp.oracles import orbit_walk
 from sdlp.protocol import (
     draw_secrets,
@@ -47,7 +47,7 @@ from sdlp.protocol import (
     spdke_exchange,
 )
 from sdlp.reductions import reduce_to_automorphism_case
-from sdlp.solvers import _cyclic_field, _intertwiner_basis, brute_solve, solve
+from sdlp.solvers import _intertwiner_basis, _krylov_coordinates, brute_solve, solve
 
 ORBIT_CAP = 1 << 12
 
@@ -363,11 +363,16 @@ def test_criterion_7_numerical_exactness():
             rho_ok = False
             print(f"  rho_pow_naive disagrees with rho_pow on {grp!r} at t=1024")
 
-    # the elementary-abelian solver's cyclic-basis field: P -> to_field(P v)
-    # must be a ring isomorphism F_5[B] -> F_25, checked on u(B) and w(B)
+    # the orbit problem's Krylov coordinates: P -> to_field(P v) must be a
+    # ring isomorphism F_5[B] -> F_25, checked on u(B) and w(B)
     B = Matrix(F5, [[0, 4], [1, 4]])
     v = (1, 0)
-    fld, _, to_field = _cyclic_field(B, min_poly(B), v)
+    f, coords = _krylov_coordinates(B, v)
+    fld = ExtField(F5, f)
+
+    def to_field(w):
+        return fld.from_coeffs(coords(w))
+
     iso_ok = fld.size == 25
     for _ in range(100):
         u, w = fld.rand(rng), fld.rand(rng)

@@ -106,11 +106,7 @@ class TestSolve:
         path = write(tmp_path, README_INSTANCE)
         code, out, _ = run(capsys, "solve", "--instance", path, "--explain", "--solver", solver)
         assert code == 0
-        assert out == (
-            '{"kind": "empty", "trace": ["quotient-recursion: image=Vector(7,2)", '
-            '"quotient-recursion: image=Vector(7,1)", "quotient-recursion-descend: t0=4, n0=6"], '
-            '"verified": true}\n'
-        )
+        assert out == '{"kind": "empty", "trace": ["quotient-recursion: image=Vector(7,2)"], "verified": true}\n'
 
     def test_explain_records_declined_solvers(self, tmp_path, capsys):
         # sigma has order 2048 > 1024, so auto falls back from small-order to brute

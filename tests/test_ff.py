@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -208,3 +209,15 @@ def test_canonical_irreducible_is_deterministic_and_minimal():
         if cand == f:
             break
         assert not is_irreducible(cand)
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 8), (3, 5)])
+def test_is_irreducible_matches_divisor_search(p, max_degree):
+    # every monic polynomial up to max_degree, against a search for a monic
+    # divisor of degree 1 to deg f / 2
+    F = PrimeField(p)
+    monic = [[Poly(F, list(c) + [1]) for c in itertools.product(range(p), repeat=d)] for d in range(max_degree + 1)]
+    for d, polys in enumerate(monic):
+        for f in polys:
+            reducible = any(f.divmod(u)[1].is_zero() for e in range(1, d // 2 + 1) for u in monic[e])
+            assert is_irreducible(f) == (d >= 1 and not reducible), f

@@ -6,18 +6,16 @@ from hypothesis import strategies as st
 
 from conftest import fold_dot
 from sdlp.errors import SdlpError
-from sdlp.ff import Poly, PrimeField, field_of_size
+from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
 from sdlp.linalg import (
     Matrix,
     annihilator,
-    coordinates_in_basis,
     eval_poly_at_matrix,
-    invariant_subspace,
     min_poly,
     nullspace,
     solve_linear,
 )
-from sdlp.solvers import _cyclic_field
+from sdlp.solvers import _krylov_coordinates
 
 F5 = PrimeField(5)
 B_SPEC = Matrix(F5, [[0, 4], [1, 4]])  # minimal polynomial x^2 + x + 1
@@ -129,80 +127,17 @@ class TestMinPoly:
             assert min_poly(B).divmod(f)[1].is_zero()
 
 
-class TestInvariantSubspace:
-    def test_irreducible_companion(self):
-        comp = Matrix.companion(Poly(F5, [1, 1, 1]))
-        assert invariant_subspace(comp) is None
-
-    def test_diagonal_gives_eigenline(self):
-        D = Matrix(F5, [[1, 0], [0, 2]])
-        W = invariant_subspace(D)
-        assert W is not None and len(W) == 1
-        v = W[0]
-        assert coordinates_in_basis(F5, W, D.matvec(v)) is not None
-
-    def test_identity_gives_line(self):
-        W = invariant_subspace(Matrix.identity(F5, 2))
-        assert W is not None and len(W) == 1
-
-    def test_minimality_brute_force(self):
-        # all cyclic submodules of the returned W must equal W
-        rng = random.Random(7)
-        for _ in range(60):
-            p = rng.choice([2, 3, 5])
-            d = rng.randrange(2, 5)
-            if p ** d > 1 << 12:
-                continue
-            F = PrimeField(p)
-            B = Matrix(F, [[F.rand(rng) for _ in range(d)] for _ in range(d)])
-            W = invariant_subspace(B)
-            if W is None:
-                m = min_poly(B)
-                from sdlp.ff import factor_poly
-
-                factors = factor_poly(m)
-                assert len(factors) == 1 and factors[0][1] == 1 and m.degree() == d
-                continue
-            assert 1 <= len(W) < d
-            for v in W:
-                got = coordinates_in_basis(F, W, B.matvec(v))
-                assert got is not None, "W is not invariant"
-            for vec in _all_nonzero_in_span(F, W):
-                cyclic = _cyclic_module(F, B, vec)
-                assert len(cyclic) == len(W), "W contains a smaller invariant subspace"
-
-
-def _all_nonzero_in_span(F, basis):
-    p = F.p
-
-    def rec(i, acc):
-        if i == len(basis):
-            if any(a != 0 for a in acc):
-                yield tuple(acc)
-            return
-        for c in range(p):
-            new = [(a + c * b) % p for a, b in zip(acc, basis[i])]
-            yield from rec(i + 1, new)
-
-    yield from rec(0, [0] * len(basis[0]))
-
-
-def _cyclic_module(F, B, v):
-    basis = []
-    cur = v
-    while coordinates_in_basis(F, basis, cur) is None:
-        basis.append(cur)
-        cur = B.matvec(cur)
-    return basis
-
-
 class TestFieldFromMatrix:
-    """F_5[B] for B = B_SPEC is a field: the cyclic basis v, Bv sends c(B)
-    to the class of c(x) in F_5[x]/(x^2 + x + 1)."""
+    """F_5[B] for B = B_SPEC is a field: the orbit problem's Krylov basis
+    v, Bv sends c(B)v to the class of c(x) in F_5[x]/(x^2 + x + 1)."""
 
     def test_iso_is_ring_homomorphism(self):
         v = (1, 0)
-        fld, _, to_field = _cyclic_field(B_SPEC, min_poly(B_SPEC), v)
+        f, coords = _krylov_coordinates(B_SPEC, v)
+        fld = ExtField(F5, f)
+
+        def to_field(w):
+            return fld.from_coeffs(coords(w))
 
         def from_field(u):
             return eval_poly_at_matrix(Poly(F5, list(u)), B_SPEC)

@@ -16,7 +16,7 @@ from conftest import (
 import sdlp.solvers as solvers
 from sdlp.config import SolverConfig
 from sdlp.errors import InternalAssertionError, NotApplicableError, SdlpError
-from sdlp.ff import Poly, PrimeField, field_of_size
+from sdlp.ff import ExtField, Poly, PrimeField, factor_poly, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -34,7 +34,7 @@ from sdlp.groups import (
     mulclose,
     rho_pow,
 )
-from sdlp.linalg import Matrix, min_poly
+from sdlp.linalg import Matrix, annihilator
 from sdlp.oracles import orbit_walk
 from sdlp.protocol import heisenberg_chain, heisenberg_instance
 from sdlp.solvers import (
@@ -42,7 +42,7 @@ from sdlp.solvers import (
     ChainLevel,
     NormalChain,
     OrbitProblemInstance,
-    _cyclic_field,
+    _krylov_coordinates,
     _orbit_problem_set,
     brute_solve,
     find_conjugator,
@@ -128,6 +128,50 @@ class TestSolveElementaryAbelian:
             inst = random_vector_instance(rng, d_max=3, automorphism=True)
             assert solve_elementary_abelian(inst, CFG) == brute_solve(inst, CFG)
 
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        p=st.sampled_from([2, 3, 5, 7, 11]),
+        d=st.integers(1, 4),
+        kind=st.sampled_from(["identity", "unipotent", "eigenvalue-1", "no-eigenvalue-1"]),
+        zero_g=st.booleans(),
+        in_orbit=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_layer_branches_match_brute(self, p, d, kind, zero_g, in_orbit, seed):
+        # each branch of the layer-as-orbit-problem reduction: B = 1 (closed
+        # form), B - 1 singular (augmented matrix) and B - 1 invertible
+        rng = random.Random(seed)
+        F = PrimeField(p)
+        if kind != "no-eigenvalue-1":
+            d = max(d, 2)
+        if kind == "no-eigenvalue-1" and p == 2:
+            p, F = 3, PrimeField(3)  # over F_2 the only unit is 1
+        one = Matrix.identity(F, d)
+        if kind == "identity":
+            B = one
+        elif kind == "no-eigenvalue-1":
+            B = rand_invertible(F, d, rng)
+            while not (B - one).is_invertible():
+                B = rand_invertible(F, d, rng)
+        else:
+            rows = [[F.rand(rng) if j > i else F.zero for j in range(d)] for i in range(d)]
+            for i in range(d):
+                rows[i][i] = F.one if kind == "unipotent" or i == 0 else F.rand_nonzero(rng)
+            rows[0][1] = F.rand_nonzero(rng)  # B != 1
+            P = rand_invertible(F, d, rng)
+            B = P * Matrix(F, rows) * P.inverse()
+        assert B.is_identity() == (kind == "identity")
+        assert (B - one).is_invertible() == (kind == "no-eigenvalue-1")
+        V = VectorGroup(p, d)
+        sigma = LinearMapEndo(V, B)
+        g = V.identity if zero_g else V.rand_element(rng)
+        h = rho_pow(g, sigma, rng.randrange(10**6)) if in_orbit else V.rand_element(rng)
+        inst = SdlpInstance(V, sigma, g, h)
+        want = brute_solve(inst, SolverConfig(max_walk=1 << 20))
+        assert solve_elementary_abelian(inst, CFG) == want
+        assert solve_solvable(inst, CFG) == want
+        assert solve(inst, CFG) == want
+
     def test_rejects_singular(self):
         V = VectorGroup(3, 2)
         singular = LinearMapEndo(V, Matrix(PrimeField(3), [[1, 0], [2, 0]]))
@@ -136,21 +180,27 @@ class TestSolveElementaryAbelian:
 
 
 class TestCyclicField:
-    """The irreducible base case views F_p^d as F_p[x]/(m) through the
-    cyclic basis of its g."""
+    """The orbit problem's Krylov coordinates view the cyclic module of v as
+    F_p[x]/(f): v becomes 1 and B acts as multiplication by x."""
 
     def test_spec_matrix_gives_f25(self):
         B = Matrix(F5, [[0, 4], [1, 4]])  # minimal polynomial x^2 + x + 1
-        fld, beta, to_field = _cyclic_field(B, min_poly(B), (1, 0))
-        assert fld.size == 25 and fld.modulus == Poly(F5, [1, 1, 1])
-        assert beta == fld.gen() and to_field((1, 0)) == fld.one
-        assert to_field(B.matvec((3, 2))) == fld.mul(beta, to_field((3, 2)))
+        f, coords = _krylov_coordinates(B, (1, 0))
+        fld = ExtField(F5, f)
+        assert fld.size == 25 and f == Poly(F5, [1, 1, 1])
+
+        def to_field(w):
+            return fld.from_coeffs(coords(w))
+
+        assert to_field((1, 0)) == fld.one
+        assert to_field(B.matvec((3, 2))) == fld.mul(fld.gen(), to_field((3, 2)))
 
     def test_scalar_gives_prime_field(self):
         B = Matrix(F5, [[2]])
-        fld, beta, to_field = _cyclic_field(B, min_poly(B), (3,))
-        assert isinstance(fld, PrimeField) and fld.p == 5
-        assert beta == 2 and to_field((1,)) == 2  # 1 = 2 * 3 in F_5
+        f, coords = _krylov_coordinates(B, (3,))
+        assert f == Poly(F5, [3, 1])  # x - 2: the orbit problem runs in F_5 with x -> 2
+        assert coords((1,)) == (2,)  # 1 = 2 * 3 in F_5
+        assert solve_orbit_problem(OrbitProblemInstance(F5, B, (3,), (1,)), CFG) == 1
 
 
 class TestSolveSolvable:
@@ -235,6 +285,26 @@ class TestSolveSolvable:
         inst = SdlpInstance(C, PowerMapEndo(C, 5), 1, 5)
         with pytest.raises(NotApplicableError, match="composition series required"):
             solve_solvable(inst, CFG)
+
+    def test_heisenberg_trivial_on_centre(self):
+        # T_33 = T_11 makes alpha * beta = 1: sigma fixes the centre, whose
+        # layer is then solved in closed form at every shift
+        rng = random.Random(6)
+        for p in (5, 7, 11):
+            H = HeisenbergGroup(p)
+            F = H.field
+            for i in range(12):
+                t1, t2 = F.rand_nonzero(rng), F.rand_nonzero(rng)
+                T = Matrix(F, [[t1, F.rand(rng), F.rand(rng)], [0, t2, F.rand(rng)], [0, 0, t1]])
+                sigma = ConjugationEndo(H, T)
+                assert H.label(sigma.apply((0, 0, 1))) == H.label((0, 0, 1))
+                g = H.rand_element(rng)
+                h = rho_pow(g, sigma, rng.randrange(1000)) if i % 2 else H.rand_element(rng)
+                inst = SdlpInstance(H, sigma, g, h)
+                want = brute_solve(inst, CFG)
+                assert solve_solvable(inst, CFG) == want
+                assert solve(inst, CFG) == want
+                assert solve_master(inst, heisenberg_chain(H), CFG) == want
 
     def test_random_heisenberg(self):
         rng = random.Random(4)
@@ -344,6 +414,36 @@ class TestSolveOrbitProblem:
         U = Matrix(F4, [[one, one, zero], [zero, one, one], [zero, zero, one]])
         a4 = (zero, zero, one)
         assert _orbit_problem_set(OrbitProblemInstance(F4, U, a4, a4), CFG) == SolutionSet.progression(0, 4)
+        # f = (x - 3)^3 (x - 2) (x^2 + 2) (x^2 + x + 1)^2 over F_5: a root, the
+        # field F_25 and two repeated factors, recombined by CRT;
+        # ord(x) = lcm(20, 4, 8, 15) = 120
+        blocks = [J, Matrix(F5, [[2]]), Matrix.companion(Poly(F5, [2, 0, 1])), Matrix.companion(Poly(F5, [1, 2, 3, 2, 1]))]
+        n = sum(blk.nrows for blk in blocks)
+        rows, at = [], 0
+        for blk in blocks:
+            rows += [[0] * at + list(r) + [0] * (n - at - blk.nrows) for r in blk.rows]
+            at += blk.nrows
+        phi = Matrix(F5, rows)
+        a = (0, 0, 1, 1, 1, 0, 1, 0, 0, 0)
+        factors = factor_poly(annihilator(phi, a))
+        assert sorted((u.degree(), k) for u, k in factors) == [(1, 1), (1, 3), (2, 1), (2, 2)]
+        orbit = [a]
+        while phi.matvec(orbit[-1]) != a:
+            orbit.append(phi.matvec(orbit[-1]))
+        assert len(orbit) == 120
+        assert _orbit_problem_set(OrbitProblemInstance(F5, phi, a, a), CFG) == SolutionSet.progression(0, 120)
+        for t, b in enumerate(orbit):
+            assert solve_orbit_problem(OrbitProblemInstance(F5, phi, a, b), CFG) == t
+            # the other blocks pin t mod 120, so the x - 2 block one step
+            # ahead is off the orbit
+            off = b[:3] + (2 * b[3] % 5,) + b[4:]
+            assert solve_orbit_problem(OrbitProblemInstance(F5, phi, a, off), CFG) is None
+        rng = random.Random(8)
+        for _ in range(200):
+            # a random point of the Krylov space: in the orbit or not
+            b = tuple(sum(rng.randrange(5) * v[i] for v in orbit[:10]) % 5 for i in range(n))
+            want = orbit.index(b) if b in orbit else None
+            assert solve_orbit_problem(OrbitProblemInstance(F5, phi, a, b), CFG) == want
 
     @pytest.mark.parametrize("q", [65521, 65536])
     @pytest.mark.parametrize("n", [4, 9])
