@@ -42,6 +42,11 @@ class PrimeField:
     def mul(self, a, b):
         return a * b % self.p
 
+    def mul_by(self, c):
+        """The map a -> a * c."""
+        p = self.p
+        return lambda a: a * c % p
+
     def dot(self, a, b):
         """sum_i a_i b_i, reduced once."""
         return sum(map(operator.mul, a, b)) % self.p
@@ -132,6 +137,19 @@ class ExtField:
 
     def mul(self, a, b):
         return self.dot((a,), (b,))
+
+    def mul_by(self, c):
+        """The map a -> a * c, as the F_p-linear map it is: the e x e matrix
+        whose column j is c x^j is built once, and each product is then e
+        dot products over F_p (Shoup's precomputed multiplier)."""
+        p = self.p
+        x = self.gen()
+        cols = [c]
+        for _ in range(self.degree - 1):
+            cols.append(self.mul(cols[-1], x))
+        rows = list(zip(*cols))
+        mul = operator.mul
+        return lambda a: tuple([sum(map(mul, row, a)) % p for row in rows])
 
     def dot(self, a, b):
         """sum_i a_i b_i: the unreduced products are summed, then reduced once."""
@@ -275,6 +293,24 @@ class BinaryField:
             if b & top:
                 b ^= mod
         return r
+
+    def mul_by(self, c):
+        """The map a -> a * c: the XOR of the precomputed c x^i over the set
+        bits i of a."""
+        shifted = []
+        for _ in range(self.degree):
+            shifted.append(c)
+            c = self._mod_bits(c << 1)
+
+        def step(a):
+            r = 0
+            while a:
+                low = a & -a
+                r ^= shifted[low.bit_length() - 1]
+                a ^= low
+            return r
+
+        return step
 
     def dot(self, a, b):
         """sum_i a_i b_i: the carry-less products are XORed, then reduced once."""
@@ -560,9 +596,9 @@ def _poly_half_ext_gcd(a: Poly, b: Poly):
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Distinct-degree test: f is irreducible when its only factor degree is
-    its own."""
-    return f.degree() >= 1 and factor_degrees(f) == [f.degree()]
+    """Distinct-degree test: f is irreducible when its smallest factor degree
+    is its own; a reducible f is rejected at its first factor."""
+    return f.degree() >= 1 and next(_distinct_degrees(f), None) == f.degree()
 
 
 def factor_poly(f: Poly, seed: int = 0) -> list:
@@ -676,8 +712,13 @@ def _log2_exact(q: int) -> int:
 
 
 def factor_degrees(f: Poly) -> list:
-    """Distinct degrees of the irreducible factors of f, over any finite
-    coefficient field.
+    """Distinct degrees of the irreducible factors of f, ascending, over any
+    finite coefficient field."""
+    return list(_distinct_degrees(f))
+
+
+def _distinct_degrees(f: Poly):
+    """Yield the distinct factor degrees of f in ascending order.
 
     Uses gcd(x^{q^e} - x, f) ascending in e; x^{q^e} - x is squarefree, so
     repeated factors do not disturb the degree extraction. No splitting is
@@ -686,23 +727,21 @@ def factor_degrees(f: Poly) -> list:
     F = f.field
     q = F.size
     rest = f.monic()
-    degrees = []
     x = Poly.x(F)
     h = x
     e = 0
     while rest.degree() > 0:
         e += 1
         if 2 * e > rest.degree():
-            degrees.append(rest.degree())
-            break
+            yield rest.degree()
+            return
         h = h.pow_mod(q, rest)
         g = (h - x).gcd(rest)
         if g.degree() > 0:
-            degrees.append(e)
+            yield e
             while True:
                 g = g.gcd(rest)
                 if g.degree() == 0:
                     break
                 rest = rest.divmod(g)[0]
             h = h.mod(rest)
-    return degrees

@@ -29,6 +29,12 @@ class GroupHandle:
     def mul(self, x, y):
         raise NotImplementedError
 
+    def stepper(self, c):
+        """The map x -> mul(x, c), for walks that multiply by one fixed c
+        many times; a backend with a cheaper fixed-operand product
+        overrides it."""
+        return lambda x: self.mul(x, c)
+
     def inv(self, x):
         raise NotImplementedError
 

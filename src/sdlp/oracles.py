@@ -58,6 +58,9 @@ class UnitGroup(GroupHandle):
     def mul(self, x, y):
         return self.fld.mul(x, y)
 
+    def stepper(self, c):
+        return self.fld.mul_by(c)
+
     def inv(self, x):
         return self.fld.inv(x)
 
@@ -358,18 +361,20 @@ def _dlog_bsgs(group, base, target, bound, config: SolverConfig):
     m = math.isqrt(max(bound, 1) - 1) + 1
     if m > config.bsgs_mem:
         raise NotApplicableError("instance too large for the BSGS table")
+    label = group.label
+    baby = group.stepper(base)
     table = {}
     cur = group.identity
     for j in range(m):
-        table.setdefault(group.label(cur), j)
-        cur = group.mul(cur, base)
-    giant = group.inv(cur)  # base^{-m}
+        table.setdefault(label(cur), j)
+        cur = baby(cur)
+    giant = group.stepper(group.inv(cur))  # x -> x base^{-m}
     gamma = target
     for i in range(m + 1):
-        j = table.get(group.label(gamma))
+        j = table.get(label(gamma))
         if j is not None:
             return i * m + j
-        gamma = group.mul(gamma, giant)
+        gamma = giant(gamma)
     return None
 
 
@@ -393,13 +398,16 @@ def _rho_with_order(group, base, target, n, config: SolverConfig):
 
 
 def _rho_round(group, base, target, n, rng):
+    times_base = group.stepper(base)
+    times_target = group.stepper(target)
+
     def step(x, a, b):
         sel = hash(group.label(x)) % 3
         if sel == 0:
-            return group.mul(x, base), (a + 1) % n, b
+            return times_base(x), (a + 1) % n, b
         if sel == 1:
             return group.mul(x, x), a * 2 % n, b * 2 % n
-        return group.mul(x, target), a, (b + 1) % n
+        return times_target(x), a, (b + 1) % n
 
     a0 = rng.randrange(n)
     x = group.pow(base, a0)

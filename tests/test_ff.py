@@ -211,6 +211,21 @@ def test_canonical_irreducible_is_deterministic_and_minimal():
         assert not is_irreducible(cand)
 
 
+@pytest.mark.parametrize(
+    "p, e, coeffs",
+    [
+        (3, 10, (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1)),
+        (2, 16, (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+        (5, 6, (2, 1, 0, 0, 0, 0, 1)),
+        (7, 4, (1, 1, 0, 0, 1)),
+    ],
+)
+def test_canonical_irreducible_moduli_are_pinned(p, e, coeffs):
+    # field labels and CLI output bytes are read in these bases
+    assert canonical_irreducible(PrimeField(p), e).coeffs == coeffs
+    assert field_of_size(p**e).modulus.coeffs == coeffs
+
+
 @pytest.mark.parametrize("p, max_degree", [(2, 8), (3, 5)])
 def test_is_irreducible_matches_divisor_search(p, max_degree):
     # every monic polynomial up to max_degree, against a search for a monic

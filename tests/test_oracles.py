@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     rand_invertible,
@@ -140,6 +142,27 @@ class TestDlog:
         with pytest.raises(SdlpError, match="exact order"):
             dlog(U, 4, 16, factored_order=U.exponent_multiple(), config=SolverConfig(oracle=oracle))
 
+    @pytest.mark.parametrize(
+        "p, modulus, oracles",
+        [
+            # ord(x) = 8 * 11 * 398137391: BSGS walks ~20k steps per side
+            (257, [4, 1, 0, 0, 0, 1], ["bsgs"]),
+            # ord(x) = 16 * 37 * 116085511: ~11k steps; rho stays under 1 s
+            (65537, [4, 1, 0, 1], ["bsgs", "rho"]),
+        ],
+        ids=["257-5", "65537-3"],
+    )
+    def test_elem_abelian_scale(self, p, modulus, oracles):
+        F = ExtField(PrimeField(p), Poly(PrimeField(p), modulus))
+        U = UnitGroup(F)
+        x = F.gen()
+        n, fact = element_order(U, x)
+        assert max(fact) > 10**8
+        rng = random.Random(p)
+        for oracle in oracles:
+            t_star = rng.randrange(n)
+            assert dlog(U, x, U.pow(x, t_star), factored_order=fact, config=SolverConfig(oracle=oracle)) == t_star
+
     def test_memory_cap(self):
         # 2097779 = 2 * 1048889 + 1: 3 has prime order 1048889, whose BSGS
         # table needs ceil(sqrt(1048889)) = 1025 > bsgs_mem entries
@@ -148,6 +171,54 @@ class TestDlog:
         assert fact == {1048889: 1}
         with pytest.raises(NotApplicableError, match="too large"):
             dlog(U, 3, 5, factored_order=fact, config=SolverConfig(bsgs_mem=1 << 10))
+
+
+# (65537, 3) takes its modulus directly: field_of_size would scan 65541
+# lexicographically smaller candidates first
+STEPPER_FIELDS = {
+    "F2": field_of_size(2),
+    "F65521": field_of_size(65521),
+    "F9": field_of_size(9),
+    "F3^10": field_of_size(3**10),
+    "F65537^3": ExtField(PrimeField(65537), Poly(PrimeField(65537), [4, 1, 0, 1])),
+    "F257^5": field_of_size(257**5),
+    "F2^16": field_of_size(2**16),
+}
+
+
+class TestStepper:
+    @pytest.mark.parametrize("name", list(STEPPER_FIELDS))
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_unit_group_matches_mul(self, name, data):
+        F = STEPPER_FIELDS[name]
+        U = UnitGroup(F)
+        element = st.integers(1, F.size - 1).map(F.from_int)
+        c, x = data.draw(element), data.draw(element)
+        assert U.stepper(c)(x) == U.mul(x, c)
+        # c = 1, c = x and x = 1 on every draw
+        for fixed in [F.one] + ([F.gen()] if F.degree > 1 else []):
+            assert U.stepper(fixed)(x) == U.mul(x, fixed)
+        assert U.stepper(c)(F.one) == c
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(a=st.lists(st.integers(0, 4), min_size=5, max_size=5), b=st.lists(st.integers(0, 4), min_size=5, max_size=5))
+    def test_default_stepper_on_poly_units(self, a, b):
+        R = PolyUnitGroup(F5, Poly(F5, [2, 1]) * Poly(F5, [2, 1]) * Poly(F5, [2, 0, 1]) * Poly(F5, [0, 1]))
+        x, c = R.element(a), R.element(b)
+        assert R.stepper(c)(x) == R.mul(x, c)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_default_stepper_on_matrix_group_multiplies_on_the_right(self, seed):
+        rng = random.Random(seed)
+        F9 = field_of_size(9)
+        x, c = rand_invertible(F9, 3, rng), rand_invertible(F9, 3, rng)
+        G = MatrixGroup(F9, 3, [x, c])
+        assert G.label(G.stepper(c)(x)) == G.label(G.mul(x, c))
+        # x c and c x differ for almost every pair; the walks depend on the side
+        if G.label(x * c) != G.label(c * x):
+            assert G.label(G.stepper(c)(x)) != G.label(G.mul(c, x))
 
 
 def _order_by_powering(group, x, cap=1 << 12):
