@@ -295,22 +295,9 @@ class BinaryField:
         return r
 
     def mul_by(self, c):
-        """The map a -> a * c: the XOR of the precomputed c x^i over the set
-        bits i of a."""
-        shifted = []
-        for _ in range(self.degree):
-            shifted.append(c)
-            c = self._mod_bits(c << 1)
-
-        def step(a):
-            r = 0
-            while a:
-                low = a & -a
-                r ^= shifted[low.bit_length() - 1]
-                a ^= low
-            return r
-
-        return step
+        """The map a -> a * c. Plain `mul`: no walk runs over a binary-field
+        unit group, so a precomputed kernel would have no traffic."""
+        return lambda a: self.mul(a, c)
 
     def dot(self, a, b):
         """sum_i a_i b_i: the carry-less products are XORed, then reduced once."""
