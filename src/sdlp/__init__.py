@@ -33,6 +33,7 @@ from .groups import (
     induced_automorphism,
     rho_pow,
     rho_pow_inverse_apply,
+    semidirect_power,
     sigma_pow_apply,
 )
 from .oracles import (

@@ -12,7 +12,7 @@ import operator
 import random
 
 from .errors import SdlpError
-from .integers import is_prime
+from .integers import _pow, is_prime
 
 
 class PrimeField:
@@ -55,9 +55,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def pow(self, a, n):
-        return pow(a, n, self.p)
 
     def from_int(self, n: int):
         return n % self.p
@@ -184,18 +181,6 @@ class ExtField:
             raise ZeroDivisionError("element not invertible (reducible modulus?)")
         s = s.scale(self.base.inv(g.coeffs[0]))
         return self.from_coeffs(s.coeffs)
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = self.one
-        acc = a
-        while n:
-            if n & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
-            n >>= 1
-        return out
 
     def from_int(self, n: int):
         digits = []
@@ -332,18 +317,6 @@ class BinaryField:
         while v.bit_length() > k:
             v ^= mod << (v.bit_length() - (k + 1))
         return v
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        out = 1
-        acc = a
-        while n:
-            if n & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
-            n >>= 1
-        return out
 
     def from_int(self, n: int):
         return n % self.size
@@ -532,14 +505,8 @@ class Poly:
         return a.monic() if not a.is_zero() else a
 
     def pow_mod(self, n: int, modulus: "Poly"):
-        out = Poly(self.field, [self.field.one])
-        acc = self.mod(modulus)
-        while n:
-            if n & 1:
-                out = (out * acc).mod(modulus)
-            acc = (acc * acc).mod(modulus)
-            n >>= 1
-        return out
+        one = Poly(self.field, [self.field.one])
+        return _pow(self.mod(modulus), n, lambda a, b: (a * b).mod(modulus), one)
 
     def derivative(self):
         F = self.field

@@ -83,14 +83,7 @@ class GroupHandle:
     def pow(self, x, n: int):
         if n < 0:
             return self.pow(self.inv(x), -n)
-        out = self.identity
-        acc = x
-        while n:
-            if n & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
-            n >>= 1
-        return out
+        return integers._pow(x, n, self.mul, self.identity)
 
 
 class CyclicGroup(GroupHandle):
@@ -716,6 +709,8 @@ class ConjugationEndo(Endo):
         return self._from_mat(self.a_inv * self._to_mat(x) * self.a)
 
     def pow(self, k):
+        if k == -1:
+            return ConjugationEndo._trusted(self.group, self.a_inv, self.a)
         # inverting b once is cheaper than powering a_inv as well, which
         # would take about 2 log k more products
         b = self.a**k if k >= 0 else self.a_inv ** (-k)
@@ -765,27 +760,19 @@ class TableEndo(Endo):
             raise SdlpError("element outside the table domain") from None
 
     def pow(self, k):
-        acc = self.mapping
+        g = self.group
+        table = self.mapping
         if k < 0:
             if not self.is_automorphism():
                 raise SdlpError("table endomorphism is not invertible")
-            acc = {self.group.label(y): self._elem(lab) for lab, y in acc.items()}
+            # a bijection's values hold one element per label
+            elem = {g.label(y): y for y in table.values()}
+            table = {g.label(y): elem[lab] for lab, y in table.items()}
             k = -k
-        out = {lab: self._elem(lab) for lab in self.mapping}  # identity map
-        while k:
-            if k & 1:
-                out = self._compose_maps(acc, out)
-            acc = self._compose_maps(acc, acc)
-            k >>= 1
-        return TableEndo(self.group, out, check=False)
-
-    def _elem(self, lab):
-        # invert the labeling inside the table's domain
-        if not hasattr(self, "_by_label"):
-            self._by_label = {}
-            for x in _enumerate_handle(self.group):
-                self._by_label.setdefault(self.group.label(x), x)
-        return self._by_label[lab]
+        if k == 0:
+            elem = {g.label(x): x for x in _enumerate_handle(g)}
+            return TableEndo(g, {lab: elem[lab] for lab in table}, check=False)
+        return TableEndo(g, integers._pow(table, k, self._compose_maps, None), check=False)
 
     def _compose_maps(self, outer, inner):
         g = self.group
@@ -970,26 +957,32 @@ def sigma_pow_apply(sigma: Endo, i: int, x):
     return sigma.pow(i).apply(x)
 
 
-def rho_pow(g, sigma: Endo, t: int):
-    """rho_(g,1)^t(1_G) = prod_{i<t} sigma^i(g), by doubling.
+def semidirect_power(g, sigma: Endo, t: int):
+    """(rho_(g,1)^t(1_G), sigma^t) for t >= 1: the power (g, sigma)^t in
+    G x| End(G), where (P, E)(Q, F) = (P E(Q), E F).
 
-    Uses rho^{m+n}(1) = rho^m(1) * sigma^m(rho^n(1)); O(log t) group
-    multiplications and endo compositions.
+    O(log t) group multiplications, applies and endo compositions; a caller
+    that needs sigma^t as well takes it from here instead of sigma.pow(t).
     """
+    if t < 1:
+        raise SdlpError("semidirect_power needs t >= 1")
+    grp = sigma.group
+
+    def mul(x, y):
+        (P, E), (Q, F) = x, y
+        return grp.mul(P, E.apply(Q)), E.compose(F)
+
+    return integers._pow((g, sigma), t, mul, None)
+
+
+def rho_pow(g, sigma: Endo, t: int):
+    """rho_(g,1)^t(1_G) = prod_{i<t} sigma^i(g): the first coordinate of
+    `semidirect_power`, and 1_G for t = 0."""
     if t < 0:
         raise SdlpError("rho_pow needs t >= 0")
-    grp = sigma.group
     if t == 0:
-        return grp.identity
-    P = g
-    E = sigma  # invariant: P = rho^m(1), E = sigma^m
-    for bit in bin(t)[3:]:
-        P = grp.mul(P, E.apply(P))
-        E = E.compose(E)
-        if bit == "1":
-            P = grp.mul(P, E.apply(g))
-            E = E.compose(sigma)
-    return P
+        return sigma.group.identity
+    return semidirect_power(g, sigma, t)[0]
 
 
 def rho_pow_naive(g, sigma: Endo, t: int):
@@ -1011,17 +1004,19 @@ def rho_apply(g, sigma: Endo, x):
 def rho_pow_inverse_apply(g, sigma: Endo, s: int, h):
     """rho_(g,1)^{-s}(h) = sigma^{-s}((rho^s(1))^{-1} h) for an automorphism.
 
-    sigma^{-s} is the representation's own negative power, so no order of
+    sigma^{-s} is the inverse of the sigma^s that `semidirect_power` returns
+    with rho^s(1), taken from the representation itself, so no order of
     sigma is looked up or computed.
     """
     if not sigma.is_automorphism():
         raise SdlpError("not an automorphism")
     if s < 0:
         raise SdlpError("rho_pow_inverse_apply needs s >= 0")
+    if s == 0:
+        return h
     grp = sigma.group
-    u = rho_pow(g, sigma, s)
-    v = grp.mul(grp.inv(u), h)
-    return sigma.pow(-s).apply(v)
+    u, sigma_s = semidirect_power(g, sigma, s)
+    return sigma_s.pow(-1).apply(grp.mul(grp.inv(u), h))
 
 
 # ---------------------------------------------------------------------------

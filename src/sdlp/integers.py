@@ -110,6 +110,27 @@ def _perfect_power_root(n):
     return None
 
 
+def _pow(x, n: int, mul, one):
+    """x^n for n >= 0 given `mul` and `one`, by left-to-right
+    square-and-multiply: the one binary-power loop of the package.
+
+    It takes bitlen(n) - 1 squarings and popcount(n) - 1 products, every one
+    by x itself, and never a product by `one`, which only n = 0 returns.
+    Multiplying by x can be cheap: for the class of x in F[x]/(f) it costs
+    O(deg f) field products instead of O(deg f ^ 2). Callers handle n < 0.
+    """
+    if n <= 0:
+        if n < 0:
+            raise ValueError("_pow needs n >= 0")
+        return one
+    out = x
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
+
+
 def factorization_product(factors: dict) -> int:
     out = 1
     for p, e in factors.items():

@@ -6,8 +6,11 @@ Vectors are tuples of field elements; a Matrix is immutable and hashable so
 it can double as a black-box group code-word.
 """
 
+import operator
+
 from .errors import SdlpError
 from .ff import Poly
+from .integers import _pow
 
 
 class Matrix:
@@ -95,14 +98,7 @@ class Matrix:
             raise SdlpError("power of a non-square matrix")
         if n < 0:
             return self.inverse() ** (-n)
-        out = Matrix.identity(self.field, self.nrows)
-        acc = self
-        while n:
-            if n & 1:
-                out = out * acc
-            acc = acc * acc
-            n >>= 1
-        return out
+        return _pow(self, n, operator.mul, Matrix.identity(self.field, self.nrows))
 
     def inverse(self):
         F = self.field

@@ -136,19 +136,6 @@ class PolyUnitGroup(GroupHandle):
                     raw[i - e + k] = add(raw[i - e + k], mul(c, t))
         return tuple(raw[:e])
 
-    def pow(self, x, n: int):
-        # Left to right, so that every multiply is by x itself; the orbit
-        # solver's base is the class of x, for which that product costs
-        # O(deg f) field products instead of O(deg f ^ 2).
-        if n <= 0:
-            return self.identity if n == 0 else self.pow(self.inv(x), -n)
-        out = x
-        for bit in bin(n)[3:]:
-            out = self.mul(out, out)
-            if bit == "1":
-                out = self.mul(out, x)
-        return out
-
     def inv(self, x):
         F = self.fld
         g, s = _poly_half_ext_gcd(Poly(F, list(x)), self.modulus)
@@ -448,7 +435,8 @@ def _pohlig_hellman(group, base, target, n, fact, config: SolverConfig):
             if d is None:
                 return None
             t_pe += d * p**k
-            cur = group.mul(cur, group.inv(group.pow(gamma, d * p**k)))
+            if k < e - 1:  # the last digit's update would go unread
+                cur = group.mul(cur, group.inv(group.pow(gamma, d * p**k)))
         residues.append((t_pe, pe))
     t, mod = 0, 1
     for r, m in residues:

@@ -22,6 +22,7 @@ from .groups import (
     restrict_endo,
     rho_pow,
     rho_pow_inverse_apply,
+    semidirect_power,
 )
 from .linalg import Matrix, coordinates_in_basis, extract_basis, restrict_to_subspace
 
@@ -150,8 +151,7 @@ def shift_to_power(inst: SdlpInstance, k: int, config: SolverConfig | None = Non
     if not sigma.is_automorphism():
         raise SdlpError("not an automorphism")
     grp = inst.group
-    g2 = rho_pow(inst.g, sigma, k)
-    sigma_k = sigma.pow(k)
+    g2, sigma_k = semidirect_power(inst.g, sigma, k)
     # rho^{-(s+1)}(h) = rho^{-1}(rho^{-s}(h)) with rho^{-1}(x) = sigma^{-1}(g^-1 x)
     targets = [inst.h]
     if k > 1:
@@ -212,7 +212,7 @@ def recurse_through_quotient(inst: SdlpInstance, psi: Hom, config: SolverConfig 
         if q_sol.kind == "singleton":
             raise InternalAssertionError("automorphism quotient produced a singleton")
         t0, n0 = q_sol.t0, q_sol.period
-        g2 = rho_pow(inst.g, sigma, n0)
+        g2, sigma_n0 = semidirect_power(inst.g, sigma, n0)
         h2 = rho_pow_inverse_apply(inst.g, sigma, t0, inst.h)
         tgt = psi.target
         if not tgt.is_identity(psi(g2)) or not tgt.is_identity(psi(h2)):
@@ -220,7 +220,7 @@ def recurse_through_quotient(inst: SdlpInstance, psi: Hom, config: SolverConfig 
                 "follow-up elements fell outside the kernel (wrong n0 or non-invariant kernel)"
             )
         M = Subgroup(inst.group, psi.kernel_generators)
-        sub = SdlpInstance(M, restrict_endo(sigma.pow(n0), M), g2, h2)
+        sub = SdlpInstance(M, restrict_endo(sigma_n0, M), g2, h2)
         config.record("quotient-recursion-descend", t0=t0, n0=n0)
         return sub, lambda sub_sol: sub_sol.map_affine(t0, n0)
 

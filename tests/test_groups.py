@@ -28,6 +28,7 @@ from sdlp.groups import (
     rho_pow,
     rho_pow_inverse_apply,
     rho_pow_naive,
+    semidirect_power,
     sigma_pow_apply,
 )
 from sdlp.linalg import Matrix
@@ -80,6 +81,22 @@ class TestBackendAxioms:
         for _ in range(10):
             x = group.rand_element(rng)
             assert group.is_identity(group.pow(x, m))
+
+    def test_pow_multiplies_once_per_bit(self):
+        # left to right: bitlen(n) - 1 squarings and popcount(n) - 1 products
+        # by x, none by the identity
+        class Counting(CyclicGroup):
+            products = 0
+
+            def mul(self, x, y):
+                self.products += 1
+                return super().mul(x, y)
+
+        C = Counting(1009)
+        for n in range(65):
+            C.products = 0
+            assert C.pow(5, n) == 5 * n % 1009
+            assert C.products == (0 if n == 0 else n.bit_length() - 1 + bin(n).count("1") - 1)
 
 
 class TestHeisenberg:
@@ -266,6 +283,21 @@ class TestNegativePowers:
         w = rho_pow_inverse_apply(g, sigma, s, h)
         # rho^s(w) = rho^s(1) sigma^s(w) = h
         assert grp.label(grp.mul(rho_pow(g, sigma, s), sigma_pow_apply(sigma, s, w))) == grp.label(h)
+
+    @pytest.mark.parametrize("kind", AUTOMORPHISM_KINDS)
+    def test_semidirect_power_is_rho_pow_and_sigma_power(self, kind):
+        rng = random.Random(f"semidirect-{kind}")
+        sigma = fresh_automorphism(kind, rng)
+        grp = sigma.group
+        g = grp.rand_element(rng)
+        for t in range(1, 41):
+            P, E = semidirect_power(g, sigma, t)
+            assert grp.label(P) == grp.label(rho_pow_naive(g, sigma, t))
+            sigma_t = sigma.pow(t)
+            for x in grp.generators():
+                assert grp.label(E.apply(x)) == grp.label(sigma_t.apply(x))
+        with pytest.raises(SdlpError, match="t >= 1"):
+            semidirect_power(g, sigma, 0)
 
     def test_non_unit_power_map_raises(self):
         with pytest.raises(SdlpError, match="not invertible"):

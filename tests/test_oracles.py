@@ -163,6 +163,21 @@ class TestDlog:
             t_star = rng.randrange(n)
             assert dlog(U, x, U.pow(x, t_star), factored_order=fact, config=SolverConfig(oracle=oracle)) == t_star
 
+    def test_pohlig_hellman_inverts_once_per_digit_update(self):
+        # ord(2) = 100 = 2^2 * 5^2 in F_101^*: each of the four digits inverts
+        # once for its BSGS giant step, and only the first digit of each
+        # prime updates the target (the last digit's update goes unread)
+        class Counting(UnitGroup):
+            inversions = 0
+
+            def inv(self, x):
+                self.inversions += 1
+                return super().inv(x)
+
+        U = Counting(PrimeField(101))
+        assert dlog(U, 2, 3, factored_order={2: 2, 5: 2}) == 69
+        assert U.inversions == 4 + 2
+
     def test_memory_cap(self):
         # 2097779 = 2 * 1048889 + 1: 3 has prime order 1048889, whose BSGS
         # table needs ceil(sqrt(1048889)) = 1025 > bsgs_mem entries

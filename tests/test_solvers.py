@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -684,12 +685,19 @@ class TestAutoDispatch:
         solve(inst, cfg)
         assert first > 0 and len(cfg.trace) == first
 
-    @pytest.mark.parametrize("solver", ["auto", "master", "solvable", "matrix-inner"])
+    @pytest.mark.parametrize("solver", ["auto", "master", "solvable", "matrix-inner", "small-order"])
     def test_solve_leaves_its_instance_unchanged(self, solver):
         # nothing is cached on sigma, so a second solve sees the same input
         rng = random.Random(f"no-mutation-{solver}")
         for _ in range(6):
-            if solver in ("auto", "matrix-inner"):
+            if solver == "small-order":
+                # a table automorphism of order > 1: the shift inverts it
+                n = rng.randrange(3, 60)
+                C = CyclicGroup(n)
+                e = rng.choice([u for u in range(2, n) if math.gcd(u, n) == 1])
+                sigma = TableEndo.from_callable(C, lambda x, e=e, n=n: e * x % n)
+                inst = SdlpInstance(C, sigma, C.rand_element(rng), C.rand_element(rng))
+            elif solver in ("auto", "matrix-inner"):
                 inst = random_matrix_instance(rng, q_choices=(3, 4, 5), d_max=2)
             else:
                 inst = random_heisenberg_instance(rng, p_choices=(5, 7))
