@@ -8,6 +8,7 @@ the coefficient list never has trailing zeros.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 
@@ -385,12 +386,19 @@ def field_of_size(q: int) -> "PrimeField | ExtField | BinaryField":
 
 
 def canonical_irreducible(base: PrimeField, e: int) -> "Poly":
-    """First monic irreducible of degree e over F_p in lex coefficient order."""
-    for n in range(base.p**e):
+    """First monic irreducible of degree e over F_p in lex coefficient order.
+
+    The first p candidates are the binomials x^e + c. When gcd(e, p - 1) = 1
+    every element of F_p is an e-th power, so for e >= 2 each binomial has a
+    root and the search starts after them.
+    """
+    p = base.p
+    start = p if e >= 2 and math.gcd(e, p - 1) == 1 else 0
+    for n in range(start, p**e):
         coeffs = []
         m = n
         for _ in range(e):
-            m, r = divmod(m, base.p)
+            m, r = divmod(m, p)
             coeffs.append(r)
         f = Poly(base, coeffs + [1])
         if is_irreducible(f):

@@ -597,6 +597,22 @@ class Endo:
     def is_automorphism(self) -> bool:
         raise NotImplementedError
 
+    def semidirect_power(self, g, t: int):
+        """(rho_(g,1)^t(1_G), sigma^t) for t >= 1: the power (g, sigma)^t in
+        G x| End(G), where (P, E)(Q, F) = (P E(Q), E F).
+
+        O(log t) group multiplications, applies and endo compositions; a
+        representation with a closed form for the power overrides it.
+        `groups.semidirect_power` is the entry point that checks t.
+        """
+        grp = self.group
+
+        def mul(x, y):
+            (P, E), (Q, F) = x, y
+            return grp.mul(P, E.apply(Q)), E.compose(F)
+
+        return integers._pow((g, self), t, mul, None)
+
     def spot_check_morphism(self, rng: random.Random, samples: int = 16):
         g = self.group
         for _ in range(samples):
@@ -725,6 +741,18 @@ class ConjugationEndo(Endo):
     def is_automorphism(self):
         return True
 
+    def semidirect_power(self, g, t):
+        # prod_{i<t} a^-i g a^i telescopes to (g a^-1)^t a^t, and sigma^t is
+        # conjugation by b = a^t
+        if t == 1:
+            return g, self
+        b = self.a**t
+        X = g if self._to_mat is None else self._to_mat(g)
+        P = (X * self.a_inv) ** t * b
+        if self._to_mat is not None:
+            P = self._from_mat(P)
+        return P, ConjugationEndo._trusted(self.group, b, b.inverse())
+
     def __repr__(self):
         return f"Conjugation({self.a!r})"
 
@@ -840,6 +868,11 @@ class ProductEndo(Endo):
     def is_automorphism(self):
         return all(e.is_automorphism() for e in self.components)
 
+    def semidirect_power(self, g, t):
+        # (g, sigma)^t is componentwise on a direct product
+        parts = [e.semidirect_power(x, t) for e, x in zip(self.components, g)]
+        return tuple(P for P, _ in parts), ProductEndo(self.group, [E for _, E in parts])
+
     def __repr__(self):
         return "ProductEndo(" + ", ".join(repr(e) for e in self.components) + ")"
 
@@ -912,13 +945,6 @@ class SolutionSet:
             return t == self.t0
         return (t - self.t0) % self.period == 0
 
-    def explicit_upto(self, bound: int) -> list:
-        if self.kind == "empty":
-            return []
-        if self.kind == "singleton":
-            return [self.t0] if self.t0 < bound else []
-        return list(range(self.t0, bound, self.period))
-
     def map_affine(self, offset: int, scale: int) -> "SolutionSet":
         """Image under t -> offset + scale * t."""
         if self.kind == "empty":
@@ -958,21 +984,14 @@ def sigma_pow_apply(sigma: Endo, i: int, x):
 
 
 def semidirect_power(g, sigma: Endo, t: int):
-    """(rho_(g,1)^t(1_G), sigma^t) for t >= 1: the power (g, sigma)^t in
-    G x| End(G), where (P, E)(Q, F) = (P E(Q), E F).
+    """(rho_(g,1)^t(1_G), sigma^t) for t >= 1, from `sigma.semidirect_power`.
 
-    O(log t) group multiplications, applies and endo compositions; a caller
-    that needs sigma^t as well takes it from here instead of sigma.pow(t).
+    A caller that needs sigma^t as well takes it from here instead of
+    sigma.pow(t).
     """
     if t < 1:
         raise SdlpError("semidirect_power needs t >= 1")
-    grp = sigma.group
-
-    def mul(x, y):
-        (P, E), (Q, F) = x, y
-        return grp.mul(P, E.apply(Q)), E.compose(F)
-
-    return integers._pow((g, sigma), t, mul, None)
+    return sigma.semidirect_power(g, t)
 
 
 def rho_pow(g, sigma: Endo, t: int):

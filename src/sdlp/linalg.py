@@ -71,10 +71,6 @@ class Matrix:
         F = self.field
         return Matrix(F, [[F.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
-    def __neg__(self):
-        F = self.field
-        return Matrix(F, [[F.neg(a) for a in r] for r in self.rows])
-
     def scale(self, c):
         F = self.field
         return Matrix(F, [[F.mul(c, a) for a in r] for r in self.rows])

@@ -12,7 +12,7 @@ from .groups import (
     GroupHandle,
     HeisenbergGroup,
     SdlpInstance,
-    rho_pow,
+    semidirect_power,
     sigma_pow_apply,
 )
 from .linalg import Matrix
@@ -42,14 +42,15 @@ def spdke_exchange(group: GroupHandle, sigma: Endo, g, x: int, y: int) -> Exchan
     """Run both sides of the exchange and check the shared-key identity.
 
     Alice sends A = rho^x(1), Bob sends B = rho^y(1); the common key is
-    K = A sigma^x(B) = B sigma^y(A) = rho^{x+y}(1).
+    K = A sigma^x(B) = B sigma^y(A) = rho^{x+y}(1). Each side takes its
+    sigma^x from the same semidirect power that gives its public element.
     """
     if x < 1 or y < 1:
         raise SdlpError("secrets must be positive")
-    A = rho_pow(g, sigma, x)
-    B = rho_pow(g, sigma, y)
-    K_A = group.mul(A, sigma_pow_apply(sigma, x, B))
-    K_B = group.mul(B, sigma_pow_apply(sigma, y, A))
+    A, sigma_x = semidirect_power(g, sigma, x)
+    B, sigma_y = semidirect_power(g, sigma, y)
+    K_A = group.mul(A, sigma_x.apply(B))
+    K_B = group.mul(B, sigma_y.apply(A))
     if group.label(K_A) != group.label(K_B):
         raise SdlpError("exchange produced mismatched keys; sigma is not a morphism?")
     return ExchangeTranscript(group, sigma, g, A, B, x=x, y=y, K_A=K_A, K_B=K_B)

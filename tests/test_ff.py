@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +225,27 @@ def test_canonical_irreducible_moduli_are_pinned(p, e, coeffs):
     # field labels and CLI output bytes are read in these bases
     assert canonical_irreducible(PrimeField(p), e).coeffs == coeffs
     assert field_of_size(p**e).modulus.coeffs == coeffs
+
+
+@pytest.mark.parametrize("e", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 17, 23, 29, 47, 53, 59])
+def test_canonical_irreducible_equals_unskipped_lex_search(p, e):
+    # the search skips the binomials x^e + c when gcd(e, p - 1) = 1
+    F = PrimeField(p)
+    first = next(
+        f
+        for f in (Poly(F, [n // p**i % p for i in range(e)] + [1]) for n in itertools.count())
+        if is_irreducible(f)
+    )
+    assert canonical_irreducible(F, e) == first
+
+
+def test_field_of_size_skips_reducible_binomials_quickly():
+    # 65537 = 2 (mod 3) makes every x^3 + c reducible
+    start = time.perf_counter()
+    F = field_of_size(65537**3)
+    assert F.modulus.coeffs == (4, 1, 0, 1)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("p, max_degree", [(2, 8), (3, 5)])

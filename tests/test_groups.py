@@ -11,6 +11,7 @@ from sdlp.ff import PrimeField, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
+    Endo,
     HeisenbergGroup,
     Hom,
     InducedPairEndo,
@@ -21,10 +22,12 @@ from sdlp.groups import (
     ProductEndo,
     ProductGroup,
     SolutionSet,
+    Subgroup,
     TableEndo,
     VectorGroup,
     identity_hom,
     induced_automorphism,
+    restrict_endo,
     rho_pow,
     rho_pow_inverse_apply,
     rho_pow_naive,
@@ -224,7 +227,20 @@ class TestRhoPowInverse:
             rho_pow_inverse_apply((1, 0), singular, 1, (0, 0))
 
 
-AUTOMORPHISM_KINDS = ["power", "linear", "heisenberg", "matrix", "table", "pair", "product"]
+AUTOMORPHISM_KINDS = [
+    "power",
+    "linear",
+    "heisenberg",
+    "heisenberg-65521",
+    "matrix",
+    "subgroup",
+    "table",
+    "pair",
+    "product",
+    "conjugation-product",
+]
+# the kinds whose sigma is, or has a factor that is, a conjugation
+CONJUGATION_KINDS = ["heisenberg", "heisenberg-65521", "matrix", "subgroup", "conjugation-product"]
 
 
 def _unit_mod(n, rng):
@@ -242,12 +258,22 @@ def fresh_automorphism(kind, rng):
     if kind == "linear":
         V = VectorGroup(5, 3)
         return LinearMapEndo(V, rand_invertible(F5, 3, rng))
-    if kind == "heisenberg":
-        H = HeisenbergGroup(7)
+    if kind in ("heisenberg", "heisenberg-65521"):
+        H = HeisenbergGroup(65521 if kind == "heisenberg-65521" else 7)
         return ConjugationEndo(H, rand_upper_triangular(H.field, 3, rng))
     if kind == "matrix":
         F9 = field_of_size(9)
         return sigma_closed_matrix_group(F9, 2, [rand_invertible(F9, 2, rng)], rand_invertible(F9, 2, rng))[1]
+    if kind == "subgroup":
+        # {(a, 0, c)} is closed under conjugation by any upper-triangular matrix
+        H = HeisenbergGroup(7)
+        K = Subgroup(H, [(1, 0, 0), (0, 0, 1)])
+        return restrict_endo(ConjugationEndo(H, rand_upper_triangular(H.field, 3, rng)), K)
+    if kind == "conjugation-product":
+        H, V = HeisenbergGroup(7), VectorGroup(5, 3)
+        P = ProductGroup([H, V])
+        conj = ConjugationEndo(H, rand_upper_triangular(H.field, 3, rng))
+        return ProductEndo(P, [conj, LinearMapEndo(V, rand_invertible(F5, 3, rng))])
     if kind == "table":
         n = rng.randrange(2, 60)
         e = _unit_mod(n, rng)
@@ -259,6 +285,19 @@ def fresh_automorphism(kind, rng):
     C, V = CyclicGroup(12), VectorGroup(3, 2)
     P = ProductGroup([C, V])
     return ProductEndo(P, [PowerMapEndo(C, _unit_mod(12, rng)), LinearMapEndo(V, rand_invertible(F3, 2, rng))])
+
+
+def assert_same_endo(grp, E, F):
+    """E and F agree on the generators, and their conjugations (the endo or
+    its product factors) carry the same (a, a^-1)."""
+    for x in grp.generators():
+        assert grp.label(E.apply(x)) == grp.label(F.apply(x))
+
+    def conjugations(endo):
+        return [c for c in getattr(endo, "components", [endo]) if isinstance(c, ConjugationEndo)]
+
+    for c, d in zip(conjugations(E), conjugations(F), strict=True):
+        assert (c.a, c.a_inv) == (d.a, d.a_inv)
 
 
 class TestNegativePowers:
@@ -293,15 +332,62 @@ class TestNegativePowers:
         for t in range(1, 41):
             P, E = semidirect_power(g, sigma, t)
             assert grp.label(P) == grp.label(rho_pow_naive(g, sigma, t))
-            sigma_t = sigma.pow(t)
-            for x in grp.generators():
-                assert grp.label(E.apply(x)) == grp.label(sigma_t.apply(x))
+            assert_same_endo(grp, E, sigma.pow(t))
         with pytest.raises(SdlpError, match="t >= 1"):
             semidirect_power(g, sigma, 0)
 
     def test_non_unit_power_map_raises(self):
         with pytest.raises(SdlpError, match="not invertible"):
             PowerMapEndo(CyclicGroup(6), 2).pow(-1)
+
+
+class TestConjugationPowerHook:
+    """ConjugationEndo.semidirect_power is ((g a^-1)^t a^t, conj_{a^t}) and
+    ProductEndo's is componentwise; both must equal the generic loop.
+    TestNegativePowers checks them against rho_pow_naive for t <= 40."""
+
+    @pytest.mark.parametrize("kind", CONJUGATION_KINDS)
+    def test_matches_generic_loop_at_large_t(self, kind):
+        rng = random.Random(f"hook-large-{kind}")
+        sigma = fresh_automorphism(kind, rng)
+        grp = sigma.group
+        g = grp.rand_element(rng)
+        for t in (2**40 + 12345, 2**40 - 1):
+            P, E = semidirect_power(g, sigma, t)
+            P0, E0 = Endo.semidirect_power(sigma, g, t)
+            assert grp.label(P) == grp.label(P0)
+            assert_same_endo(grp, E, E0)
+
+    @pytest.mark.parametrize("kind", CONJUGATION_KINDS)
+    def test_no_apply_or_compose_and_log_many_products(self, kind, monkeypatch):
+        rng = random.Random(f"hook-count-{kind}")
+        sigma = fresh_automorphism(kind, rng)
+        g = sigma.group.rand_element(rng)
+
+        def forbidden(*args):
+            raise AssertionError("the closed form called apply or compose")
+
+        products = [0]
+        matmul = Matrix.__mul__
+
+        def counted(x, y):
+            products[0] += 1
+            return matmul(x, y)
+
+        monkeypatch.setattr(ConjugationEndo, "apply", forbidden)
+        monkeypatch.setattr(ConjugationEndo, "compose", forbidden)
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        assert semidirect_power(g, sigma, 1)[0] == g and products[0] == 0
+        t = 2**40 + 12345
+        semidirect_power(g, sigma, t)
+        conjugation_products = products[0]
+        if kind == "conjugation-product":  # the linear factor runs the generic loop
+            products[0] = 0
+            Endo.semidirect_power(sigma.components[1], g[1], t)
+            conjugation_products -= products[0]
+        # a^t and (g a^-1)^t take bitlen(t) + popcount(t) - 2 products each,
+        # g a^-1 and the product of the two powers one each
+        assert conjugation_products == 2 * (t.bit_length() + t.bit_count() - 2) + 2
 
 
 class TestTableEndo:
@@ -377,11 +463,6 @@ class TestSolutionSet:
         assert mapped == SolutionSet.progression(5, 6)
         assert SolutionSet.singleton(4).map_affine(1, 2) == SolutionSet.singleton(9)
         assert SolutionSet.empty().map_affine(1, 2).is_empty()
-
-    def test_explicit_upto(self):
-        assert SolutionSet.progression(1, 4).explicit_upto(10) == [1, 5, 9]
-        assert SolutionSet.singleton(3).explicit_upto(10) == [3]
-        assert SolutionSet.empty().explicit_upto(10) == []
 
     def test_json(self):
         assert SolutionSet.empty().to_json() == {"kind": "empty"}
