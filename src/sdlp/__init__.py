@@ -39,6 +39,7 @@ from .groups import (
 from .oracles import (
     OrbitShape,
     dlog,
+    dlog_many,
     endo_order,
     factor_integer,
     orbit_index_period,

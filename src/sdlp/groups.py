@@ -357,10 +357,6 @@ class Hom:
         return self._func(x)
 
 
-def identity_hom(group) -> Hom:
-    return Hom(group, group, lambda x: x, description="id", is_identity=True)
-
-
 class PairImageGroup(GroupHandle):
     """Im(psi) encoded by pairs (x, psi(x)) with x in the source group.
 

@@ -94,7 +94,9 @@ class Matrix:
             raise SdlpError("power of a non-square matrix")
         if n < 0:
             return self.inverse() ** (-n)
-        return _pow(self, n, operator.mul, Matrix.identity(self.field, self.nrows))
+        if n == 0:
+            return Matrix.identity(self.field, self.nrows)
+        return _pow(self, n, operator.mul, None)  # `one` is read only at n = 0
 
     def inverse(self):
         F = self.field
@@ -284,14 +286,6 @@ def _poly_lcm(a: Poly, b: Poly) -> Poly:
         return Poly(a.field, [])
     g = a.gcd(b)
     return (a * b).divmod(g)[0].monic()
-
-
-def eval_poly_at_matrix(poly: Poly, B: Matrix) -> Matrix:
-    F = B.field
-    out = Matrix.zeros(F, B.nrows, B.nrows)
-    for c in reversed(poly.coeffs):
-        out = out * B + Matrix.identity(F, B.nrows).scale(c)
-    return out
 
 
 def restrict_to_subspace(B: Matrix, basis) -> Matrix:

@@ -155,19 +155,88 @@ class PolyUnitGroup(GroupHandle):
 # element and endomorphism orders
 
 
-def element_order(group: GroupHandle, x):
-    """(order, factored order) of a group element: a factored multiple,
-    checked to annihilate x, reduced by `_order_from_multiple`.
+@dataclass(frozen=True)
+class _PrimePart:
+    """The p-primary part of <x> for one prime p dividing n = ord(x): y
+    generates it and has order p^e exactly, gamma = y^(p^(e-1)) has order
+    p, and y = (x^(n/p^e))^scale."""
+
+    p: int
+    e: int
+    y: object
+    gamma: object
+    scale: int
+
+
+class ElementOrder(tuple):
+    """(order, factored order) of a group element, as `element_order`
+    returns it. `parts` keeps the element's prime-power projections, which
+    `dlog` and `dlog_many` reuse as the base side of Pohlig-Hellman."""
+
+    def __new__(cls, order: int, fact: dict, parts: tuple):
+        out = super().__new__(cls, (order, fact))
+        out.parts = parts
+        return out
+
+    def __getnewargs__(self):  # lets copy and pickle rebuild it
+        return (*self, self.parts)
+
+
+def element_order(group: GroupHandle, x) -> ElementOrder:
+    """(order, factored order) of a group element, read off one cofactor
+    tree over a factored multiple M of the order.
 
     A Matrix takes its multiple from the factor degrees of its minimal
-    polynomial instead of the full GL exponent, which keeps the reduction
+    polynomial instead of the full GL exponent, which keeps the powers
     cheap for large extension fields; any other element takes the group's
-    `exponent_multiple()`.
+    `exponent_multiple()`. The tree gives every x^(M/p^e); the p-part of the
+    order then takes at most e powerings by p, which also check that M
+    annihilates x (SdlpError if it does not).
     """
     factored_multiple = matrix_order_multiple(x) if isinstance(x, Matrix) else group.exponent_multiple()
-    if not group.is_identity(group.pow(x, integers.factorization_product(factored_multiple))):
-        raise SdlpError("claimed exponent multiple does not annihilate the element")
-    return _order_from_multiple(lambda k: group.is_identity(group.pow(x, k)), factored_multiple)
+    return _order_parts(group, x, factored_multiple)
+
+
+def _order_parts(group: GroupHandle, x, factored_multiple: dict) -> ElementOrder:
+    """`element_order` for a given factored multiple M of ord(x)."""
+    primes = [(p, e) for p, e in sorted(factored_multiple.items()) if e > 0]
+    if not primes:  # M = 1, and the tree is empty: only the identity has order 1
+        if not group.is_identity(x):
+            raise SdlpError("claimed exponent multiple does not annihilate the element")
+        return ElementOrder(1, {}, ())
+    found = []
+    for (p, e), y in zip(primes, _cofactor_powers(group, x, primes)):
+        z, k, gamma = y, 0, None
+        while not group.is_identity(z):
+            if k == e:
+                raise SdlpError("claimed exponent multiple does not annihilate the element")
+            gamma, z, k = z, group.pow(z, p), k + 1
+        if k:
+            found.append((p, e, k, y, gamma))
+    fact = {p: k for p, _, k, _, _ in found}
+    n = integers.factorization_product(fact)
+    # y = x^(M/p^e) = (x^(n/p^k))^c with c = (M/n) / p^(e-k), a unit mod p^k
+    cofactor = integers.factorization_product(dict(primes)) // n
+    parts = tuple(_PrimePart(p, k, y, gamma, cofactor // p ** (e - k) % p**k) for p, e, k, y, gamma in found)
+    return ElementOrder(n, fact, parts)
+
+
+def _cofactor_powers(group: GroupHandle, x, primes: list) -> list:
+    """[x^(N/p^e) for (p, e) in primes] with N the product of the p^e.
+
+    Each half of the list raises x to the other half's prime powers and
+    recurses, so r primes cost O(log N log r) products instead of r full
+    powers. An empty list has no cofactors.
+    """
+    if not primes:
+        return []
+    if len(primes) == 1:
+        return [x]
+    mid = len(primes) // 2
+    left, right = primes[:mid], primes[mid:]
+    to_left = group.pow(x, integers.factorization_product(dict(right)))
+    to_right = group.pow(x, integers.factorization_product(dict(left)))
+    return _cofactor_powers(group, to_left, left) + _cofactor_powers(group, to_right, right)
 
 
 def matrix_order_multiple(A) -> dict:
@@ -192,8 +261,9 @@ def _unit_exponent_multiple(fld, f: Poly) -> dict:
 
 def _order_from_multiple(is_trivial_power, factored_multiple: dict):
     """(n, factored n): the smallest n dividing the multiple with power n
-    trivial. The one order reducer: element, endomorphism and orbit orders
-    all come through here."""
+    trivial, one prime at a time. The reducer for orders known only through
+    a predicate: endomorphism orders and orbit periods come through here,
+    element orders through `element_order`'s cofactor tree."""
     n = integers.factorization_product(factored_multiple)
     fact = dict(factored_multiple)
     for p in list(fact):
@@ -308,30 +378,54 @@ def ensure_endo_order(sigma: Endo) -> int:
 # discrete logarithm
 
 
-def dlog(group: GroupHandle, base, target, factored_order: dict, config: SolverConfig | None = None):
-    """Smallest t >= 0 with base^t = target, or None.
+def dlog(group: GroupHandle, base, target, factored_order, config: SolverConfig | None = None):
+    """Smallest t >= 0 with base^t = target, or None: `dlog_many` on one
+    target.
 
-    `factored_order` is the exact factored order of base, as `element_order`
-    returns it. The search runs Pohlig-Hellman style, solving each prime
+    `factored_order` is `element_order(group, base)` or the exact factored
+    order of base. The search runs Pohlig-Hellman style, solving each prime
     digit with BSGS, or with Pollard rho for primes above 2^10 under
     `oracle="rho"`; Pohlig-Hellman raises SdlpError when handed a proper
     multiple of the order. `oracle="brute"` walks the powers of base. The
     returned value always satisfies the equation (self-verified); None means
     target is not a power of base.
     """
+    return dlog_many(group, base, [target], factored_order, config)[0]
+
+
+def dlog_many(group: GroupHandle, base, targets, factored_order, config: SolverConfig | None = None) -> list:
+    """[dlog(group, base, h, factored_order, config) for h in targets], with
+    one set-up for base.
+
+    `factored_order` is `element_order(group, base)`, whose projections of
+    base are used as they are, or the exact factored order of base, from
+    which one cofactor tree reads them. Pohlig-Hellman loops over the primes
+    on the outside: each prime's baby-step table is built once, serves every
+    digit of every target and is dropped before the next prime's. Each
+    target takes one cofactor tree of its own. Nothing outlives the call.
+    """
     config = config or SolverConfig()
-    if group.label(target) == group.label(group.identity):
-        return 0
-    n = integers.factorization_product(factored_order)
+    logs = [0 if group.is_identity(h) else None for h in targets]
+    todo = [i for i, t in enumerate(logs) if t is None]
+    if not todo:
+        return logs
     if config.oracle == "brute":
-        t = _dlog_brute(group, base, target, n)
+        n = factored_order[0] if isinstance(factored_order, ElementOrder) else integers.factorization_product(factored_order)
+        found = [_dlog_brute(group, base, targets[i], n) for i in todo]
     else:
-        t = _pohlig_hellman(group, base, target, n, factored_order, config)
-    if t is None:
-        return None
-    if group.label(group.pow(base, t)) != group.label(target):
-        return None
-    return t
+        if isinstance(factored_order, ElementOrder):
+            parts = factored_order.parts
+        else:
+            got = _order_parts(group, base, factored_order)
+            if got[1] != {p: e for p, e in factored_order.items() if e > 0}:
+                raise SdlpError("factored order is not the exact order of the base")
+            parts = got.parts
+        found = _pohlig_hellman(group, [targets[i] for i in todo], parts, config)
+    label = group.label
+    for i, t in zip(todo, found):
+        if t is not None and label(group.pow(base, t)) == label(targets[i]):
+            logs[i] = t
+    return logs
 
 
 def _dlog_brute(group, base, target, bound):
@@ -344,7 +438,9 @@ def _dlog_brute(group, base, target, bound):
     return None
 
 
-def _dlog_bsgs(group, base, target, bound, config: SolverConfig):
+def _bsgs(group, base, bound, config: SolverConfig):
+    """x -> the dlog of x to base below bound, or None: the baby-step table
+    is built here once, and each call takes its own giant steps."""
     m = math.isqrt(max(bound, 1) - 1) + 1
     if m > config.bsgs_mem:
         raise NotApplicableError("instance too large for the BSGS table")
@@ -356,20 +452,24 @@ def _dlog_bsgs(group, base, target, bound, config: SolverConfig):
         table.setdefault(label(cur), j)
         cur = baby(cur)
     giant = group.stepper(group.inv(cur))  # x -> x base^{-m}
-    gamma = target
-    for i in range(m + 1):
-        j = table.get(label(gamma))
-        if j is not None:
-            return i * m + j
-        gamma = giant(gamma)
-    return None
+
+    def find(target):
+        gamma = target
+        for i in range(m + 1):
+            j = table.get(label(gamma))
+            if j is not None:
+                return i * m + j
+            gamma = giant(gamma)
+        return None
+
+    return find
 
 
-def _dlog_prime_order(group, base, target, p, config: SolverConfig):
-    """dlog of target to a base of prime order p."""
+def _prime_order_log(group, base, p, config: SolverConfig):
+    """x -> the dlog of x to a base of prime order p, or None."""
     if config.oracle == "rho" and p > (1 << 10):
-        return _rho_with_order(group, base, target, p, config)
-    return _dlog_bsgs(group, base, target, p, config)
+        return lambda target: _rho_with_order(group, base, target, p, config)
+    return _bsgs(group, base, p, config)
 
 
 def _rho_with_order(group, base, target, n, config: SolverConfig):
@@ -381,7 +481,7 @@ def _rho_with_order(group, base, target, n, config: SolverConfig):
         t = _rho_round(group, base, target, n, rng)
         if t is not None:
             return t
-    return _dlog_bsgs(group, base, target, n, config)
+    return _bsgs(group, base, n, config)(target)
 
 
 def _rho_round(group, base, target, n, rng):
@@ -413,35 +513,44 @@ def _rho_round(group, base, target, n, rng):
     return None
 
 
-def _pohlig_hellman(group, base, target, n, fact, config: SolverConfig):
-    """dlog for the exactly known factored order n of base.
+def _pohlig_hellman(group, targets, parts, config: SolverConfig) -> list:
+    """Each target's dlog modulo ord(base), from the base's prime parts, or
+    None where some digit has no log. Every target is projected by its own
+    cofactor tree; the primes run on the outside, so one table per prime is
+    alive at a time."""
+    primes = [(part.p, part.e) for part in parts]
+    projected = [_cofactor_powers(group, h, primes) for h in targets]
+    logs = [(0, 1)] * len(targets)
+    for i, part in enumerate(parts):
+        alive = [j for j, log in enumerate(logs) if log is not None]
+        if not alive:
+            break
+        pe = part.p**part.e
+        for j, s in zip(alive, _prime_power_logs(group, part, [projected[j][i] for j in alive], config)):
+            logs[j] = None if s is None else integers.crt_pair(*logs[j], s * part.scale % pe, pe)
+    return [None if log is None else log[0] for log in logs]
 
-    Each gamma_p = base^(n/p) is a base of prime order p; if one is the
-    identity, n is not the exact order and SdlpError is raised.
-    """
-    residues = []
-    for p, e in fact.items():
-        pe = p**e
-        gamma = group.pow(base, n // pe)
-        h = group.pow(target, n // pe)
-        gamma_p = group.pow(gamma, pe // p)
-        if group.is_identity(gamma_p):
-            raise SdlpError("factored order is not the exact order of the base")
-        t_pe = 0
-        cur = h
+
+def _prime_power_logs(group, part: _PrimePart, targets, config: SolverConfig) -> list:
+    """s with y^s = h for each target h, digit by digit, or None; y has
+    order p^e, and one solver for its order-p power gamma serves every
+    digit of every target."""
+    p, e = part.p, part.e
+    find = _prime_order_log(group, part.gamma, p, config)
+    y_inv = group.inv(part.y) if e > 1 else None
+    out = []
+    for h in targets:
+        s, cur = 0, h
         for k in range(e):
-            c = group.pow(cur, pe // p ** (k + 1))
-            d = _dlog_prime_order(group, gamma_p, c, p, config)
+            d = find(group.pow(cur, p ** (e - 1 - k)))
             if d is None:
-                return None
-            t_pe += d * p**k
+                s = None
+                break
+            s += d * p**k
             if k < e - 1:  # the last digit's update would go unread
-                cur = group.mul(cur, group.inv(group.pow(gamma, d * p**k)))
-        residues.append((t_pe, pe))
-    t, mod = 0, 1
-    for r, m in residues:
-        t, mod = integers.crt_pair(t, mod, r, m)
-    return t
+                cur = group.mul(cur, group.pow(y_inv, d * p**k))
+        out.append(s)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .oracles import (
     PolyUnitGroup,
     UnitGroup,
     dlog,
+    dlog_many,
     element_order,
     endo_order,
     ensure_endo_order,
@@ -113,12 +114,19 @@ def _solve_brute(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
 
 def solve_small_order(inst: SdlpInstance, config: SolverConfig | None = None) -> SolutionSet:
     """Shift to sigma^n with n = ord(sigma); each residue instance has a
-    trivial endomorphism, so rho^t(1) = g'^t and a dlog finishes it."""
+    trivial endomorphism, so rho^t(1) = g'^t, and the residues' targets
+    share one order of g' and one dlog set-up for it."""
     return solve(inst, config, "small-order")
 
 
 def _solve_small_order(inst: SdlpInstance, config: SolverConfig, n: int | None = None) -> SolutionSet:
-    """Core of solve_small_order; n is ord(sigma) when the caller has it."""
+    """Core of solve_small_order; n is ord(sigma) when the caller has it.
+
+    Every residue instance of the shift has the same base g' = rho^n(1) and
+    a trivial sigma^n, so one exact order of g' and one dlog set-up for it
+    (each prime's baby-step table) serve all n targets. Both live only for
+    this solve.
+    """
     if n is None:
         if not inst.sigma.is_automorphism():
             raise SdlpError("not an automorphism")
@@ -126,24 +134,21 @@ def _solve_small_order(inst: SdlpInstance, config: SolverConfig, n: int | None =
     if n > config.small_order_bound:
         raise NotApplicableError("automorphism order too large")
     subs, recombine = shift_to_power(inst, n, config)
-    return recombine([_solve_trivial_sigma(sub, config) for sub in subs])
-
-
-def _solve_trivial_sigma(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
-    """SDLP when sigma acts as the identity: h = g^t."""
-    grp = inst.group
-    if grp.is_identity(inst.g):
-        return SolutionSet.progression(0, 1) if grp.is_identity(inst.h) else SolutionSet.empty()
-    return _power_solutions(grp, inst.g, inst.h, config)
+    grp, base = inst.group, subs[0].g
+    if grp.is_identity(base):
+        return recombine([SolutionSet.progression(0, 1) if grp.is_identity(sub.h) else SolutionSet.empty() for sub in subs])
+    order = element_order(grp, base)
+    logs = dlog_many(grp, base, [sub.h for sub in subs], order, config)
+    return recombine([SolutionSet.empty() if t is None else SolutionSet.progression(t, order[0]) for t in logs])
 
 
 def _power_solutions(group: GroupHandle, base, target, config: SolverConfig) -> SolutionSet:
     """{t : base^t = target} as {t0 + ord(base) k}: one exact order, one dlog."""
-    order, fact = element_order(group, base)
-    t0 = dlog(group, base, target, factored_order=fact, config=config)
+    order = element_order(group, base)
+    t0 = dlog(group, base, target, order, config)
     if t0 is None:
         return SolutionSet.empty()
-    return SolutionSet.progression(t0, order)
+    return SolutionSet.progression(t0, order[0])
 
 
 # ---------------------------------------------------------------------------

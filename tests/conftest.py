@@ -21,6 +21,15 @@ from sdlp.linalg import Matrix
 from sdlp.oracles import ensure_endo_order
 
 
+def eval_poly_at_matrix(poly, B):
+    """Reference poly(B) by Horner's rule on matrices."""
+    F = B.field
+    out = Matrix.zeros(F, B.nrows, B.nrows)
+    for c in reversed(poly.coeffs):
+        out = out * B + Matrix.identity(F, B.nrows).scale(c)
+    return out
+
+
 def fold_dot(fld, a, b):
     """Reference sum_i a_i b_i: a left fold of field add and mul."""
     out = fld.zero

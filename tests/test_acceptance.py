@@ -10,6 +10,7 @@ import time
 
 from conftest import (
     borel_group,
+    eval_poly_at_matrix,
     rand_invertible,
     rand_upper_triangular,
     random_cyclic_instance,
@@ -37,7 +38,7 @@ from sdlp.groups import (
     rho_pow,
     rho_pow_naive,
 )
-from sdlp.linalg import Matrix, eval_poly_at_matrix
+from sdlp.linalg import Matrix
 from sdlp.oracles import orbit_walk
 from sdlp.protocol import (
     draw_secrets,

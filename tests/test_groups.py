@@ -25,7 +25,6 @@ from sdlp.groups import (
     Subgroup,
     TableEndo,
     VectorGroup,
-    identity_hom,
     induced_automorphism,
     restrict_endo,
     rho_pow,
@@ -417,7 +416,7 @@ class TestInducedAutomorphism:
     def test_identity_hom_gives_pair_image(self):
         H = HeisenbergGroup(7)
         sigma = ConjugationEndo(H, Matrix(F7, [[2, 1, 3], [0, 3, 5], [0, 0, 1]]))
-        img, ind = induced_automorphism(identity_hom(H), sigma)
+        img, ind = induced_automorphism(Hom(H, H, lambda x: x, description="id", is_identity=True), sigma)
         assert isinstance(img, PairImageGroup)
         rng = random.Random(8)
         for _ in range(30):

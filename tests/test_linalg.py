@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fold_dot
+from conftest import eval_poly_at_matrix, fold_dot
 from sdlp.errors import SdlpError
 from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
 from sdlp.linalg import (
     Matrix,
     annihilator,
-    eval_poly_at_matrix,
     min_poly,
     nullspace,
     solve_linear,
@@ -49,6 +48,21 @@ class TestMatrixProducts:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(SdlpError, match="dimension mismatch"):
             Matrix.identity(F5, 2) * Matrix.identity(F5, 3)
+
+    def test_power_builds_the_identity_only_at_zero(self, monkeypatch):
+        built = []
+        identity = Matrix.identity.__func__
+
+        def counted(cls, field, n):
+            built.append(n)
+            return identity(cls, field, n)
+
+        monkeypatch.setattr(Matrix, "identity", classmethod(counted))
+        B = Matrix(F5, [[1, 2], [3, 4]])
+        assert B**1 == B and B**3 == B * B * B and B**-2 == B.inverse() * B.inverse()
+        assert built == []
+        assert B**0 == identity(Matrix, F5, 2)
+        assert built == [2]
 
     @pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], []], [[1, 2, 3], [4, 5, 6], [7, 8]]])
     def test_ragged_rows_raise(self, rows):

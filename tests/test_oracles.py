@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -32,6 +34,7 @@ from sdlp.oracles import (
     UnitGroup,
     _endo_order_by_walk,
     dlog,
+    dlog_many,
     element_order,
     endo_order,
     factor_integer,
@@ -163,10 +166,28 @@ class TestDlog:
             t_star = rng.randrange(n)
             assert dlog(U, x, U.pow(x, t_star), factored_order=fact, config=SolverConfig(oracle=oracle)) == t_star
 
+    @pytest.mark.parametrize("oracle", ["bsgs", "rho", "brute"])
+    def test_many_targets_match_the_powers(self, oracle):
+        # 30010 = 2 * 5 * 3001: rho takes the prime 3001 under "rho"
+        F = PrimeField(30011)
+        U = UnitGroup(F)
+        rng = random.Random(4)
+        cfg = SolverConfig(oracle=oracle)
+        for base in (F.from_int(7), F.from_int(7**10 % 30011)):
+            order = element_order(U, base)
+            logs, cur = {}, F.one
+            for t in range(order[0]):
+                logs[cur] = t
+                cur = U.mul(cur, base)
+            targets = [F.one] + [F.rand_nonzero(rng) for _ in range(12)] + [U.pow(base, rng.randrange(order[0])) for _ in range(12)]
+            want = [logs.get(h) for h in targets]
+            assert dlog_many(U, base, targets, order, cfg) == want
+            assert dlog_many(U, base, targets, order[1], cfg) == want
+
     def test_pohlig_hellman_inverts_once_per_digit_update(self):
-        # ord(2) = 100 = 2^2 * 5^2 in F_101^*: each of the four digits inverts
-        # once for its BSGS giant step, and only the first digit of each
-        # prime updates the target (the last digit's update goes unread)
+        # ord(2) = 100 = 2^2 * 5^2 in F_101^*: each prime's one BSGS table
+        # inverts once for its giant step, and the digit updates of each
+        # prime share one inverse of its projection y (order p^2)
         class Counting(UnitGroup):
             inversions = 0
 
@@ -176,7 +197,7 @@ class TestDlog:
 
         U = Counting(PrimeField(101))
         assert dlog(U, 2, 3, factored_order={2: 2, 5: 2}) == 69
-        assert U.inversions == 4 + 2
+        assert U.inversions == 2 + 2
 
     def test_memory_cap(self):
         # 2097779 = 2 * 1048889 + 1: 3 has prime order 1048889, whose BSGS
@@ -273,6 +294,65 @@ class TestElementOrder:
             if Poly(F5, list(a)).gcd(R.modulus).degree() == 0:
                 _assert_order_matches_powering(R, a)
                 units += 1
+
+    def test_result_copies_and_pickles_like_its_tuple(self):
+        U = UnitGroup(PrimeField(101))
+        got = element_order(U, 4)
+        for twin in (copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+            assert twin == got == (50, {2: 1, 5: 2})
+            assert dlog(U, 4, 16, factored_order=twin) == 2
+
+    def test_trivial_group(self):
+        # F_2^* = {1}: its multiple 2^1 - 1 = 1 factors as {}, the tree's base case
+        U = UnitGroup(PrimeField(2))
+        assert U.exponent_multiple() == {}
+        assert element_order(U, 1) == (1, {})
+        assert dlog(U, 1, 1, factored_order=element_order(U, 1)) == 0
+        with pytest.raises(SdlpError, match="does not annihilate"):
+            element_order(U, 0)
+
+    def test_empty_multiple_rejects_non_identity(self):
+        class NoMultiple(UnitGroup):
+            def exponent_multiple(self):
+                return {}
+
+        U = NoMultiple(PrimeField(5))
+        assert element_order(U, 1) == (1, {})
+        for x in (2, 3, 4):
+            with pytest.raises(SdlpError, match="does not annihilate"):
+                element_order(U, x)
+
+    @pytest.mark.parametrize(
+        "n, products",
+        [(2**16, 16), (2**5 * 3**4, 26), (2**3 * 3**2 * 5 * 7 * 11, 64)],
+        ids=["r=1", "r=2", "r=5"],
+    )
+    def test_products_follow_the_cofactor_tree(self, n, products):
+        class Counting(CyclicGroup):
+            products = 0
+
+            def mul(self, x, y):
+                self.products += 1
+                return super().mul(x, y)
+
+        G = Counting(n)
+        fact = G.exponent_multiple()
+        assert element_order(G, 1) == (n, fact)
+        # each of the ceil(log2 r) tree levels raises to exponents whose
+        # product is n, and the p-part orders take e powerings by p each:
+        # at most 2 log2 n products for each of the two
+        r = len(fact)
+        assert G.products == products <= 2 * math.log2(n) * (math.ceil(math.log2(r)) + 1)
+
+    def test_multiple_missing_a_prime_power_raises(self):
+        # 3 has order 100 in F_101^*; 2^2 * 5 misses a factor 5
+        class Short(UnitGroup):
+            def exponent_multiple(self):
+                return {2: 2, 5: 1}
+
+        with pytest.raises(SdlpError, match="does not annihilate"):
+            element_order(Short(PrimeField(101)), 3)
+        assert element_order(Short(PrimeField(101)), 14) == (10, {2: 1, 5: 1})  # 14 = 4^5
 
     def test_matrix_uses_tight_multiple(self):
         B = Matrix(F5, [[0, 4], [1, 4]])

@@ -14,6 +14,7 @@ from conftest import (
     random_vector_instance,
     sigma_closed_matrix_group,
 )
+import sdlp.oracles as oracles
 import sdlp.solvers as solvers
 from sdlp.config import SolverConfig
 from sdlp.errors import InternalAssertionError, NotApplicableError, SdlpError
@@ -36,7 +37,7 @@ from sdlp.groups import (
     rho_pow,
 )
 from sdlp.linalg import Matrix, annihilator
-from sdlp.oracles import orbit_walk
+from sdlp.oracles import element_order, ensure_endo_order, orbit_walk
 from sdlp.protocol import heisenberg_chain, heisenberg_instance
 from sdlp.solvers import (
     SOLVER_NAMES,
@@ -96,6 +97,47 @@ class TestSolveSmallOrder:
         for _ in range(100):
             inst = random_cyclic_instance(rng, automorphism=True)
             assert solve_small_order(inst, CFG) == brute_solve(inst, CFG)
+
+    @staticmethod
+    def _count_orders_and_tables(monkeypatch):
+        calls = {"element_order": 0, "tables": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(solvers, "element_order", counted("element_order", solvers.element_order))
+        monkeypatch.setattr(oracles, "_bsgs", counted("tables", oracles._bsgs))
+        return calls
+
+    # x -> 241 x on Z_27720 has order 6, and g' = rho^6(1) = 24486 has order
+    # 60 = 2^2 * 3 * 5: six residue targets, three primes
+    SHIFT_GROUP = CyclicGroup(27720)
+    SHIFT_SIGMA = PowerMapEndo(SHIFT_GROUP, 241)
+
+    @pytest.mark.parametrize("t_star", [77, 1234, 4327])
+    def test_one_order_and_one_table_per_prime_for_all_residues(self, monkeypatch, t_star):
+        G, sigma = self.SHIFT_GROUP, self.SHIFT_SIGMA
+        assert ensure_endo_order(sigma) == 6
+        assert element_order(G, rho_pow(1, sigma, 6)) == (60, {2: 2, 3: 1, 5: 1})
+        calls = self._count_orders_and_tables(monkeypatch)
+        inst = SdlpInstance(G, sigma, 1, rho_pow(1, sigma, t_star))
+        assert solve_small_order(inst, CFG) == brute_solve(inst, CFG)
+        assert calls == {"element_order": 1, "tables": 3}
+
+    def test_no_order_or_table_outlives_a_solve(self, monkeypatch):
+        # one config for three solves; the repeat computes everything afresh
+        G, sigma = self.SHIFT_GROUP, self.SHIFT_SIGMA
+        calls = self._count_orders_and_tables(monkeypatch)
+        inst = SdlpInstance(G, sigma, 1, rho_pow(1, sigma, 1234))
+        other = SdlpInstance(G, sigma, 1, rho_pow(1, sigma, 99))
+        first = solve_small_order(inst, CFG)
+        assert solve_small_order(other, CFG) == brute_solve(other, CFG)
+        assert solve_small_order(inst, CFG) == first == brute_solve(inst, CFG)
+        assert calls == {"element_order": 3, "tables": 9}
 
 
 class TestSolveElementaryAbelian:
@@ -567,8 +609,6 @@ class TestSolveMaster:
         return P, sigma, g, chain, rng
 
     def test_single_level_equals_solvable(self):
-        from sdlp.groups import identity_hom
-
         rng = random.Random(8)
         H = HeisenbergGroup(5)
         T = rand_upper_triangular(H.field, 3, rng)
@@ -578,7 +618,7 @@ class TestSolveMaster:
             levels=[
                 ChainLevel(
                     generators=H.generators() + [(0, 0, 1)],
-                    psi=identity_hom(H),
+                    psi=Hom(H, H, lambda x: x, description="id", is_identity=True),
                     tag="solvable",
                 )
             ]
