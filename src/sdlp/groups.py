@@ -767,16 +767,6 @@ class TableEndo(Endo):
             if group.label(group.identity) not in self.mapping:
                 raise SdlpError("table does not cover the identity")
 
-    @classmethod
-    def from_callable(cls, group, func, check_hom=True, rng=None):
-        mapping = {}
-        for x in _enumerate_handle(group):
-            mapping[group.label(x)] = func(x)
-        endo = cls(group, mapping)
-        if check_hom:
-            endo.spot_check_morphism(rng or random.Random(0), samples=64)
-        return endo
-
     def apply(self, x):
         try:
             return self.mapping[self.group.label(x)]
@@ -836,6 +826,12 @@ class InducedPairEndo(Endo):
 
     def is_automorphism(self):
         return self.inner.is_automorphism()
+
+    def semidirect_power(self, g, t):
+        # pairs multiply on their source component, so the power is the
+        # inner endo's, embedded
+        P, E = self.inner.semidirect_power(g[0], t)
+        return self.group.embed(P), InducedPairEndo(self.group, E)
 
     def __repr__(self):
         return f"InducedOnPairImage({self.inner!r})"

@@ -4,6 +4,8 @@ Everything is seeded; matrix-group instances close their generator sets
 under sigma so that sigma really is an endomorphism of the group.
 """
 
+import random
+
 from sdlp.config import SolverConfig
 from sdlp.ff import PrimeField, field_of_size
 from sdlp.groups import (
@@ -14,7 +16,9 @@ from sdlp.groups import (
     MatrixGroup,
     PowerMapEndo,
     SdlpInstance,
+    TableEndo,
     VectorGroup,
+    mulclose,
     rho_pow,
 )
 from sdlp.linalg import Matrix
@@ -36,6 +40,16 @@ def fold_dot(fld, a, b):
     for x, y in zip(a, b):
         out = fld.add(out, fld.mul(x, y))
     return out
+
+
+def table_endo(group, func):
+    """The TableEndo x -> func(x) over every element of group, spot-checked
+    as a morphism on 64 seeded samples. The TableEndo constructor rejects
+    a group above TableEndo.MAX_SIZE."""
+    elements = group.elements() if hasattr(group, "elements") else mulclose(group, cap=TableEndo.MAX_SIZE)
+    endo = TableEndo(group, {group.label(x): func(x) for x in elements})
+    endo.spot_check_morphism(random.Random(0), samples=64)
+    return endo
 
 
 def rand_invertible(fld, d, rng):

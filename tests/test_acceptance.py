@@ -17,6 +17,7 @@ from conftest import (
     random_heisenberg_instance,
     random_matrix_instance,
     random_vector_instance,
+    table_endo,
 )
 from sdlp.config import SolverConfig
 from sdlp.errors import NotApplicableError, SdlpError
@@ -328,7 +329,7 @@ def test_criterion_7_numerical_exactness():
     H7 = HeisenbergGroup(7)
     psi = Hom(HeisenbergGroup(5), VectorGroup(5, 2), lambda t: (t[0], t[1]))
     pair_group = PairImageGroup(psi)
-    from sdlp.groups import InducedPairEndo, TableEndo
+    from sdlp.groups import InducedPairEndo
 
     backends = [
         (CyclicGroup(12), lambda g: PowerMapEndo(g, 5), 7),
@@ -339,7 +340,7 @@ def test_criterion_7_numerical_exactness():
         (MatrixGroup(F9, 2, [Matrix(F9, [[F9.gen(), F9.zero], [F9.one, F9.one]])]),
          lambda g: ConjugationEndo(g, Matrix(F9, [[F9.one, F9.gen()], [F9.zero, F9.one]])),
          Matrix(F9, [[F9.gen(), F9.zero], [F9.one, F9.one]])),
-        (CyclicGroup(6), lambda g: TableEndo.from_callable(g, lambda x: 5 * x % 6), 1),
+        (CyclicGroup(6), lambda g: table_endo(g, lambda x: 5 * x % 6), 1),
         (pair_group, lambda g: InducedPairEndo(g, ConjugationEndo(HeisenbergGroup(5), Matrix(PrimeField(5), [[1, 2, 0], [0, 2, 1], [0, 0, 3]]))), pair_group.embed((1, 1, 0))),
         (ProductGroup([CyclicGroup(4), VectorGroup(3, 1)]),
          lambda g: ProductEndo(g, [PowerMapEndo(g.factors[0], 3), LinearMapEndo(g.factors[1], Matrix(PrimeField(3), [[2]]))]),

@@ -12,6 +12,7 @@ from sdlp.ff import (
     BinaryField,
     ExtField,
     Poly,
+    PowerBasis,
     PrimeField,
     canonical_irreducible,
     factor_degrees,
@@ -104,6 +105,73 @@ class TestExtField:
         F = field_of_size(27)
         for n in range(27):
             assert F.to_int(F.from_int(n)) == n
+
+
+def _power(F, c, n):
+    out = F.one
+    for bit in bin(n)[2:]:
+        out = F.mul(out, out)
+        if bit == "1":
+            out = F.mul(out, c)
+    return out
+
+
+def _frobenius_degree(F, c):
+    """The degree of F_p(c): the least k with c^(p^k) = c."""
+    k, cur = 1, _power(F, c, F.char)
+    while cur != c:
+        k, cur = k + 1, _power(F, cur, F.char)
+    return k
+
+
+POWER_BASIS_FIELDS = [(3, 2), (7, 4), (5, 6), (257, 5), (65537, 3)]
+
+
+class TestPowerBasis:
+    @pytest.mark.parametrize("p, e", POWER_BASIS_FIELDS, ids=[f"{p}^{e}" for p, e in POWER_BASIS_FIELDS])
+    def test_matches_field_arithmetic(self, p, e):
+        F = field_of_size(p**e)
+        rng = random.Random(f"power-basis-{p}-{e}")
+        # a random element, one from F_p and, where e is composite, one from
+        # a proper subfield
+        norm = next((d for d in range(2, e) if e % d == 0), None)
+        cs = [F.rand_nonzero(rng), F.from_int(rng.randrange(1, p))]
+        if norm:
+            cs.append(_power(F, F.rand_nonzero(rng), (p**e - 1) // (p**norm - 1)))
+        for c in cs:
+            B = PowerBasis(F, c)
+            k = B.degree
+            assert k == _frobenius_degree(F, c) and e % k == 0
+            assert B.element(B.identity) == F.one and B.element(B.gen) == c
+            elements = [_power(F, c, i) for i in range(2 * k + 3)]
+            for i, a in enumerate(elements):
+                w = B.coords(a)
+                assert B.element(w) == a
+                assert B.element(B.times_gen(w)) == F.mul(a, c)
+                assert B.stepper(B.gen)(w) == B.times_gen(w)
+                if any(w):
+                    assert B.element(B.inv(w)) == F.inv(a)
+                # base-p label of the coordinates, as the field labels its own
+                assert B.label(w) == sum(x * p**j for j, x in enumerate(w))
+            for _ in range(6):
+                u = tuple(rng.randrange(p) for _ in range(k))
+                v = tuple(rng.randrange(p) for _ in range(k))
+                assert B.coords(B.element(u)) == u
+                assert B.element(B.stepper(v)(u)) == F.mul(B.element(u), B.element(v))
+            if k < e:
+                # a lies in F_p(c) = F_{p^k} exactly when its degree divides k
+                outside = next(a for a in iter(lambda: F.rand_nonzero(rng), None) if k % _frobenius_degree(F, a))
+                assert B.coords(outside) is None
+
+    def test_label_is_injective_on_the_subfield(self):
+        F = field_of_size(7**4)
+        c = F.gen()
+        B = PowerBasis(F, c)
+        powers, cur = set(), F.one
+        for _ in range(7**4 - 1):
+            powers.add(cur)
+            cur = F.mul(cur, c)
+        assert len({B.label(B.coords(a)) for a in powers}) == len(powers)
 
 
 class TestBinaryField:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_invertible, rand_upper_triangular, sigma_closed_matrix_group
-from sdlp.errors import SdlpError
+from conftest import rand_invertible, rand_upper_triangular, sigma_closed_matrix_group, table_endo
+from sdlp.errors import InternalAssertionError, SdlpError
 from sdlp.ff import PrimeField, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
@@ -23,7 +23,6 @@ from sdlp.groups import (
     ProductGroup,
     SolutionSet,
     Subgroup,
-    TableEndo,
     VectorGroup,
     induced_automorphism,
     restrict_endo,
@@ -276,7 +275,7 @@ def fresh_automorphism(kind, rng):
     if kind == "table":
         n = rng.randrange(2, 60)
         e = _unit_mod(n, rng)
-        return TableEndo.from_callable(CyclicGroup(n), lambda x: e * x % n)
+        return table_endo(CyclicGroup(n), lambda x: e * x % n)
     if kind == "pair":
         H = HeisenbergGroup(5)
         P = PairImageGroup(Hom(H, VectorGroup(5, 2), lambda t: (t[0], t[1])))
@@ -388,26 +387,51 @@ class TestConjugationPowerHook:
         # g a^-1 and the product of the two powers one each
         assert conjugation_products == 2 * (t.bit_length() + t.bit_count() - 2) + 2
 
+    def test_pair_image_asks_its_inner_conjugation(self, monkeypatch):
+        rng = random.Random("hook-pair")
+        sigma = fresh_automorphism("pair", rng)
+        grp = sigma.group
+        assert isinstance(grp.inner, HeisenbergGroup) and grp.inner.p == 5
+        g = grp.rand_element(rng)
+        ts = range(1, 65)
+        loops = [Endo.semidirect_power(sigma, g, t) for t in ts]
+        naive = [rho_pow_naive(g, sigma, t) for t in ts]
+
+        def forbidden(*args):
+            raise AssertionError("the pair hook ran the generic loop")
+
+        monkeypatch.setattr(InducedPairEndo, "apply", forbidden)
+        monkeypatch.setattr(InducedPairEndo, "compose", forbidden)
+        for t, (P0, E0), Q in zip(ts, loops, naive):
+            P, E = semidirect_power(g, sigma, t)
+            assert P[0] == P0[0] == Q[0] and grp.label(P) == grp.label(Q)
+            assert isinstance(E, InducedPairEndo)
+            assert (E.inner.a, E.inner.a_inv) == (E0.inner.a, E0.inner.a_inv)
+
 
 class TestTableEndo:
     def test_power_and_compose(self):
         C = CyclicGroup(8)
-        t = TableEndo.from_callable(C, lambda x: 3 * x % 8)
+        t = table_endo(C, lambda x: 3 * x % 8)
         assert t.is_automorphism()
         assert t.pow(2).apply(1) == 9 % 8
         assert t.compose(t).apply(1) == t.pow(2).apply(1)
 
     def test_size_cap(self):
-        with pytest.raises(SdlpError):
-            TableEndo.from_callable(CyclicGroup(1 << 13), lambda x: x)
+        with pytest.raises(SdlpError, match="too large"):
+            table_endo(CyclicGroup(1 << 13), lambda x: x)
+
+    def test_helper_spot_checks_the_morphism(self):
+        with pytest.raises(InternalAssertionError):
+            table_endo(CyclicGroup(6), lambda x: (x + 1) % 6)
 
     def test_negative_power_inverts_the_table(self):
-        t = TableEndo.from_callable(CyclicGroup(6), lambda x: 5 * x % 6)
+        t = table_endo(CyclicGroup(6), lambda x: 5 * x % 6)
         assert [t.pow(-1).apply(x) for x in range(6)] == [0, 5, 4, 3, 2, 1]
         assert t.pow(-3).apply(1) == 5
 
     def test_negative_power_of_non_bijective_table_raises(self):
-        t = TableEndo.from_callable(CyclicGroup(6), lambda x: 2 * x % 6)
+        t = table_endo(CyclicGroup(6), lambda x: 2 * x % 6)
         with pytest.raises(SdlpError, match="not invertible"):
             t.pow(-1)
 

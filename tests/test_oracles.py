@@ -16,7 +16,7 @@ from conftest import (
 )
 from sdlp.config import SolverConfig
 from sdlp.errors import NotApplicableError, SdlpError
-from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
+from sdlp.ff import ExtField, Poly, PowerBasis, PrimeField, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -29,9 +29,11 @@ from sdlp.groups import (
 )
 from sdlp.linalg import Matrix
 from sdlp.oracles import (
+    _POWER_BASIS_MIN_STEPS,
     OrbitShape,
     PolyUnitGroup,
     UnitGroup,
+    _bsgs,
     _endo_order_by_walk,
     dlog,
     dlog_many,
@@ -207,6 +209,140 @@ class TestDlog:
         assert fact == {1048889: 1}
         with pytest.raises(NotApplicableError, match="too large"):
             dlog(U, 3, 5, factored_order=fact, config=SolverConfig(bsgs_mem=1 << 10))
+
+
+def _element_of_order(F, n, rng):
+    """An element of exact order n in F^*. When n divides p^k - 1 it lies in
+    F_{p^k}, which holds the one subgroup of order n."""
+    U = UnitGroup(F)
+    while True:
+        z = U.pow(F.rand_nonzero(rng), (F.size - 1) // n)
+        if element_order(U, z)[0] == n:
+            return z
+
+
+# (p, e, l): l is a prime above 2^10 with ord_l(p) = e, so an element of
+# order 2l is dense in F_{p^e} and its l-part takes a BSGS table of
+# ceil(sqrt(l)) > _POWER_BASIS_MIN_STEPS baby steps
+DENSE_BASES = [(2137, 2, 1069), (41, 3, 1723), (113, 4, 1277), (163, 5, 1301), (127, 6, 1231)]
+# (p, e, k, l): a base of order l lies in the subfield F_{p^k} of F_{p^e}
+SUBFIELD_BASES = [(2063, 3, 1, 1031), (2137, 4, 2, 1069), (41, 6, 3, 1723)]
+
+
+class TestPowerBasisWalk:
+    """BSGS over F_{p^e}^* walks in the base's own power basis once the
+    table outgrows the change of basis, and returns the same logs."""
+
+    @pytest.mark.parametrize("p, e, l", DENSE_BASES, ids=[f"{p}^{e}" for p, e, _ in DENSE_BASES])
+    @pytest.mark.parametrize("oracle", ["bsgs", "rho", "brute"])
+    def test_logs_match_a_table_of_powers(self, p, e, l, oracle):
+        F = field_of_size(p**e)
+        U = UnitGroup(F)
+        rng = random.Random(f"power-basis-{p}-{e}")
+        base = _element_of_order(F, 2 * l, rng)
+        assert PowerBasis(F, base).degree == e
+        powers, cur = {}, F.one
+        for t in range(2 * l):
+            powers[cur] = t
+            cur = U.mul(cur, base)
+        targets = [F.one] + [U.pow(base, rng.randrange(2 * l)) for _ in range(4)] + [F.rand_nonzero(rng) for _ in range(2)]
+        order = element_order(U, base)
+        assert order[1] == {2: 1, l: 1}
+        got = dlog_many(U, base, targets, order, SolverConfig(oracle=oracle))
+        assert got == [powers.get(h) for h in targets]
+        assert got[-2:] == [None, None]  # a random element is almost never a power
+
+    @pytest.mark.parametrize("p, e, k, l", SUBFIELD_BASES, ids=[f"{p}^{k}-in-{p}^{e}" for p, e, k, _ in SUBFIELD_BASES])
+    @pytest.mark.parametrize("oracle", ["bsgs", "rho", "brute"])
+    def test_base_in_a_subfield(self, p, e, k, l, oracle):
+        F = field_of_size(p**e)
+        U = UnitGroup(F)
+        rng = random.Random(f"subfield-{p}-{e}-{k}")
+        base = _element_of_order(F, l, rng)
+        assert PowerBasis(F, base).degree == k
+        order = element_order(U, base)
+        inside = [U.pow(base, rng.randrange(l)) for _ in range(3)]
+        outside = [F.rand_nonzero(rng) for _ in range(2)]
+        assert all(PowerBasis(F, base).coords(h) is None for h in outside)
+        got = dlog_many(U, base, inside + outside, order, SolverConfig(oracle=oracle))
+        assert [U.pow(base, t) for t in got[:3]] == inside and all(t < l for t in got[:3])
+        assert got[3:] == [None, None]
+
+    def test_target_outside_the_subfield_takes_no_giant_step(self, monkeypatch):
+        p, e, k, l = SUBFIELD_BASES[2]
+        F = field_of_size(p**e)
+        base = _element_of_order(F, l, random.Random(0))
+        find = _bsgs(UnitGroup(F), base, l, SolverConfig())
+        labels = []
+        monkeypatch.setattr(PowerBasis, "label", lambda self, a: labels.append(a))
+        assert find(F.gen()) is None and labels == []
+
+    @staticmethod
+    def _count_dense_products(monkeypatch):
+        """Counts ExtField products: every dot (mul goes through it) and
+        every application of a mul_by kernel."""
+        count = [0]
+        dot, mul_by = ExtField.dot, ExtField.mul_by
+
+        def counted_dot(self, a, b):
+            count[0] += 1
+            return dot(self, a, b)
+
+        def counted_mul_by(self, c):
+            kernel = mul_by(self, c)
+
+            def counted(a):
+                count[0] += 1
+                return kernel(a)
+
+            return counted
+
+        monkeypatch.setattr(ExtField, "dot", counted_dot)
+        monkeypatch.setattr(ExtField, "mul_by", counted_mul_by)
+        return count
+
+    @pytest.mark.parametrize("p, e, l", DENSE_BASES, ids=[f"{p}^{e}" for p, e, _ in DENSE_BASES])
+    def test_long_table_makes_order_e_dense_products(self, p, e, l, monkeypatch):
+        F = field_of_size(p**e)
+        U = UnitGroup(F)
+        base = _element_of_order(F, l, random.Random(1))
+        target = U.pow(base, l - 1)
+        m = math.isqrt(l - 1) + 1
+        assert m > _POWER_BASIS_MIN_STEPS
+        count = self._count_dense_products(monkeypatch)
+        assert _bsgs(U, base, l, SolverConfig())(target) == l - 1
+        # the powers c^2 .. c^e; the giant steps run in the power basis
+        assert count[0] == e - 1 < m
+
+    @pytest.mark.parametrize("p, e, l", DENSE_BASES[:3], ids=[f"{p}^{e}" for p, e, _ in DENSE_BASES[:3]])
+    def test_short_table_takes_the_field_basis(self, p, e, l, monkeypatch):
+        F = field_of_size(p**e)
+        U = UnitGroup(F)
+        base = _element_of_order(F, l, random.Random(2))
+        bound = _POWER_BASIS_MIN_STEPS**2  # m = _POWER_BASIS_MIN_STEPS
+        target = U.pow(base, bound - 1)
+        count = self._count_dense_products(monkeypatch)
+
+        def forbidden(*args):
+            raise AssertionError("a short table changed basis")
+
+        monkeypatch.setattr(PowerBasis, "__init__", forbidden)
+        assert _bsgs(U, base, bound, SolverConfig())(target) == bound - 1
+        # every baby step and every giant step is a dense product
+        assert count[0] >= 2 * _POWER_BASIS_MIN_STEPS
+
+    def test_memory_cap_comes_before_the_change_of_basis(self, monkeypatch):
+        p, e, l = DENSE_BASES[3]
+        F = field_of_size(p**e)
+        base = _element_of_order(F, l, random.Random(3))
+
+        def forbidden(*args):
+            raise AssertionError("set-up ran before the memory check")
+
+        monkeypatch.setattr(PowerBasis, "__init__", forbidden)
+        monkeypatch.setattr(ExtField, "mul_by", forbidden)
+        with pytest.raises(NotApplicableError, match="too large"):
+            _bsgs(UnitGroup(F), base, l, SolverConfig(bsgs_mem=_POWER_BASIS_MIN_STEPS))
 
 
 # (65537, 3) takes its modulus directly: field_of_size would scan 65541

@@ -10,6 +10,7 @@ from conftest import (
     random_heisenberg_instance,
     random_matrix_instance,
     random_vector_instance,
+    table_endo,
     with_forward_h,
 )
 from sdlp.config import SolverConfig
@@ -23,7 +24,6 @@ from sdlp.groups import (
     PowerMapEndo,
     SdlpInstance,
     SolutionSet,
-    TableEndo,
     VectorGroup,
     ConjugationEndo,
     rho_pow,
@@ -157,7 +157,7 @@ class TestShiftToPower:
             grp = CyclicGroup(360)
             e = rng.choice([e for e in range(2, 360) if math.gcd(e, 360) == 1])
             if family == "table":
-                sigma = TableEndo.from_callable(grp, lambda x: e * x % 360)
+                sigma = table_endo(grp, lambda x: e * x % 360)
             else:
                 sigma = PowerMapEndo(grp, e)
         g, h = grp.rand_element(rng), grp.rand_element(rng)

@@ -13,6 +13,7 @@ from conftest import (
     random_matrix_instance,
     random_vector_instance,
     sigma_closed_matrix_group,
+    table_endo,
 )
 import sdlp.oracles as oracles
 import sdlp.solvers as solvers
@@ -31,7 +32,6 @@ from sdlp.groups import (
     ProductGroup,
     SdlpInstance,
     SolutionSet,
-    TableEndo,
     VectorGroup,
     mulclose,
     rho_pow,
@@ -543,7 +543,7 @@ class TestSolveMatrixInner:
         # det(x)^2 != 1, but sigma^2 = id is conjugation by I
         x = Matrix(F5, [[1, 1], [1, 3]])  # symmetric, det 2
         G = MatrixGroup(F5, 2, [x])
-        sigma = TableEndo.from_callable(G, lambda m: m.inverse())
+        sigma = table_endo(G, lambda m: m.inverse())
         cfg = SolverConfig()
         h = rho_pow(x, sigma, 7)
         inst = SdlpInstance(G, sigma, x, h)
@@ -568,7 +568,7 @@ class TestSolveMatrixInner:
     def test_no_inner_power_within_bound(self):
         x = Matrix(F5, [[1, 1], [1, 3]])
         G = MatrixGroup(F5, 2, [x])
-        sigma = TableEndo.from_callable(G, lambda m: m.inverse())
+        sigma = table_endo(G, lambda m: m.inverse())
         inst = SdlpInstance(G, sigma, x, x)
         with pytest.raises(NotApplicableError, match="no inner power"):
             solve_matrix_inner(inst, SolverConfig(matrix_inner_max_k=1))
@@ -686,7 +686,7 @@ class TestAutoDispatch:
             n = rng.randrange(4, 48)
             C = CyclicGroup(n)
             e = rng.randrange(n)
-            sigma = TableEndo.from_callable(C, lambda x, e=e: e * x % n)
+            sigma = table_endo(C, lambda x, e=e: e * x % n)
             inst = SdlpInstance(C, sigma, C.rand_element(rng), C.rand_element(rng))
             assert solve(inst, CFG) == brute_solve(inst, CFG)
 
@@ -735,7 +735,7 @@ class TestAutoDispatch:
                 n = rng.randrange(3, 60)
                 C = CyclicGroup(n)
                 e = rng.choice([u for u in range(2, n) if math.gcd(u, n) == 1])
-                sigma = TableEndo.from_callable(C, lambda x, e=e, n=n: e * x % n)
+                sigma = table_endo(C, lambda x, e=e, n=n: e * x % n)
                 inst = SdlpInstance(C, sigma, C.rand_element(rng), C.rand_element(rng))
             elif solver in ("auto", "matrix-inner"):
                 inst = random_matrix_instance(rng, q_choices=(3, 4, 5), d_max=2)
