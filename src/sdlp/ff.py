@@ -141,7 +141,8 @@ class ExtField:
         whose column j is c x^j is built once, and each product is then e
         dot products over F_p (Shoup's precomputed multiplier). A walk long
         enough to repay a change of basis multiplies by c in c's own power
-        basis instead, where the step is a shift and a fold (`PowerBasis`)."""
+        basis instead, where the step is a shift and a fold
+        (`linalg.PowerBasis`)."""
         p = self.p
         x = self.gen()
         cols = [c]
@@ -228,105 +229,6 @@ class ExtField:
 
     def __repr__(self):
         return f"F_{self.p}^{self.degree}"
-
-
-class PowerBasis:
-    """The subfield F_p(c) of an ExtField in the basis 1, c, ..., c^(k-1),
-    k = deg minpoly(c); an element is the k-tuple of its coordinates.
-
-    There, multiplying by c is multiplying by y in F_p[y]/(minpoly(c)): one
-    shift and one fold of the top coordinate by the minimal polynomial's
-    tail, where the field's own basis takes a dense e x e product. The
-    minimal polynomial and the change of basis come from plain elimination
-    over F_p on c^0, c^1, ... until c^k depends on the lower powers, which
-    costs k - 1 field products and no irreducibility test (minpoly(c) is
-    irreducible). `coords` moves an element in, or returns None when it
-    lies outside F_p(c). `identity`, `stepper`, `inv` and `label` mirror a
-    unit-group handle's, so a walk runs on the coordinates unchanged.
-    """
-
-    def __init__(self, fld: ExtField, c):
-        p = fld.p
-        self.fld = fld
-        self.p = p
-        self._powers = []  # c^0 .. c^(k-1) in the field's basis
-        self._rows = []  # (pivot, echelon row, its coordinates over the powers)
-        power = fld.one
-        while True:
-            rest, w = self._split(power)
-            if not any(rest):
-                break
-            # rest = c^k - sum_j w_j c^j with k = len(self._rows)
-            k = len(self._rows)
-            pivot = next(i for i, x in enumerate(rest) if x)
-            s = pow(rest[pivot], -1, p)
-            comb = [-s * x % p for x in w]
-            comb[k] = s
-            self._rows.append((pivot, [x * s % p for x in rest], comb))
-            self._powers.append(power)
-            power = fld.mul(power, c) if k else c
-        self.degree = k = len(self._rows)
-        # c^k = sum_j w_j c^j: the fold adds top * w_j to coordinate j
-        self._tail = [(j, t) for j, t in enumerate(w[:k]) if t]
-        self.identity = (1,) + (0,) * (k - 1)
-        self.gen = self.coords(c)
-
-    def _split(self, a):
-        """(rest, w) with a = rest + sum_j w_j c^j; rest is zero at every
-        pivot, and zero exactly when a lies in F_p(c)."""
-        p = self.p
-        rest = list(a)
-        w = [0] * self.fld.degree
-        for pivot, row, comb in self._rows:
-            f = rest[pivot]
-            if f:
-                rest = [(x - f * y) % p for x, y in zip(rest, row)]
-                w = [(x + f * y) % p for x, y in zip(w, comb)]
-        return rest, w
-
-    def coords(self, a):
-        """The coordinates of a field element, or None outside F_p(c)."""
-        rest, w = self._split(a)
-        return None if any(rest) else tuple(w[: self.degree])
-
-    def element(self, coords):
-        """The field element with these coordinates."""
-        p = self.p
-        cols = [[x * w for x in power] for w, power in zip(coords, self._powers)]
-        return tuple(sum(col) % p for col in zip(*cols))
-
-    def times_gen(self, a):
-        """a * c: shift up, then fold the top coordinate back."""
-        p = self.p
-        b = [0, *a]
-        top = b.pop()
-        for j, t in self._tail:
-            b[j] = (b[j] + top * t) % p
-        return tuple(b)
-
-    def stepper(self, w):
-        """The map a -> a * w: the shift and fold for w = c, else the k x k
-        matrix whose column j is w c^j, built once (as `ExtField.mul_by`)."""
-        if w == self.gen:
-            return self.times_gen
-        p = self.p
-        cols = [w]
-        for _ in range(self.degree - 1):
-            cols.append(self.times_gen(cols[-1]))
-        rows = list(zip(*cols))
-        mul = operator.mul
-        return lambda a: tuple([sum(map(mul, row, a)) % p for row in rows])
-
-    def inv(self, w):
-        return self.coords(self.fld.inv(self.element(w)))
-
-    def label(self, a):
-        """The base-p integer of the coordinates (as `ExtField.to_int`)."""
-        p = self.p
-        out = 0
-        for x in reversed(a):
-            out = out * p + x
-        return out
 
 
 class BinaryField:
@@ -521,10 +423,6 @@ class Poly:
     @classmethod
     def x(cls, field):
         return cls(field, [field.zero, field.one])
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, [c])
 
     def degree(self) -> int:
         return len(self.coeffs) - 1  # zero polynomial has degree -1

@@ -4,9 +4,9 @@ semidirect exponentiation rho_(g,1)^t(1_G).
 Group elements are native Python values owned by their handle (ints for
 cyclic groups, tuples for vectors, Matrix objects for matrix groups, ...).
 The handle supplies multiplication, inversion, the labeling function that
-decides element equality, and a fixed-width byte code-word for the wire
-format. Equality of elements must always go through labels; PairImage
-backends deliberately use non-unique encodings.
+decides element equality, and `codeword_bits`, a code-word length of at
+least ceil(log2 |G|) bits. Equality of elements must always go through
+labels; PairImage backends deliberately use non-unique encodings.
 """
 
 import random
@@ -46,12 +46,6 @@ class GroupHandle:
         raise NotImplementedError
 
     def generators(self) -> list:
-        raise NotImplementedError
-
-    def encode(self, x) -> bytes:
-        raise NotImplementedError
-
-    def decode(self, data: bytes):
         raise NotImplementedError
 
     @property
@@ -95,7 +89,6 @@ class CyclicGroup(GroupHandle):
         if n < 1:
             raise SdlpError("cyclic group needs n >= 1")
         self.n = n
-        self._width = max(1, ((n - 1).bit_length() + 7) // 8)
 
     @property
     def identity(self):
@@ -112,12 +105,6 @@ class CyclicGroup(GroupHandle):
 
     def generators(self):
         return [1 % self.n]
-
-    def encode(self, x):
-        return int(x % self.n).to_bytes(self._width, "little")
-
-    def decode(self, data):
-        return int.from_bytes(data, "little") % self.n
 
     @property
     def codeword_bits(self):
@@ -151,7 +138,6 @@ class VectorGroup(GroupHandle):
             raise SdlpError("vector group needs d >= 0")
         self.p = p
         self.d = d
-        self._width = max(1, ((p - 1).bit_length() + 7) // 8)
 
     @property
     def identity(self):
@@ -170,13 +156,6 @@ class VectorGroup(GroupHandle):
 
     def generators(self):
         return [tuple(1 if i == j else 0 for j in range(self.d)) for i in range(self.d)]
-
-    def encode(self, x):
-        return b"".join(int(a % self.p).to_bytes(self._width, "little") for a in x)
-
-    def decode(self, data):
-        w = self._width
-        return tuple(int.from_bytes(data[i * w : (i + 1) * w], "little") % self.p for i in range(self.d))
 
     @property
     def codeword_bits(self):
@@ -220,7 +199,6 @@ class MatrixGroup(GroupHandle):
                 raise SdlpError("generators must be d x d matrices")
             if not g.is_invertible():
                 raise SdlpError("generators must be invertible")
-        self._width = max(1, ((fld.size - 1).bit_length() + 7) // 8)
 
     @property
     def identity(self):
@@ -237,15 +215,6 @@ class MatrixGroup(GroupHandle):
 
     def generators(self):
         return list(self._gens)
-
-    def encode(self, x):
-        return b"".join(int(v).to_bytes(self._width, "little") for v in x.entries_key())
-
-    def decode(self, data):
-        w = self._width
-        vals = [int.from_bytes(data[i * w : (i + 1) * w], "little") for i in range(self.d * self.d)]
-        F = self.field
-        return Matrix.unflatten(F, [F.from_int(v) for v in vals], self.d, self.d)
 
     @property
     def codeword_bits(self):
@@ -282,7 +251,6 @@ class HeisenbergGroup(GroupHandle):
         from .ff import PrimeField
 
         self.field = PrimeField(p)
-        self._width = max(1, ((p - 1).bit_length() + 7) // 8)
 
     @property
     def identity(self):
@@ -301,13 +269,6 @@ class HeisenbergGroup(GroupHandle):
 
     def generators(self):
         return [(1, 0, 0), (0, 1, 0)]
-
-    def encode(self, x):
-        return b"".join(int(a).to_bytes(self._width, "little") for a in x)
-
-    def decode(self, data):
-        w = self._width
-        return tuple(int.from_bytes(data[i * w : (i + 1) * w], "little") % self.p for i in range(3))
 
     @property
     def codeword_bits(self):
@@ -394,14 +355,6 @@ class PairImageGroup(GroupHandle):
     def generators(self):
         return [self.embed(g) for g in self.inner.generators()]
 
-    def encode(self, x):
-        return self.inner.encode(x[0]) + self.target.encode(x[1])
-
-    def decode(self, data):
-        cut = len(self.inner.encode(self.inner.identity))
-        inner = self.inner.decode(data[:cut])
-        return (inner, self.hom(inner))
-
     @property
     def codeword_bits(self):
         return self.inner.codeword_bits + self.target.codeword_bits
@@ -462,17 +415,6 @@ class ProductGroup(GroupHandle):
             description=f"project[{i}]",
         )
 
-    def encode(self, x):
-        return b"".join(f.encode(a) for f, a in zip(self.factors, x))
-
-    def decode(self, data):
-        out = []
-        for f in self.factors:
-            cut = len(f.encode(f.identity))
-            out.append(f.decode(data[:cut]))
-            data = data[cut:]
-        return tuple(out)
-
     @property
     def codeword_bits(self):
         return sum(f.codeword_bits for f in self.factors)
@@ -524,12 +466,6 @@ class Subgroup(GroupHandle):
 
     def generators(self):
         return list(self._gens)
-
-    def encode(self, x):
-        return self.parent.encode(x)
-
-    def decode(self, data):
-        return self.parent.decode(data)
 
     @property
     def codeword_bits(self):
@@ -1034,7 +970,7 @@ def rho_pow_inverse_apply(g, sigma: Endo, s: int, h):
 # induced automorphisms on images
 
 
-def induced_automorphism(psi: Hom, sigma: Endo, rng: random.Random | None = None):
+def induced_automorphism(psi: Hom, sigma: Endo):
     """(image handle, induced endo) for a hom with sigma-invariant kernel.
 
     When the target is a vector group and the generator images span it, the
@@ -1042,9 +978,8 @@ def induced_automorphism(psi: Hom, sigma: Endo, rng: random.Random | None = None
     direct method); otherwise the pair-encoding trick is used. Kernel
     invariance is spot-checked on any kernel generators the hom carries.
     """
-    rng = rng or random.Random(0)
     _check_kernel_invariance(psi, sigma)
-    if isinstance(psi.target, VectorGroup) and psi.target.d >= 0:
+    if isinstance(psi.target, VectorGroup):
         direct = _induced_linear_map(psi, sigma)
         if direct is not None:
             return psi.target, direct

@@ -1,6 +1,9 @@
-"""Dense exact matrices over finite fields: products, inverses, row
-reduction, and the minimal polynomial and Krylov annihilator the orbit
-problem is built on.
+"""Dense exact matrices over finite fields: products, inverses and row
+reduction for general systems, and `Echelon`, the one incremental
+elimination. Everything that grows a basis vector by vector goes through
+it: `extract_basis`, the Krylov annihilator and coordinates the orbit
+problem is built on (`krylov`, `annihilator`, `min_poly`) and the power
+basis of an extension-field element (`PowerBasis`).
 
 Vectors are tuples of field elements; a Matrix is immutable and hashable so
 it can double as a black-box group code-word.
@@ -109,28 +112,6 @@ class Matrix:
             raise SdlpError("singular matrix")
         return Matrix(F, [r[n:] for r in rows])
 
-    def det(self):
-        F = self.field
-        n = self.nrows
-        rows = [list(r) for r in self.rows]
-        det = F.one
-        col = 0
-        for i in range(n):
-            piv = next((r for r in range(i, n) if rows[r][col] != F.zero), None)
-            if piv is None:
-                return F.zero
-            if piv != i:
-                rows[i], rows[piv] = rows[piv], rows[i]
-                det = F.neg(det)
-            det = F.mul(det, rows[i][col])
-            inv = F.inv(rows[i][col])
-            for r in range(i + 1, n):
-                factor = F.mul(rows[r][col], inv)
-                if factor != F.zero:
-                    rows[r] = [F.sub(a, F.mul(factor, b)) for a, b in zip(rows[r], rows[i])]
-            col += 1
-        return det
-
     def rank(self):
         return len(_rref([list(r) for r in self.rows], self.field)[1])
 
@@ -214,25 +195,62 @@ def solve_linear(M: Matrix, b) -> "tuple | None":
     return tuple(x)
 
 
+class Echelon:
+    """Incremental elimination over a field: the one place a basis grows
+    vector by vector.
+
+    Each row is an accepted input reduced against the rows before it (so
+    it is zero at their pivots) and scaled to 1 at its own pivot, its first
+    nonzero entry; it keeps its combination of the accepted inputs.
+    `basis` lists the accepted inputs in order; coordinates are over it, so
+    they are unique.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.basis = []
+        self._rows = []  # (pivot, row, its combination of the basis)
+
+    def _reduce(self, v):
+        """(rest, w) with v = rest + sum_j w_j basis_j; rest is zero at every
+        pivot, and zero exactly when v lies in the span."""
+        F = self.field
+        zero = F.zero
+        rest = list(v)
+        w = [zero] * len(self.basis)
+        for pivot, row, comb in self._rows:
+            f = rest[pivot]
+            if f != zero:
+                rest = [F.sub(a, F.mul(f, b)) for a, b in zip(rest, row)]
+                w[: len(comb)] = [F.add(a, F.mul(f, c)) for a, c in zip(w, comb)]
+        return rest, w
+
+    def add(self, v):
+        """None when v is independent of the basis (v joins it), else v's
+        coordinates over the basis."""
+        F = self.field
+        rest, w = self._reduce(v)
+        pivot = next((i for i, a in enumerate(rest) if a != F.zero), None)
+        if pivot is None:
+            return tuple(w)
+        s = F.inv(rest[pivot])
+        comb = [F.neg(F.mul(s, c)) for c in w] + [s]
+        self._rows.append((pivot, [F.mul(s, a) for a in rest], comb))
+        self.basis.append(tuple(v))
+        return None
+
+    def coords(self, v):
+        """v's coordinates over the basis, or None outside its span."""
+        rest, w = self._reduce(v)
+        return None if any(a != self.field.zero for a in rest) else tuple(w)
+
+
 def extract_basis(field, vectors) -> list:
     """A maximal linearly independent subset, preserving input order."""
-    basis = []
-    echelon = []
+    echelon = Echelon(field)
     for v in vectors:
-        red = _reduce_against(field, list(v), echelon)
-        if any(a != field.zero for a in red):
-            echelon.append(red)
-            basis.append(tuple(v))
-    return basis
-
-
-def _reduce_against(F, v, echelon):
-    for u in echelon:
-        p = next(i for i, a in enumerate(u) if a != F.zero)
-        if v[p] != F.zero:
-            f = F.mul(v[p], F.inv(u[p]))
-            v = [F.sub(a, F.mul(f, b)) for a, b in zip(v, u)]
-    return v
+        echelon.add(v)
+    return echelon.basis
 
 
 def coordinates_in_basis(field, basis, v):
@@ -261,24 +279,19 @@ def min_poly(B: Matrix) -> Poly:
 
 def annihilator(B: Matrix, v) -> Poly:
     """Least monic m with m(B)v = 0: the first dependency among v, Bv, ..."""
+    return krylov(B, v)[0]
+
+
+def krylov(B: Matrix, v):
+    """(f, echelon): f is the annihilator of v under B, and the echelon was
+    fed v, Bv, ... up to the first dependency B^{deg f} v = sum_j c_j B^j v,
+    so its basis is v, Bv, ..., B^{deg f - 1} v and f = x^{deg f} - sum_j
+    c_j x^j."""
     F = B.field
-    echelon = []  # (reduced vector, combo coefficients over Krylov powers)
-    k = 0
-    cur = v
-    while True:
-        red = list(cur)
-        combo = [F.zero] * k + [F.one]
-        for u, c in echelon:
-            p = next(i for i, a in enumerate(u) if a != F.zero)
-            if red[p] != F.zero:
-                f = F.mul(red[p], F.inv(u[p]))
-                red = [F.sub(a, F.mul(f, b)) for a, b in zip(red, u)]
-                combo = [F.sub(a, F.mul(f, b)) for a, b in zip(combo, c + [F.zero] * (len(combo) - len(c)))]
-        if all(a == F.zero for a in red):
-            return Poly(F, combo)
-        echelon.append((red, combo))
-        cur = B.matvec(cur)
-        k += 1
+    echelon = Echelon(F)
+    while (dep := echelon.add(v)) is None:
+        v = B.matvec(v)
+    return Poly(F, [F.neg(c) for c in dep] + [F.one]), echelon
 
 
 def _poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -299,3 +312,77 @@ def restrict_to_subspace(B: Matrix, basis) -> Matrix:
             raise SdlpError("subspace is not invariant under the map")
         cols.append(c)
     return Matrix.from_columns(F, cols)
+
+
+class PowerBasis:
+    """The subfield F_p(c) of an ExtField in the basis 1, c, ..., c^(k-1),
+    k = deg minpoly(c); an element is the k-tuple of its coordinates.
+
+    There, multiplying by c is multiplying by y in F_p[y]/(minpoly(c)): one
+    shift and one fold of the top coordinate by the minimal polynomial's
+    tail, where the field's own basis takes a dense e x e product. An
+    `Echelon` over F_p is fed 1, c, c^2, ... until c^k depends on the lower
+    powers: that dependency is the minimal polynomial, and the echelon is
+    the change of basis. It costs k - 1 field products and no
+    irreducibility test (minpoly(c) is irreducible). `coords` moves an
+    element in, or returns None when it lies outside F_p(c). `identity`,
+    `stepper`, `inv` and `label` mirror a unit-group handle's, so a walk
+    runs on the coordinates unchanged.
+    """
+
+    def __init__(self, fld, c):
+        self.fld = fld
+        self.p = fld.p
+        self._echelon = echelon = Echelon(fld.base)
+        power = fld.one
+        while (w := echelon.add(power)) is None:
+            power = fld.mul(power, c) if len(echelon.basis) > 1 else c
+        self._powers = echelon.basis  # c^0 .. c^(k-1) in the field's basis
+        self.degree = k = len(self._powers)
+        # c^k = sum_j w_j c^j: the fold adds top * w_j to coordinate j
+        self._tail = [(j, t) for j, t in enumerate(w) if t]
+        self.identity = (1,) + (0,) * (k - 1)
+        self.gen = self.coords(c)
+
+    def coords(self, a):
+        """The coordinates of a field element, or None outside F_p(c)."""
+        return self._echelon.coords(a)
+
+    def element(self, coords):
+        """The field element with these coordinates."""
+        p = self.p
+        cols = [[x * w for x in power] for w, power in zip(coords, self._powers)]
+        return tuple(sum(col) % p for col in zip(*cols))
+
+    def times_gen(self, a):
+        """a * c: shift up, then fold the top coordinate back."""
+        p = self.p
+        b = [0, *a]
+        top = b.pop()
+        for j, t in self._tail:
+            b[j] = (b[j] + top * t) % p
+        return tuple(b)
+
+    def stepper(self, w):
+        """The map a -> a * w: the shift and fold for w = c, else the k x k
+        matrix whose column j is w c^j, built once (as `ExtField.mul_by`)."""
+        if w == self.gen:
+            return self.times_gen
+        p = self.p
+        cols = [w]
+        for _ in range(self.degree - 1):
+            cols.append(self.times_gen(cols[-1]))
+        rows = list(zip(*cols))
+        mul = operator.mul
+        return lambda a: tuple([sum(map(mul, row, a)) % p for row in rows])
+
+    def inv(self, w):
+        return self.coords(self.fld.inv(self.element(w)))
+
+    def label(self, a):
+        """The base-p integer of the coordinates (as `ExtField.to_int`)."""
+        p = self.p
+        out = 0
+        for x in reversed(a):
+            out = out * p + x
+        return out

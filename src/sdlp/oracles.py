@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from . import integers
 from .config import SolverConfig
 from .errors import NotApplicableError, SdlpError
-from .ff import ExtField, Poly, PowerBasis, _poly_half_ext_gcd, factor_degrees
+from .ff import ExtField, Poly, _poly_half_ext_gcd, factor_degrees
 from .groups import (
     ConjugationEndo,
     Endo,
@@ -24,7 +24,7 @@ from .groups import (
     rho_apply,
     rho_pow,
 )
-from .linalg import Matrix, min_poly
+from .linalg import Matrix, PowerBasis, min_poly
 
 
 @dataclass(frozen=True)

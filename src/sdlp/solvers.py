@@ -30,14 +30,7 @@ from .groups import (
     VectorGroup,
     rho_pow,
 )
-from .linalg import (
-    Matrix,
-    annihilator,
-    coordinates_in_basis,
-    extract_basis,
-    nullspace,
-    solve_linear,
-)
+from .linalg import Echelon, Matrix, krylov, nullspace
 from .oracles import (
     PolyUnitGroup,
     UnitGroup,
@@ -344,18 +337,17 @@ def _solve_pair_over_vector(inst: SdlpInstance, config: SolverConfig) -> Solutio
     grp: PairImageGroup = inst.group
     tgt: VectorGroup = grp.target
     F = PrimeField(tgt.p)
-    gens = grp.generators()
-    vecs = [grp.hom(x[0]) for x in gens]
-    basis = extract_basis(F, vecs)
-    r = len(basis)
+    echelon = Echelon(F)
+    for x in grp.generators():
+        echelon.add(grp.hom(x[0]))
+    r = len(echelon.basis)
     Vr = VectorGroup(tgt.p, r)
     if r == 0:
         proj = Hom(grp, Vr, lambda x: (), description="trivial image")
     else:
-        L = Matrix.from_columns(F, basis)
 
-        def func(x, L=L):
-            c = solve_linear(L, x[1])
+        def func(x):
+            c = echelon.coords(x[1])
             if c is None:
                 raise InternalAssertionError("pair label outside the image span")
             return c
@@ -521,11 +513,8 @@ def _krylov_coordinates(phi: Matrix, a):
     w = c(Phi) a off the Krylov basis a, Phi a, ..., Phi^{deg f - 1} a as the
     coefficients of c (None when w is outside it). In these coordinates a is
     1 and Phi is multiplication by x in F[x]/(f)."""
-    f = annihilator(phi, a)
-    krylov = [a]
-    for _ in range(f.degree() - 1):
-        krylov.append(phi.matvec(krylov[-1]))
-    return f, lambda w: coordinates_in_basis(phi.field, krylov, w)
+    f, echelon = krylov(phi, a)
+    return f, echelon.coords
 
 
 def _ring_power_solutions(F, u: Poly, k: int, c, config: SolverConfig) -> SolutionSet:

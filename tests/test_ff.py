@@ -12,7 +12,6 @@ from sdlp.ff import (
     BinaryField,
     ExtField,
     Poly,
-    PowerBasis,
     PrimeField,
     canonical_irreducible,
     factor_degrees,
@@ -20,6 +19,7 @@ from sdlp.ff import (
     field_of_size,
     is_irreducible,
 )
+from sdlp.linalg import PowerBasis
 
 F5 = PrimeField(5)
 

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eval_poly_at_matrix, fold_dot
+from conftest import eval_poly_at_matrix, fold_dot, rand_invertible
 from sdlp.errors import SdlpError
 from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
 from sdlp.linalg import (
+    Echelon,
     Matrix,
     annihilator,
+    coordinates_in_basis,
+    extract_basis,
     min_poly,
     nullspace,
     solve_linear,
@@ -139,6 +142,94 @@ class TestMinPoly:
             # v, Bv, ..., B^{deg f - 1} v are independent, so no lower degree annihilates v
             assert f.degree() == 0 or Matrix.from_columns(F, krylov).rank() == f.degree()
             assert min_poly(B).divmod(f)[1].is_zero()
+
+
+# a prime field, a generic extension and a carry-less binary field
+ECHELON_FIELDS = {"F_7": PrimeField(7), "F_9": field_of_size(9), "F_2^4": field_of_size(16)}
+
+
+def _combine(F, coeffs, vectors, n):
+    """sum_j coeffs_j vectors_j, a vector of length n."""
+    out = [F.zero] * n
+    for c, v in zip(coeffs, vectors):
+        out = [F.add(a, F.mul(c, b)) for a, b in zip(out, v)]
+    return tuple(out)
+
+
+def _vectors_with_dependencies(F, n, count, rng):
+    """Random vectors of length n; about half are combinations of earlier ones."""
+    vectors = []
+    for _ in range(count):
+        if vectors and rng.random() < 0.5:
+            picked = rng.sample(vectors, rng.randrange(1, len(vectors) + 1))
+            vectors.append(_combine(F, [F.rand(rng) for _ in picked], picked, n))
+        else:
+            vectors.append(tuple(F.rand(rng) for _ in range(n)))
+    return vectors
+
+
+@pytest.mark.parametrize("name", sorted(ECHELON_FIELDS))
+class TestEchelon:
+    def test_krylov_coordinates_match_the_explicit_krylov_list(self, name):
+        F = ECHELON_FIELDS[name]
+        rng = random.Random(f"krylov-{name}")
+        seen = set()
+        for _ in range(40):
+            n = rng.randrange(1, 6)
+            # block-diagonal in a random basis: the Krylov space of a vector
+            # in the first block misses the second, so random w often lies outside
+            k = rng.randrange(1, n + 1)
+            blocks = [[F.rand(rng) if (i < k) == (j < k) else F.zero for j in range(n)] for i in range(n)]
+            P = rand_invertible(F, n, rng)
+            B = P * Matrix(F, blocks) * P.inverse()
+            v = P.matvec(tuple(F.rand(rng) if i < k else F.zero for i in range(n)))
+            f, coords = _krylov_coordinates(B, v)
+            krylov, cur = [], v
+            for _ in range(f.degree()):
+                krylov.append(cur)
+                cur = B.matvec(cur)
+            assert f == annihilator(B, v)
+            inside = _combine(F, [F.rand(rng) for _ in krylov], krylov, n)
+            for w in (inside, tuple(F.rand(rng) for _ in range(n))):
+                want = coordinates_in_basis(F, krylov, w)
+                assert coords(w) == want
+                seen.add(want is None)
+        assert seen == {True, False}
+
+    def test_extract_basis_matches_a_greedy_rank_reference(self, name):
+        F = ECHELON_FIELDS[name]
+        rng = random.Random(f"basis-{name}")
+        for _ in range(40):
+            n = rng.randrange(1, 6)
+            vectors = _vectors_with_dependencies(F, n, rng.randrange(0, 8), rng)
+            want = []
+            for v in vectors:
+                if Matrix(F, want + [v]).rank() > len(want):
+                    want.append(v)
+            assert extract_basis(F, vectors) == want
+
+    def test_add_returns_the_coordinates_of_a_dependent_input(self, name):
+        F = ECHELON_FIELDS[name]
+        rng = random.Random(f"echelon-{name}")
+        dependent = 0
+        for _ in range(40):
+            n = rng.randrange(1, 6)
+            echelon = Echelon(F)
+            for v in _vectors_with_dependencies(F, n, rng.randrange(1, 9), rng):
+                basis = list(echelon.basis)
+                got = echelon.add(v)
+                if got is None:
+                    assert Matrix(F, basis + [v]).rank() == len(basis) + 1
+                    assert echelon.basis == basis + [v]
+                else:
+                    dependent += 1
+                    assert len(got) == len(basis) and _combine(F, got, basis, n) == v
+                    assert echelon.basis == basis
+                    assert echelon.coords(v) == got
+            # coordinates over an independent set are unique
+            coeffs = tuple(F.rand(rng) for _ in echelon.basis)
+            assert echelon.add(_combine(F, coeffs, echelon.basis, n)) == coeffs
+        assert dependent > 40
 
 
 class TestFieldFromMatrix:

@@ -16,7 +16,7 @@ from conftest import (
 )
 from sdlp.config import SolverConfig
 from sdlp.errors import NotApplicableError, SdlpError
-from sdlp.ff import ExtField, Poly, PowerBasis, PrimeField, field_of_size
+from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -27,7 +27,7 @@ from sdlp.groups import (
     VectorGroup,
     rho_pow,
 )
-from sdlp.linalg import Matrix
+from sdlp.linalg import Matrix, PowerBasis
 from sdlp.oracles import (
     _POWER_BASIS_MIN_STEPS,
     OrbitShape,
