@@ -11,9 +11,20 @@ from __future__ import annotations
 import math
 import operator
 import random
+import struct
 
 from .errors import SdlpError
 from .integers import _pow, is_prime
+
+
+# Single products (`ExtField.dot`, `mul`) pack from this degree on; below
+# it the schoolbook convolution is faster (timed table in CHANGES.md).
+# Products that pack each operand once for many products (matrices,
+# polynomials over the field) pack at every degree.
+PACK_MIN_DEGREE = 3
+# Slot widths in bits, narrowest first, with their struct codes; a field
+# whose products would overflow the widest slot keeps the schoolbook form.
+_SLOT_CODES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 
 
 class PrimeField:
@@ -51,6 +62,11 @@ class PrimeField:
     def dot(self, a, b):
         """sum_i a_i b_i, reduced once."""
         return sum(map(operator.mul, a, b)) % self.p
+
+    def products(self, rows, cols):
+        """The table [[dot(r, c) for c in cols] for r in rows]."""
+        p, mul = self.p, operator.mul
+        return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
 
     def inv(self, a):
         if a % self.p == 0:
@@ -109,6 +125,8 @@ class ExtField:
         self.one = tuple([1] + [0] * (self.degree - 1))
         # x^e = sum_j t_j x^j mod the modulus: the nonzero (j, t_j)
         self._tail = [(j, -c % self.p) for j, c in enumerate(mod.coeffs[:-1]) if c]
+        self._slots = _slot_widths(self.p, self.degree, self._tail)
+        self._packs_dots = self.degree >= PACK_MIN_DEGREE and bool(self._slots)
 
     def gen(self):
         """The class of x (a root of the modulus)."""
@@ -153,7 +171,14 @@ class ExtField:
         return lambda a: tuple([sum(map(mul, row, a)) % p for row in rows])
 
     def dot(self, a, b):
-        """sum_i a_i b_i: the unreduced products are summed, then reduced once."""
+        """sum_i a_i b_i: the unreduced products are summed, then reduced
+        once. A field of degree >= PACK_MIN_DEGREE whose slots hold the sum
+        forms it as packed ints (`Slots.dot`); others convolve the
+        coefficient lists."""
+        if self._packs_dots:
+            s = self.slots(len(a))
+            if s is not None:
+                return s.dot(a, b)
         raw = [0] * (2 * self.degree - 1)
         for u, v in zip(a, b):
             for i, x in enumerate(u):
@@ -176,6 +201,27 @@ class ExtField:
                 for j, t in tail:
                     raw[i - e + j] += c * t
         return tuple(x % p for x in raw[:e])
+
+    def slots(self, terms):
+        """The narrowest `Slots` in which a sum of `terms` products of
+        elements cannot carry between slots, or None when none can."""
+        for s in self._slots:
+            if terms <= s.terms:
+                return s
+        return None
+
+    def products(self, rows, cols):
+        """The table [[dot(r, c) for c in cols] for r in rows]. A table of
+        more than one dot packs at every degree when slots hold its sums:
+        each entry is packed once and serves a whole row or column."""
+        s = self.slots(len(rows[0])) if rows and len(rows) + len(cols) > 2 else None
+        if s is None:
+            dot = self.dot
+            return [[dot(r, c) for c in cols] for r in rows]
+        pack, unpack, mul = s.pack, s.unpack, operator.mul
+        rows = [[pack(a) for a in r] for r in rows]
+        cols = [[pack(a) for a in c] for c in cols]
+        return [[unpack(sum(map(mul, r, c))) for c in cols] for r in rows]
 
     def inv(self, a):
         if all(x == 0 for x in a):
@@ -229,6 +275,69 @@ class ExtField:
 
     def __repr__(self):
         return f"F_{self.p}^{self.degree}"
+
+
+class Slots:
+    """Packed F_{p^e} arithmetic at one slot width (Kronecker substitution).
+
+    `pack` puts an element's e coefficients into fixed `bits`-wide slots of
+    one int, constant term lowest, so an int product is the unreduced
+    polynomial product and an int sum adds coefficientwise. `unpack` takes
+    a sum of at most `terms` such products, folds the slots at and above e
+    down by x^e = T(x) (one int product by the packed tail T per fold) and
+    reduces the e survivors mod p once.
+
+    `terms` comes from a bound: every slot of a sum of n products is at
+    most n e (p - 1)^2, and a fold multiplies that bound by at most
+    1 + |T| (p - 1), where |T| counts T's nonzero terms. With deg T = t a
+    fold lowers the top slot by e - t, so ceil((e - 1) / (e - t)) folds
+    bring slot 2e - 2 below e. `terms` is the largest n for which the
+    final bound still fits a slot; T's coefficients, below p, fit too.
+    """
+
+    __slots__ = ("bits", "terms", "p", "_pack", "_unpack", "_nbytes", "_shift", "_mask", "_tail")
+
+    def __init__(self, p, e, tail, bits, code, terms):
+        self.bits = bits
+        self.terms = terms
+        self.p = p
+        fmt = struct.Struct(f"<{e}{code}")
+        self._pack, self._unpack = fmt.pack, fmt.unpack
+        self._nbytes = fmt.size
+        self._shift = bits * e
+        self._mask = (1 << bits * e) - 1
+        coeffs = [0] * e
+        for j, t in tail:
+            coeffs[j] = t
+        self._tail = self.pack(coeffs)
+
+    def pack(self, a):
+        return int.from_bytes(self._pack(*a), "little")
+
+    def unpack(self, c):
+        shift, mask, tail = self._shift, self._mask, self._tail
+        while h := c >> shift:
+            c = (c & mask) + h * tail
+        p = self.p
+        return tuple([x % p for x in self._unpack(c.to_bytes(self._nbytes, "little"))])
+
+    def dot(self, a, b):
+        pack = self.pack
+        return self.unpack(sum([pack(u) * pack(v) for u, v in zip(a, b)]))
+
+
+def _slot_widths(p, e, tail):
+    """The `Slots` of F_{p^e} with this modulus tail, narrowest first; empty
+    when even one product overflows the widest slot."""
+    top = max((j for j, _ in tail), default=0)
+    folds = -(-(e - 1) // (e - top))
+    bound = e * (p - 1) ** 2 * (1 + len(tail) * (p - 1)) ** folds
+    out = []
+    for bits, code in _SLOT_CODES:
+        terms = ((1 << bits) - 1) // bound
+        if terms:
+            out.append(Slots(p, e, tail, bits, code, terms))
+    return out
 
 
 class BinaryField:
@@ -297,6 +406,11 @@ class BinaryField:
                 acc ^= y << (low.bit_length() - 1)
                 x ^= low
         return self._mod_bits(acc)
+
+    def products(self, rows, cols):
+        """The table [[dot(r, c) for c in cols] for r in rows]."""
+        dot = self.dot
+        return [[dot(r, c) for c in cols] for r in rows]
 
     def inv(self, a):
         if a == 0:

@@ -630,8 +630,9 @@ class ConjugationEndo(Endo):
         self._setup(group, a, a.inverse())
 
     @classmethod
-    def _trusted(cls, group, a: Matrix, a_inv: Matrix) -> "ConjugationEndo":
-        """conj_a for an a_inv already known to invert a; skips validation."""
+    def _trusted(cls, group, a: Matrix, a_inv: Matrix | None) -> "ConjugationEndo":
+        """conj_a for an a known to be invertible; skips validation. An
+        a_inv of None is computed on first use (`a_inv`)."""
         out = cls.__new__(cls)
         out._setup(group, a, a_inv)
         return out
@@ -639,7 +640,7 @@ class ConjugationEndo(Endo):
     def _setup(self, group, a, a_inv):
         Endo.__init__(self, group)
         self.a = a
-        self.a_inv = a_inv
+        self._a_inv = a_inv
         base = group
         while isinstance(base, Subgroup):
             base = base.parent
@@ -651,6 +652,14 @@ class ConjugationEndo(Endo):
         else:
             raise SdlpError("conjugation needs a matrix-backed group")
 
+    @property
+    def a_inv(self) -> Matrix:
+        """a^-1. A power leaves it to the first use: `rho_pow` and the
+        answer check keep rho^t(1) and drop sigma^t unread."""
+        if self._a_inv is None:
+            self._a_inv = self.a.inverse()
+        return self._a_inv
+
     def apply(self, x):
         if self._to_mat is None:
             return self.a_inv * x * self.a
@@ -659,10 +668,10 @@ class ConjugationEndo(Endo):
     def pow(self, k):
         if k == -1:
             return ConjugationEndo._trusted(self.group, self.a_inv, self.a)
-        # inverting b once is cheaper than powering a_inv as well, which
-        # would take about 2 log k more products
+        # inverting b once, when first needed, is cheaper than powering
+        # a_inv as well, which would take about 2 log k more products
         b = self.a**k if k >= 0 else self.a_inv ** (-k)
-        return ConjugationEndo._trusted(self.group, b, b.inverse())
+        return ConjugationEndo._trusted(self.group, b, None)
 
     def compose(self, other):
         if not isinstance(other, ConjugationEndo):
@@ -683,7 +692,7 @@ class ConjugationEndo(Endo):
         P = (X * self.a_inv) ** t * b
         if self._to_mat is not None:
             P = self._from_mat(P)
-        return P, ConjugationEndo._trusted(self.group, b, b.inverse())
+        return P, ConjugationEndo._trusted(self.group, b, None)
 
     def __repr__(self):
         return f"Conjugation({self.a!r})"
@@ -808,7 +817,7 @@ class ProductEndo(Endo):
 def restrict_endo(sigma: Endo, subgroup: Subgroup) -> Endo:
     """View sigma as an endomorphism of a subgroup it stabilizes."""
     if isinstance(sigma, ConjugationEndo):
-        return ConjugationEndo._trusted(subgroup, sigma.a, sigma.a_inv)
+        return ConjugationEndo._trusted(subgroup, sigma.a, sigma._a_inv)
     return sigma  # element-level action is unchanged
 
 

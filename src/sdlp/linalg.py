@@ -81,9 +81,7 @@ class Matrix:
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise SdlpError("matrix dimension mismatch")
-        dot = self.field.dot
-        cols = list(zip(*other.rows))
-        return Matrix(self.field, [[dot(r, c) for c in cols] for r in self.rows])
+        return Matrix(self.field, self.field.products(self.rows, list(zip(*other.rows))))
 
     def matvec(self, v):
         dot = self.field.dot

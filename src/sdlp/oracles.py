@@ -97,6 +97,11 @@ class PolyUnitGroup(GroupHandle):
         # x^deg f = sum_k t_k x^k mod f; reducing adds multiples of the
         # nonzero (k, t_k) and needs no field inversion
         self._tail = [(k, fld.neg(c)) for k, c in enumerate(modulus.coeffs[:-1]) if c != fld.zero]
+        # a product mod f sums at most 2 deg f - 1 field products into any
+        # coefficient: deg f from the product, deg f - 1 from the folds
+        self._slots = fld.slots(2 * self.degree - 1) if isinstance(fld, ExtField) else None
+        if self._slots is not None:
+            self._packed_tail = [(k, self._slots.pack(t)) for k, t in self._tail]
 
     def element(self, coeffs):
         """The class of sum_i coeffs[i] x^i."""
@@ -108,6 +113,8 @@ class PolyUnitGroup(GroupHandle):
         return self.element([self.fld.one])
 
     def mul(self, x, y):
+        if self._slots is not None:
+            return self._packed_mul(x, y)
         F = self.fld
         add, mul, zero = F.add, F.mul, F.zero
         xs = [(i, a) for i, a in enumerate(x) if a != zero]
@@ -124,6 +131,34 @@ class PolyUnitGroup(GroupHandle):
                 for k, b in ys:
                     raw[i + k] = add(raw[i + k], mul(a, b))
         return self._reduce(raw)
+
+    def _packed_mul(self, x, y):
+        """`mul` on packed coefficients: each is packed once, the products
+        and the folds by the tail of f are summed unreduced, and a
+        coefficient is unpacked only when it is folded or returned."""
+        pack, unpack = self._slots.pack, self._slots.unpack
+        zero = self.fld.zero
+        e = self.degree
+        xs = [(i, pack(a)) for i, a in enumerate(x) if a != zero]
+        raw = [0] * (2 * e - 1)
+        if x is y:  # squaring: each cross product once, doubled
+            for s, (i, a) in enumerate(xs):
+                raw[2 * i] += a * a
+                for k, b in xs[s + 1 :]:
+                    raw[i + k] += 2 * a * b
+        else:
+            ys = [(k, pack(b)) for k, b in enumerate(y) if b != zero]
+            for i, a in xs:
+                for k, b in ys:
+                    raw[i + k] += a * b
+        for i in range(2 * e - 2, e - 1, -1):
+            if raw[i]:
+                c = unpack(raw[i])
+                if c != zero:
+                    c = pack(c)
+                    for k, t in self._packed_tail:
+                        raw[i - e + k] += c * t
+        return tuple([unpack(c) for c in raw[:e]])
 
     def _reduce(self, raw):
         F = self.fld

@@ -436,21 +436,41 @@ def _tuples(fld, n):
 
 
 def _intertwiner_basis(gens, imgs, d, fld):
-    """Basis of {y : y x = sigma(x) y for all generators}, as matrices."""
-    rows = []
-    for x, s in zip(gens, imgs):
-        for r in range(d):
-            for c in range(d):
-                row = [fld.zero] * (d * d)
-                for k in range(d):
-                    row[r * d + k] = fld.add(row[r * d + k], x.rows[k][c])
-                for k in range(d):
-                    row[k * d + c] = fld.sub(row[k * d + c], s.rows[r][k])
-                rows.append(row)
-    if not rows:
+    """Basis of {y : y x = sigma(x) y for all generators}, as matrices.
+
+    The space is cut down one generator at a time: the current basis goes
+    through y -> y x - sigma(x) y, and the nullspace of that d^2 x dim
+    system gives the next basis, so an empty space stops the scan at once.
+    Each `nullspace` vector is 1 at its own free coordinate, 0 at the
+    others and nonzero only before it; products of such bases keep that
+    shape, which makes the result the space's reduced row echelon basis in
+    reversed coordinates, the one `nullspace` of all the generators'
+    equations stacked returns. So the conjugator drawn from it is the same.
+    """
+    if not gens:
         return [Matrix.identity(fld, d)]
-    system = Matrix(fld, rows)
-    return [Matrix.unflatten(fld, v, d, d) for v in nullspace(system)]
+    basis = None  # flattened matrices; None stands for all of M_d
+    for x, s in zip(gens, imgs):
+        equations = _intertwiner_equations(x, s, d, fld)
+        kernel = nullspace(Matrix(fld, equations if basis is None else fld.products(equations, basis)))
+        if not kernel:
+            return []
+        basis = kernel if basis is None else fld.products(kernel, list(zip(*basis)))
+    return [Matrix.unflatten(fld, v, d, d) for v in basis]
+
+
+def _intertwiner_equations(x, s, d, fld):
+    """The rows of the d^2 x d^2 matrix of y -> y x - s y on flattened y."""
+    rows = []
+    for r in range(d):
+        for c in range(d):
+            row = [fld.zero] * (d * d)
+            for k in range(d):
+                row[r * d + k] = fld.add(row[r * d + k], x.rows[k][c])
+            for k in range(d):
+                row[k * d + c] = fld.sub(row[k * d + c], s.rows[r][k])
+            rows.append(row)
+    return rows
 
 
 def _assert_conjugation_matches(gens, imgs, a: Matrix, a_inv: Matrix):

@@ -21,7 +21,7 @@ from sdlp.groups import (
     mulclose,
     rho_pow,
 )
-from sdlp.linalg import Matrix
+from sdlp.linalg import Matrix, nullspace
 from sdlp.oracles import ensure_endo_order
 
 
@@ -40,6 +40,35 @@ def fold_dot(fld, a, b):
     for x, y in zip(a, b):
         out = fld.add(out, fld.mul(x, y))
     return out
+
+
+def schoolbook_dot(fld, a, b):
+    """Reference `ExtField.dot`: the coefficient convolutions of all pairs,
+    summed unreduced, then reduced once by the field's `_reduce`."""
+    raw = [0] * (2 * fld.degree - 1)
+    for u, v in zip(a, b):
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                raw[i + j] += x * y
+    return fld._reduce(raw)
+
+
+def stacked_intertwiner_basis(gens, imgs, d, fld):
+    """Reference intertwiner basis: `nullspace` of every generator's d^2
+    equations y x - sigma(x) y = 0 stacked in one system."""
+    rows = []
+    for x, s in zip(gens, imgs):
+        for r in range(d):
+            for c in range(d):
+                row = [fld.zero] * (d * d)
+                for k in range(d):
+                    row[r * d + k] = fld.add(row[r * d + k], x.rows[k][c])
+                for k in range(d):
+                    row[k * d + c] = fld.sub(row[k * d + c], s.rows[r][k])
+                rows.append(row)
+    if not rows:
+        return [Matrix.identity(fld, d)]
+    return [Matrix.unflatten(fld, v, d, d) for v in nullspace(Matrix(fld, rows))]
 
 
 def table_endo(group, func):

@@ -6,20 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fold_dot
+from conftest import fold_dot, schoolbook_dot
 from sdlp.errors import SdlpError
 from sdlp.ff import (
+    PACK_MIN_DEGREE,
     BinaryField,
     ExtField,
     Poly,
     PrimeField,
+    Slots,
     canonical_irreducible,
     factor_degrees,
     factor_poly,
     field_of_size,
     is_irreducible,
 )
-from sdlp.linalg import PowerBasis
+from sdlp.linalg import Matrix, PowerBasis
 
 F5 = PrimeField(5)
 
@@ -246,6 +248,117 @@ class TestDotKernel:
         a, b = F.rand(rng), F.rand(rng)
         want = (Poly(F.base, list(a)) * Poly(F.base, list(b))).mod(F.modulus).coeffs
         assert F.mul(a, b) == tuple(want) + (0,) * (F.degree - len(want))
+
+
+def _dense_field(p, e):
+    """F_{p^e} by the first irreducible whose coefficients are all nonzero:
+    every tail constant is nonzero, and most are near p."""
+    F = PrimeField(p)
+    for tail in itertools.product(range(1, p), repeat=e):
+        f = Poly(F, list(tail) + [1])
+        if is_irreducible(f):
+            return ExtField(F, f)
+
+
+# extension fields at every slot width: 8 bits (F_9, a degree-1 extension),
+# 16 (F_3^10), 32 (F_41^3, dense tail) and 64 only (F_65521^2, F_65537^3,
+# F_257^5 dense); F_127^6 with a dense tail overflows 64 bits and keeps
+# the schoolbook products
+PACKED_FIELDS = {
+    "F_9": field_of_size(9),
+    "F_7^1": ExtField(PrimeField(7), [3, 1]),
+    "F_3^10": field_of_size(3**10),
+    "F_41^3": _dense_field(41, 3),
+    "F_65521^2": field_of_size(65521**2),
+    "F_65537^3": field_of_size(65537**3),
+    "F_257^5": _dense_field(257, 5),
+    "F_127^6": _dense_field(127, 6),
+}
+
+
+class TestPackedProducts:
+    """Kronecker-packed F_{p^e} products against the schoolbook reference,
+    up to each slot width's proven limit."""
+
+    def test_slot_widths(self):
+        bits = {name: [s.bits for s in F._slots] for name, F in PACKED_FIELDS.items()}
+        assert bits["F_9"] == bits["F_7^1"] == [8, 16, 32, 64]
+        assert bits["F_3^10"] == [16, 32, 64] and bits["F_41^3"] == [32, 64]
+        assert bits["F_65521^2"] == bits["F_65537^3"] == bits["F_257^5"] == [64]
+        assert bits["F_127^6"] == []
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        name=st.sampled_from(sorted(PACKED_FIELDS)),
+        length=st.integers(0, 12),
+        zeros=st.sampled_from(["none", "a", "some"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dot_matches_schoolbook(self, name, length, zeros, seed):
+        F = PACKED_FIELDS[name]
+        rng = random.Random(seed)
+        a = [F.zero if zeros == "a" or (zeros == "some" and rng.random() < 0.5) else F.rand(rng) for _ in range(length)]
+        b = [F.rand(rng) for _ in range(length)]
+        want = schoolbook_dot(F, a, b)
+        assert F.dot(a, b) == want
+        if (s := F.slots(length)) is not None:  # also below PACK_MIN_DEGREE
+            assert s.dot(a, b) == want
+
+    @pytest.mark.parametrize("name", sorted(PACKED_FIELDS))
+    def test_every_coefficient_top_at_each_slot_limit(self, name):
+        F = PACKED_FIELDS[name]
+        top = F.from_int(F.size - 1)  # every coefficient p - 1
+        square = schoolbook_dot(F, [top], [top])
+        for s in F._slots:
+            assert F.slots(s.terms) is s and F.slots(s.terms + 1) is not s
+            n = s.terms
+            want = tuple(n * c % F.p for c in square)
+            assert s.unpack(n * (s.pack(top) * s.pack(top))) == want
+            if n <= 4096:
+                assert s.dot([top] * n, [top] * n) == want == schoolbook_dot(F, [top] * n, [top] * n)
+
+    @pytest.mark.parametrize("name", sorted(PACKED_FIELDS))
+    def test_no_terms_still_fits_the_tail(self, name):
+        # with n = 0 the products need no width at all, but the tail
+        # constants (and every coefficient, below p) still need their bits
+        F = PACKED_FIELDS[name]
+        assert F.dot([], []) == F.zero
+        s = F.slots(0)
+        if s is None:
+            assert F._slots == []
+            return
+        assert s is F._slots[0] and s.bits >= (F.p - 1).bit_length()
+        top = F.from_int(F.size - 1)
+        assert s.unpack(s.pack(top)) == top and s.unpack(0) == F.zero
+
+    def test_single_products_pack_from_the_minimum_degree(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a single product packed")
+
+        monkeypatch.setattr(Slots, "dot", forbidden)
+        rng = random.Random(5)
+        for F in PACKED_FIELDS.values():
+            a, b = F.rand(rng), F.rand(rng)
+            if F.degree >= PACK_MIN_DEGREE and F._slots:
+                with pytest.raises(AssertionError, match="packed"):
+                    F.mul(a, b)
+            else:
+                assert F.mul(a, b) == schoolbook_dot(F, [a], [b])
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        name=st.sampled_from(sorted(PACKED_FIELDS)),
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matrix_product_matches_schoolbook(self, name, shape, seed):
+        F = PACKED_FIELDS[name]
+        r, n, c = shape
+        rng = random.Random(seed)
+        A = Matrix(F, [[F.rand(rng) for _ in range(n)] for _ in range(r)])
+        B = Matrix(F, [[F.rand(rng) for _ in range(c)] for _ in range(n)])
+        cols = list(zip(*B.rows))
+        assert (A * B).rows == tuple(tuple(schoolbook_dot(F, row, col) for col in cols) for row in A.rows)
 
 
 class TestFactorDegrees:

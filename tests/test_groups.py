@@ -543,3 +543,26 @@ class TestConjugationCarriesInverse:
             for _ in range(abs(k)):
                 y = step.apply(y)
             assert group.label(sk.apply(x)) == group.label(y)
+
+    @pytest.mark.parametrize("kind", ["heisenberg", "matrix"])
+    def test_powers_invert_on_first_use_only(self, kind, monkeypatch):
+        group, (s, _), xs = self._platform(kind, random.Random(f"lazy-{kind}"))
+        inverses = [0]
+        inverse = Matrix.inverse
+
+        def counted(M):
+            inverses[0] += 1
+            return inverse(M)
+
+        monkeypatch.setattr(Matrix, "inverse", counted)
+        t = 2**20 + 3
+        _, E = semidirect_power(xs[0], s, t)
+        rho_pow(xs[0], s, t)
+        sk = s.pow(7)
+        assert inverses[0] == 0  # rho_pow and the answer check drop sigma^t unread
+        assert E.a == s.a**t and sk.a == s.a**7
+        for endo in (E, sk, E, sk):
+            assert (endo.a * endo.a_inv).is_identity()
+        assert inverses[0] == 2  # one each, on the first read
+        self._check(group, E, xs)
+        self._check(group, sk, xs)

@@ -521,6 +521,28 @@ class TestPolyUnitGroup:
                 with pytest.raises(SdlpError, match="not a unit"):
                     R.inv(a)
 
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        q=st.sampled_from([9, 3**10]),
+        deg=st.integers(1, 9),
+        worst=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_packed_mul_matches_poly_product(self, q, deg, worst, seed):
+        # worst: every coefficient of x, y and of f's tail is the field's
+        # q - 1, so every slot sum is as large as the products can make it
+        F = field_of_size(q)
+        rng = random.Random(seed)
+        top = F.from_int(q - 1)
+        draw = (lambda: top) if worst else (lambda: F.rand(rng) if rng.random() < 0.8 else F.zero)
+        f = Poly(F, [F.neg(top) if worst else draw() for _ in range(deg)] + [F.one])
+        R = PolyUnitGroup(F, f)
+        assert R._slots is not None
+        x, y = tuple(draw() for _ in range(deg)), tuple(draw() for _ in range(deg))
+        for a, b in ((x, y), (x, x)):
+            want = (Poly(F, list(a)) * Poly(F, list(b))).mod(f).coeffs
+            assert R.mul(a, b) == tuple(want) + (F.zero,) * (deg - len(want))
+
     def test_order_of_x_over_repeated_factor(self):
         # (x - 3)^3 over F_5: ord(x) = ord(3) * 5
         x3 = Poly(F5, [2, 1])

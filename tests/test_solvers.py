@@ -13,6 +13,7 @@ from conftest import (
     random_matrix_instance,
     random_vector_instance,
     sigma_closed_matrix_group,
+    stacked_intertwiner_basis,
     table_endo,
 )
 import sdlp.oracles as oracles
@@ -44,6 +45,7 @@ from sdlp.solvers import (
     ChainLevel,
     NormalChain,
     OrbitProblemInstance,
+    _intertwiner_basis,
     _krylov_coordinates,
     _orbit_problem_set,
     brute_solve,
@@ -392,6 +394,62 @@ class TestFindConjugator:
         embedded = Matrix(a.field, [[a.field.from_int(v) for v in row] for row in x.rows])
         target = Matrix(a.field, [[a.field.from_int(v) for v in row] for row in image.rows])
         assert (a.inverse() * embedded * a).entries_key() == target.entries_key()
+
+
+class TestIntertwinerBasis:
+    """The generator-at-a-time intertwiner basis equals the stacked
+    system's `nullspace`, so the seeded conjugator draw is unchanged."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        q=st.sampled_from([2, 5, 9, 16, 3**10]),
+        d=st.integers(1, 3),
+        count=st.integers(1, 5),
+        inner=st.sampled_from(["all", "some", "none"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_generator_sets(self, q, d, count, inner, seed):
+        F = field_of_size(q)
+        rng = random.Random(seed)
+        c = rand_invertible(F, d, rng)
+        gens = [Matrix(F, [[F.rand(rng) for _ in range(d)] for _ in range(d)]) for _ in range(count)]
+        imgs = [
+            c.inverse() * x * c if inner == "all" or (inner == "some" and rng.random() < 0.5) else rand_invertible(F, d, rng)
+            for x in gens
+        ]
+        assert _intertwiner_basis(gens, imgs, d, F) == stacked_intertwiner_basis(gens, imgs, d, F)
+
+    def test_sigma_closed_generator_sets(self):
+        rng = random.Random("intertwiner-closed")
+        for _ in range(12):
+            inst = random_matrix_instance(rng, q_choices=(3, 4, 5, 7, 9))
+            gens = inst.group.generators()
+            d, F = gens[0].nrows, gens[0].field
+            for k in (1, 2, 3):
+                imgs = [inst.sigma.pow(k).apply(x) for x in gens]
+                got = _intertwiner_basis(gens, imgs, d, F)
+                assert got and got == stacked_intertwiner_basis(gens, imgs, d, F)
+
+    def test_empty_space_stops_at_the_first_generator(self, monkeypatch):
+        # x and 2x share no eigenvalue (1 against 2), so y x = 2x y forces y = 0
+        x = Matrix(F5, [[1, 1], [0, 1]])
+        gens = [x, rand_invertible(F5, 2, random.Random(1)), x * x]
+        imgs = [x.scale(2), gens[1], x * x]
+        calls = [0]
+        counted = solvers.nullspace
+
+        def counting(M):
+            calls[0] += 1
+            return counted(M)
+
+        monkeypatch.setattr(solvers, "nullspace", counting)
+        assert _intertwiner_basis(gens, imgs, 2, F5) == [] == stacked_intertwiner_basis(gens, imgs, 2, F5)
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("q, d", [(5, 1), (9, 2), (3**10, 3)])
+    def test_zero_generators(self, q, d):
+        F = field_of_size(q)
+        assert _intertwiner_basis([], [], d, F) == stacked_intertwiner_basis([], [], d, F) == [Matrix.identity(F, d)]
 
 
 class TestSolveOrbitProblem:
