@@ -113,6 +113,18 @@ class ExtField:
             raise SdlpError("modulus must be monic of degree >= 1")
         if mod.degree() >= 2 and not is_irreducible(mod):
             raise SdlpError("modulus polynomial is reducible")
+        self._setup(base, mod)
+
+    @classmethod
+    def _trusted(cls, base: PrimeField, modulus: Poly) -> ExtField:
+        """F_p[x]/(modulus) for a monic modulus already known to be
+        irreducible (a factor from `factor_poly`); skips the test. The field
+        equals, and hashes as, the one `ExtField(base, modulus)` builds."""
+        out = cls.__new__(cls)
+        out._setup(base, Poly(base, list(modulus.coeffs)))
+        return out
+
+    def _setup(self, base, mod):
         self.base = base
         self.modulus = mod
         self.p = base.p
@@ -582,6 +594,13 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly(F, [])
         out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        if isinstance(F, PrimeField):  # int sums, reduced once per coefficient
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    for j, b in enumerate(other.coeffs, i):
+                        out[j] += a * b
+            p = F.p
+            return Poly(F, [c % p for c in out])
         for i, a in enumerate(self.coeffs):
             if a == F.zero:
                 continue
@@ -606,6 +625,18 @@ class Poly:
         db = other.degree()
         inv_lead = F.inv(other.lead())
         quot = [F.zero] * max(0, len(rem) - db)
+        if isinstance(F, PrimeField):
+            # each coefficient is reduced once, when it is read or returned;
+            # the leading one cancels and is not formed
+            p = F.p
+            low = other.coeffs[:-1]
+            for i in range(len(rem) - 1, db - 1, -1):
+                q = rem[i] % p * inv_lead % p
+                if q:
+                    quot[i - db] = q
+                    for j, b in enumerate(low, i - db):
+                        rem[j] -= q * b
+            return Poly(F, quot), Poly(F, [c % p for c in rem[:db]])
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c == F.zero:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from . import integers
 from .errors import InternalAssertionError, SdlpError
-from .linalg import Matrix, solve_linear
+from .ff import Poly
+from .linalg import Matrix, krylov, min_poly, solve_linear
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +534,13 @@ class Endo:
         """(rho_(g,1)^t(1_G), sigma^t) for t >= 1: the power (g, sigma)^t in
         G x| End(G), where (P, E)(Q, F) = (P E(Q), E F).
 
-        O(log t) group multiplications, applies and endo compositions; a
-        representation with a closed form for the power overrides it.
-        `groups.semidirect_power` is the entry point that checks t.
+        O(log t) group multiplications, applies and endo compositions. A
+        representation with a closed form for the power overrides it:
+        `ConjugationEndo` (two matrix powers), `LinearMapEndo` (x^t mod a
+        Krylov annihilator, for t of at least _POLY_POWER_MIN_BITS bits),
+        `ProductEndo` (componentwise) and `InducedPairEndo` (the inner
+        endo's power, embedded). `groups.semidirect_power` is the entry
+        point that checks t.
         """
         grp = self.group
 
@@ -544,16 +549,6 @@ class Endo:
             return grp.mul(P, E.apply(Q)), E.compose(F)
 
         return integers._pow((g, self), t, mul, None)
-
-    def spot_check_morphism(self, rng: random.Random, samples: int = 16):
-        g = self.group
-        for _ in range(samples):
-            x = g.rand_element(rng)
-            y = g.rand_element(rng)
-            if g.label(self.apply(g.mul(x, y))) != g.label(g.mul(self.apply(x), self.apply(y))):
-                raise InternalAssertionError("endomorphism fails sigma(xy) = sigma(x)sigma(y)")
-        if not g.is_identity(self.apply(g.identity)):
-            raise InternalAssertionError("endomorphism moves the identity")
 
 
 class PowerMapEndo(Endo):
@@ -594,20 +589,81 @@ class PowerMapEndo(Endo):
         return f"PowerMap({self.e})"
 
 
+# Powers of a linear map with fewer bits than this take the matrix
+# square-and-multiply: below it the Krylov set-up or the minimal polynomial
+# costs more than the matrix products it saves (timed table in CHANGES.md)
+_POLY_POWER_MIN_BITS = 10
+
+
 class LinearMapEndo(Endo):
-    """x -> Mx on a vector group; M is a d x d matrix over F_p."""
+    """x -> Mx on a vector group; M is a d x d matrix over F_p.
+
+    A power B^t with t of at least _POLY_POWER_MIN_BITS bits (from `pow`
+    with t >= 0, or from `semidirect_power`) is held as r(B) for
+    r = x^t mod min_poly(B) (Fiduccia), r found on first use: `apply` is
+    Horner's rule on the vector, deg r matvecs, and `matrix` is formed only
+    when read.
+    """
 
     def __init__(self, group: VectorGroup, M: Matrix):
         super().__init__(group)
         if M.nrows != group.d or M.ncols != group.d:
             raise SdlpError("linear map has wrong shape")
-        self.matrix = M
+        self._matrix = M
+        self._power = None
+
+    @classmethod
+    def _power_of(cls, group, B: Matrix, t: int, hint=None) -> "LinearMapEndo":
+        """B^t held as a polynomial in B. A hint (h, x^t mod h), h the
+        annihilator of (0, ..., 0, 1) under B.affine(g), saves a second
+        x^t when min_poly(B) divides h."""
+        out = cls.__new__(cls)
+        Endo.__init__(out, group)
+        out._matrix = None
+        out._power = (B, t, hint)
+        out._coeffs = None
+        return out
+
+    @property
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            d = self.group.d
+            cols = [self.apply(tuple(int(i == j) for i in range(d))) for j in range(d)]
+            self._matrix = Matrix.from_columns(self._power[0].field, cols)
+        return self._matrix
+
+    def _poly(self):
+        """The coefficients of r with B^t = r(B), constant term first."""
+        if self._coeffs is None:
+            B, t, hint = self._power
+            F = B.field
+            if hint is not None and hint[0].degree() == B.nrows + 1:
+                # h = (x - 1) ann_B(g), and ann_B(g) is min_poly(B) at degree d
+                m = hint[0].divmod(Poly(F, [F.neg(F.one), F.one]))[0]
+            else:
+                m = min_poly(B)
+            if hint is not None and hint[0].mod(m).is_zero():
+                self._coeffs = Poly(F, list(hint[1])).mod(m).coeffs
+            else:
+                self._coeffs = _x_power_mod(m, t)
+        return self._coeffs
 
     def apply(self, x):
-        return self.matrix.matvec(x)
+        if self._matrix is not None:
+            return self._matrix.matvec(x)
+        # Horner's rule: r(B) x = (...(r_top x) B + r_(top-1) x ...)
+        B = self._power[0]
+        p = self.group.p
+        *low, top = self._poly() or (0,)
+        out = tuple([top * b % p for b in x])
+        for c in reversed(low):
+            out = tuple([(a + c * b) % p for a, b in zip(B.matvec(out), x)])
+        return out
 
     def pow(self, k):
-        return LinearMapEndo(self.group, self.matrix**k)
+        if k < 0 or k.bit_length() < _POLY_POWER_MIN_BITS or self.group.d == 0:
+            return LinearMapEndo(self.group, self.matrix**k)
+        return LinearMapEndo._power_of(self.group, self.matrix, k)
 
     def compose(self, other):
         if not isinstance(other, LinearMapEndo) or other.group is not self.group:
@@ -615,10 +671,37 @@ class LinearMapEndo(Endo):
         return LinearMapEndo(self.group, self.matrix * other.matrix)
 
     def is_automorphism(self):
-        return self.matrix.is_invertible()
+        # a power B^t, t >= 1, is invertible exactly when B is
+        return (self.matrix if self._power is None else self._power[0]).is_invertible()
+
+    def semidirect_power(self, g, t):
+        # rho^t(1) is the t-th iterate from 0 of v -> Bv + g, so with
+        # A = [[B, g], [0, 1]] and h the annihilator of e = (0, ..., 0, 1)
+        # under A, (rho^t(1), 1) = A^t e = r(A) e for r = x^t mod h: the sum
+        # of r_i A^i e over the Krylov vectors (Fiduccia)
+        d = self.group.d
+        if d == 0 or t.bit_length() < _POLY_POWER_MIN_BITS:
+            return Endo.semidirect_power(self, g, t)
+        B = self.matrix
+        F = B.field
+        h, echelon = krylov(B.affine(g), (F.zero,) * d + (F.one,))
+        r = _x_power_mod(h, t)
+        dot = F.dot
+        rho = tuple([dot(r, col) for col in list(zip(*echelon.basis))[:d]])
+        return rho, LinearMapEndo._power_of(self.group, B, t, (h, r))
 
     def __repr__(self):
         return f"LinearMap({self.matrix!r})"
+
+
+def _x_power_mod(f: Poly, t: int) -> tuple:
+    """x^t mod a monic f, as deg f coefficients: the t-th power of the class
+    of x in the ring F[x]/(f)."""
+    from .oracles import PolyUnitGroup  # oracles imports this module
+
+    F = f.field
+    ring = PolyUnitGroup(F, f)
+    return ring.pow(ring.element([F.zero, F.one]), t)
 
 
 class ConjugationEndo(Endo):

@@ -2,8 +2,9 @@
 reduction for general systems, and `Echelon`, the one incremental
 elimination. Everything that grows a basis vector by vector goes through
 it: `extract_basis`, the Krylov annihilator and coordinates the orbit
-problem is built on (`krylov`, `annihilator`, `min_poly`) and the power
-basis of an extension-field element (`PowerBasis`).
+problem and linear-map powers are built on (`krylov`, `annihilator`,
+`min_poly`) and the power basis of an extension-field element
+(`PowerBasis`).
 
 Vectors are tuples of field elements; a Matrix is immutable and hashable so
 it can double as a black-box group code-word.
@@ -12,7 +13,7 @@ it can double as a black-box group code-word.
 import operator
 
 from .errors import SdlpError
-from .ff import Poly
+from .ff import Poly, PrimeField
 from .integers import _pow
 
 
@@ -48,6 +49,11 @@ class Matrix:
         for i in range(n):
             rows[i][n - 1] = F.neg(poly.coeffs[i])
         return cls(F, rows)
+
+    def affine(self, v):
+        """[[self, v], [0, 1]]: the map x -> self x + v on (x, 1)."""
+        F = self.field
+        return Matrix(F, [row + (a,) for row, a in zip(self.rows, v)] + [(F.zero,) * self.ncols + (F.one,)])
 
     @property
     def nrows(self):
@@ -216,6 +222,14 @@ class Echelon:
         zero = F.zero
         rest = list(v)
         w = [zero] * len(self.basis)
+        if isinstance(F, PrimeField):  # the same steps on ints, inline
+            p = F.p
+            for pivot, row, comb in self._rows:
+                f = rest[pivot]
+                if f:
+                    rest = [(a - f * b) % p for a, b in zip(rest, row)]
+                    w[: len(comb)] = [(a + f * c) % p for a, c in zip(w, comb)]
+            return rest, w
         for pivot, row, comb in self._rows:
             f = rest[pivot]
             if f != zero:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from . import integers
 from .config import SolverConfig
 from .errors import NotApplicableError, SdlpError
-from .ff import ExtField, Poly, _poly_half_ext_gcd, factor_degrees
+from .ff import ExtField, Poly, PrimeField, _poly_half_ext_gcd, factor_degrees
 from .groups import (
     ConjugationEndo,
     Endo,
@@ -115,6 +115,8 @@ class PolyUnitGroup(GroupHandle):
     def mul(self, x, y):
         if self._slots is not None:
             return self._packed_mul(x, y)
+        if isinstance(self.fld, PrimeField):
+            return self._prime_mul(x, y)
         F = self.fld
         add, mul, zero = F.add, F.mul, F.zero
         xs = [(i, a) for i, a in enumerate(x) if a != zero]
@@ -131,6 +133,32 @@ class PolyUnitGroup(GroupHandle):
                 for k, b in ys:
                     raw[i + k] = add(raw[i + k], mul(a, b))
         return self._reduce(raw)
+
+    def _prime_mul(self, x, y):
+        """`mul` over a prime field: the int products are summed unreduced,
+        each top coefficient is reduced once as it is folded by the tail of
+        f, and the deg f survivors once at the end."""
+        p = self.fld.p
+        e = self.degree
+        xs = [(i, a) for i, a in enumerate(x) if a]
+        raw = [0] * (2 * e - 1)
+        if x is y:  # squaring: each cross product once, doubled
+            for s, (i, a) in enumerate(xs):
+                raw[2 * i] += a * a
+                a += a
+                for k, b in xs[s + 1 :]:
+                    raw[i + k] += a * b
+        else:
+            ys = [(k, b) for k, b in enumerate(y) if b]
+            for i, a in xs:
+                for k, b in ys:
+                    raw[i + k] += a * b
+        for i in range(2 * e - 2, e - 1, -1):
+            c = raw[i] % p
+            if c:
+                for k, t in self._tail:
+                    raw[i - e + k] += c * t
+        return tuple([c % p for c in raw[:e]])
 
     def _packed_mul(self, x, y):
         """`mul` on packed coefficients: each is packed once, the products

@@ -195,8 +195,7 @@ def _solve_layer_as_orbit(inst: SdlpInstance, config: SolverConfig) -> SolutionS
         opi = OrbitProblemInstance(F, B, g, tuple(map(F.add, g, B1.matvec(h))))
     else:
         # (rho^t(1), 1) = [[B, g], [0, 1]]^t (0, 1)
-        phi = Matrix(F, [row + (a,) for row, a in zip(B.rows, g)] + [(F.zero,) * d + (F.one,)])
-        opi = OrbitProblemInstance(F, phi, (F.zero,) * d + (F.one,), h + (F.one,))
+        opi = OrbitProblemInstance(F, B.affine(g), (F.zero,) * d + (F.one,), h + (F.one,))
     return _orbit_problem_set(opi, config)
 
 
@@ -402,10 +401,12 @@ def _find_conjugator_lifted(generators, images, d: int, fld, config: SolverConfi
         y = Matrix.zeros(lifted, d, d)
         for Y in basis:
             y = y + Y.scale(lifted.rand(rng))
-        if y.is_invertible():
+        try:
             a = y.inverse()
-            _assert_conjugation_matches(gens, imgs, a, y)
-            return a, y, lifted, embed
+        except SdlpError:  # a singular draw
+            continue
+        _assert_conjugation_matches(gens, imgs, a, y)
+        return a, y, lifted, embed
     raise NotApplicableError("no invertible intertwiner found")
 
 
@@ -419,8 +420,11 @@ def _conjugator_by_enumeration(generators, images, d, fld, config):
         y = Matrix.zeros(fld, d, d)
         for c, Y in zip(coeffs, basis):
             y = y + Y.scale(c)
-        if any(c != fld.zero for c in coeffs) and y.is_invertible():
-            a = y.inverse()
+        if any(c != fld.zero for c in coeffs):
+            try:
+                a = y.inverse()
+            except SdlpError:  # a singular combination
+                continue
             _assert_conjugation_matches(generators, images, a, y)
             return a, y, fld, (lambda M: M)
     raise NotApplicableError("no invertible intertwiner found")
@@ -549,7 +553,7 @@ def _ring_power_solutions(F, u: Poly, k: int, c, config: SolverConfig) -> Soluti
     if u.degree() == 1:
         root = F.neg(u.coeffs[0])
         return _power_solutions(UnitGroup(F), root, c.eval(root), config)
-    fld = ExtField(F, u)
+    fld = ExtField._trusted(F, u)  # factor_poly has proved u irreducible
     return _power_solutions(UnitGroup(fld), fld.gen(), fld.from_coeffs(c.coeffs), config)
 
 

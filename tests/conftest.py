@@ -7,7 +7,8 @@ under sigma so that sigma really is an endomorphism of the group.
 import random
 
 from sdlp.config import SolverConfig
-from sdlp.ff import PrimeField, field_of_size
+from sdlp.errors import InternalAssertionError
+from sdlp.ff import Poly, PrimeField, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -53,6 +54,37 @@ def schoolbook_dot(fld, a, b):
     return fld._reduce(raw)
 
 
+def schoolbook_poly_mul(a, b):
+    """Reference `Poly.__mul__`: one field add and mul per coefficient
+    pair, for every field."""
+    F = a.field
+    if a.is_zero() or b.is_zero():
+        return Poly(F, [])
+    out = [F.zero] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return Poly(F, out)
+
+
+def schoolbook_poly_divmod(a, b):
+    """Reference `Poly.divmod`: long division with one field sub and mul
+    per coefficient pair, for every field."""
+    F = a.field
+    rem = list(a.coeffs)
+    db = b.degree()
+    inv_lead = F.inv(b.lead())
+    quot = [F.zero] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        if rem[i] == F.zero:
+            continue
+        q = F.mul(rem[i], inv_lead)
+        quot[i - db] = q
+        for j, c in enumerate(b.coeffs):
+            rem[i - db + j] = F.sub(rem[i - db + j], F.mul(q, c))
+    return Poly(F, quot), Poly(F, rem)
+
+
 def stacked_intertwiner_basis(gens, imgs, d, fld):
     """Reference intertwiner basis: `nullspace` of every generator's d^2
     equations y x - sigma(x) y = 0 stacked in one system."""
@@ -71,13 +103,26 @@ def stacked_intertwiner_basis(gens, imgs, d, fld):
     return [Matrix.unflatten(fld, v, d, d) for v in nullspace(Matrix(fld, rows))]
 
 
+def spot_check_morphism(endo, rng, samples=16):
+    """Check sigma(xy) = sigma(x) sigma(y) on random pairs, and that sigma
+    fixes the identity."""
+    g = endo.group
+    for _ in range(samples):
+        x = g.rand_element(rng)
+        y = g.rand_element(rng)
+        if g.label(endo.apply(g.mul(x, y))) != g.label(g.mul(endo.apply(x), endo.apply(y))):
+            raise InternalAssertionError("endomorphism fails sigma(xy) = sigma(x)sigma(y)")
+    if not g.is_identity(endo.apply(g.identity)):
+        raise InternalAssertionError("endomorphism moves the identity")
+
+
 def table_endo(group, func):
     """The TableEndo x -> func(x) over every element of group, spot-checked
     as a morphism on 64 seeded samples. The TableEndo constructor rejects
     a group above TableEndo.MAX_SIZE."""
     elements = group.elements() if hasattr(group, "elements") else mulclose(group, cap=TableEndo.MAX_SIZE)
     endo = TableEndo(group, {group.label(x): func(x) for x in elements})
-    endo.spot_check_morphism(random.Random(0), samples=64)
+    spot_check_morphism(endo, random.Random(0), samples=64)
     return endo
 
 

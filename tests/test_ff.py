@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fold_dot, schoolbook_dot
+import sdlp.ff as ff
+from conftest import fold_dot, schoolbook_dot, schoolbook_poly_divmod, schoolbook_poly_mul
 from sdlp.errors import SdlpError
 from sdlp.ff import (
     PACK_MIN_DEGREE,
@@ -107,6 +108,70 @@ class TestExtField:
         F = field_of_size(27)
         for n in range(27):
             assert F.to_int(F.from_int(n)) == n
+
+    @pytest.mark.parametrize("p,e", [(5, 2), (3, 10), (1031, 6), (65537, 3)])
+    def test_trusted_field_equals_the_checked_one(self, p, e, monkeypatch):
+        base = PrimeField(p)
+        mod = canonical_irreducible(base, e)
+        checked = ExtField(base, mod)
+
+        def forbidden(f):
+            raise AssertionError("the trusted path ran the irreducibility test")
+
+        monkeypatch.setattr(ff, "is_irreducible", forbidden)
+        trusted = ExtField._trusted(base, mod)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert (trusted.modulus, trusted.size, trusted._tail) == (checked.modulus, checked.size, checked._tail)
+        assert [s.bits for s in trusted._slots] == [s.bits for s in checked._slots]
+        rng = random.Random(p)
+        for _ in range(20):
+            a, b = checked.rand(rng), checked.rand_nonzero(rng)
+            assert trusted.mul(a, b) == checked.mul(a, b) and trusted.inv(b) == checked.inv(b)
+        with pytest.raises(AssertionError, match="irreducibility"):
+            ExtField(base, mod)  # the public constructor keeps its check
+
+
+# prime fields for the inline polynomial kernels: the smallest, a word-size
+# one, and one whose products overflow 64 bits
+KERNEL_PRIMES = (2, 3, 65521, 1048573, 2**61 - 1)
+
+
+class TestPrimeFieldPolyKernels:
+    """`Poly.__mul__` and `divmod` over a prime field sum int products and
+    reduce once per coefficient; the per-pair loops in conftest are the
+    reference, and an extension field still takes them."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        p=st.sampled_from(KERNEL_PRIMES),
+        la=st.integers(0, 12),
+        lb=st.integers(0, 8),
+        worst=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_pair_reference(self, p, la, lb, worst, seed):
+        # worst: every coefficient is p - 1, so every unreduced sum is as
+        # large as the products can make it
+        F = PrimeField(p)
+        rng = random.Random(seed)
+        draw = (lambda: p - 1) if worst else (lambda: rng.randrange(p) if rng.random() < 0.8 else 0)
+        a = Poly(F, [draw() for _ in range(la)])
+        b = Poly(F, [draw() for _ in range(lb)])
+        assert a * b == schoolbook_poly_mul(a, b) and b * a == schoolbook_poly_mul(b, a)
+        if not b.is_zero():
+            assert a.divmod(b) == schoolbook_poly_divmod(a, b)
+            q, r = a.divmod(b)
+            assert q * b + r == a and r.degree() < b.degree()
+
+    def test_extension_field_keeps_the_per_pair_loops(self):
+        F = field_of_size(9)
+        rng = random.Random(9)
+        for _ in range(40):
+            a = Poly(F, [F.rand(rng) for _ in range(rng.randrange(0, 7))])
+            b = Poly(F, [F.rand(rng) for _ in range(rng.randrange(1, 5))])
+            assert a * b == schoolbook_poly_mul(a, b)
+            if not b.is_zero():
+                assert a.divmod(b) == schoolbook_poly_divmod(a, b)
 
 
 def _power(F, c, n):

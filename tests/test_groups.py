@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_invertible, rand_upper_triangular, sigma_closed_matrix_group, table_endo
+import sdlp.groups as groups
+from conftest import eval_poly_at_matrix, rand_invertible, rand_upper_triangular, sigma_closed_matrix_group, table_endo
 from sdlp.errors import InternalAssertionError, SdlpError
-from sdlp.ff import PrimeField, field_of_size
+from sdlp.ff import Poly, PrimeField, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -338,6 +339,138 @@ class TestNegativePowers:
             PowerMapEndo(CyclicGroup(6), 2).pow(-1)
 
 
+def _poly_power_everywhere(monkeypatch):
+    """Send every positive power of a linear map through the polynomial
+    form, below the crossover too."""
+    monkeypatch.setattr(groups, "_POLY_POWER_MIN_BITS", 1)
+
+
+def assert_same_linear_power(E, B, t):
+    """E is B^t: its apply (Horner's rule while no matrix is formed), its
+    matrix, its composition and its inverse."""
+    V = E.group
+    Bt = B**t
+    for v in V.generators() + [tuple(range(1, V.d + 1))]:
+        assert E.apply(v) == Bt.matvec(v)
+    assert E.matrix == Bt
+    assert E.compose(E).matrix == Bt * Bt
+    if Bt.is_invertible():
+        assert E.pow(-1).matrix == Bt.inverse()
+
+
+class TestLinearMapPolynomialPowers:
+    """LinearMapEndo.semidirect_power takes x^t mod the Krylov annihilator
+    h of (0, 1) under [[B, g], [0, 1]], and sigma^t = r(B) for
+    r = x^t mod min_poly(B) (Fiduccia); both must equal the generic loop,
+    B**t and the naive product."""
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(
+        p=st.sampled_from([2, 3, 5, 7, 65521, 1048573]),
+        d=st.integers(0, 5),
+        density=st.sampled_from([0.0, 0.3, 1.0]),
+        zero_g=st.booleans(),
+        bits=st.sampled_from([1, 4, 9, 10, 11, 20, 44]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_generic_loop_and_matrix_power(self, p, d, density, zero_g, bits, seed):
+        # density 0 makes B = 0 and 0.3 often singular; bits straddle the
+        # crossover
+        rng = random.Random(seed)
+        F, V = PrimeField(p), VectorGroup(p, d)
+        B = Matrix(F, [[rng.randrange(p) if rng.random() < density else 0 for _ in range(d)] for _ in range(d)])
+        sigma = LinearMapEndo(V, B)
+        g = V.identity if zero_g else V.rand_element(rng)
+        t = rng.randrange(1 << (bits - 1), 1 << bits)
+        P, E = semidirect_power(g, sigma, t)
+        P0, E0 = Endo.semidirect_power(sigma, g, t)
+        assert P == P0
+        assert_same_linear_power(E, B, t)
+        assert E.matrix == E0.matrix
+        assert sigma.pow(t).matrix == B**t
+        assert sigma_pow_apply(sigma, t, g) == E0.apply(g)
+        if E._power is not None:  # the polynomial form: B^t = r(B)
+            assert eval_poly_at_matrix(Poly(F, list(E._poly())), B) == B**t
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 4])
+    def test_matches_the_naive_product_below_and_above_the_crossover(self, d, monkeypatch):
+        rng = random.Random(f"naive-{d}")
+        V = VectorGroup(7, d)
+        sigma = LinearMapEndo(V, Matrix(PrimeField(7), [[rng.randrange(7) for _ in range(d)] for _ in range(d)]))
+        g = V.rand_element(rng)
+        naive = [rho_pow_naive(g, sigma, t) for t in range(1, 65)]
+        assert [semidirect_power(g, sigma, t)[0] for t in range(1, 65)] == naive
+        _poly_power_everywhere(monkeypatch)
+        for t in range(1, 65):
+            P, E = semidirect_power(g, sigma, t)
+            assert P == naive[t - 1]
+            assert_same_linear_power(E, sigma.matrix, t)
+
+    @pytest.mark.parametrize(
+        "rows,g,cyclic",
+        [
+            ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], (0, 0, 1), True),  # nilpotent
+            ([[3, 1], [0, 3]], (1, 0), False),  # g an eigenvector: a short annihilator
+            ([[2, 0, 0], [0, 3, 0], [0, 0, 3]], (1, 0, 0), False),  # min_poly(B) does not divide h
+            ([[2, 0, 0], [0, 3, 0], [0, 0, 3]], (1, 1, 0), False),  # it divides h, of degree below d + 1
+            ([[1, 0], [0, 1]], (4, 2), False),  # B = 1: h = (x - 1)^2
+            ([[0, 6], [1, 0]], (0, 0), False),  # g = 0: h = x - 1
+            ([[5]], (3,), True),
+        ],
+    )
+    def test_special_maps_and_vectors(self, rows, g, cyclic, monkeypatch):
+        _poly_power_everywhere(monkeypatch)
+        F = PrimeField(7)
+        V = VectorGroup(7, len(rows))
+        B = Matrix(F, rows)
+        sigma = LinearMapEndo(V, B)
+        for t in (1, 2, 3, 6, 7, 48, 2**44 + 5):
+            P, E = semidirect_power(g, sigma, t)
+            h = E._power[2][0]
+            assert (h.degree() == V.d + 1) == cyclic
+            assert P == Endo.semidirect_power(sigma, g, t)[0]
+            assert_same_linear_power(E, B, t)
+            assert eval_poly_at_matrix(Poly(F, list(E._poly())), B) == B**t
+
+    def test_sigma_power_is_formed_only_when_read(self, monkeypatch):
+        rng = random.Random("lazy")
+        F, V = PrimeField(65521), VectorGroup(65521, 4)
+        sigma = LinearMapEndo(V, rand_invertible(F, 4, rng))
+        g = V.rand_element(rng)
+        t = 2**44 + 12345
+        products = [0]
+        matmul = Matrix.__mul__
+
+        def counted(x, y):
+            products[0] += 1
+            return matmul(x, y)
+
+        def forbidden(*args):
+            raise AssertionError("the polynomial form ran the generic loop")
+
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        monkeypatch.setattr(LinearMapEndo, "compose", forbidden)
+        P, E = semidirect_power(g, sigma, t)
+        v = E.apply(g)
+        assert E._matrix is None and products[0] == 0
+        assert sigma.pow(t).apply(g) == v
+        assert products[0] == 0
+        monkeypatch.undo()
+        assert v == (sigma.matrix**t).matvec(g) and E.matrix == sigma.matrix**t
+
+    def test_crossover_keeps_short_powers_on_the_generic_loop(self):
+        rng = random.Random("crossover")
+        V = VectorGroup(5, 3)
+        sigma = LinearMapEndo(V, rand_invertible(F5, 3, rng))
+        g = V.rand_element(rng)
+        long = 1 << (groups._POLY_POWER_MIN_BITS - 1)  # the shortest polynomial-form t
+        assert semidirect_power(g, sigma, long - 1)[1]._power is None
+        assert sigma.pow(long - 1)._power is None
+        assert semidirect_power(g, sigma, long)[1]._power is not None
+        assert sigma.pow(long)._power is not None
+        assert sigma.pow(-long)._power is None
+
+
 class TestConjugationPowerHook:
     """ConjugationEndo.semidirect_power is ((g a^-1)^t a^t, conj_{a^t}) and
     ProductEndo's is componentwise; both must equal the generic loop.
@@ -378,9 +511,9 @@ class TestConjugationPowerHook:
         t = 2**40 + 12345
         semidirect_power(g, sigma, t)
         conjugation_products = products[0]
-        if kind == "conjugation-product":  # the linear factor runs the generic loop
+        if kind == "conjugation-product":  # take out the linear factor's own products
             products[0] = 0
-            Endo.semidirect_power(sigma.components[1], g[1], t)
+            sigma.components[1].semidirect_power(g[1], t)
             conjugation_products -= products[0]
         # a^t and (g a^-1)^t take bitlen(t) + popcount(t) - 2 products each,
         # g a^-1 and the product of the two powers one each

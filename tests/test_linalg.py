@@ -144,8 +144,9 @@ class TestMinPoly:
             assert min_poly(B).divmod(f)[1].is_zero()
 
 
-# a prime field, a generic extension and a carry-less binary field
-ECHELON_FIELDS = {"F_7": PrimeField(7), "F_9": field_of_size(9), "F_2^4": field_of_size(16)}
+# two prime fields (the inline row operations), a generic extension and a
+# carry-less binary field
+ECHELON_FIELDS = {"F_7": PrimeField(7), "F_65521": PrimeField(65521), "F_9": field_of_size(9), "F_2^4": field_of_size(16)}
 
 
 def _combine(F, coeffs, vectors, n):

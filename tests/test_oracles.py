@@ -12,6 +12,8 @@ from conftest import (
     rand_upper_triangular,
     random_cyclic_instance,
     random_vector_instance,
+    schoolbook_poly_divmod,
+    schoolbook_poly_mul,
     sigma_closed_matrix_group,
 )
 from sdlp.config import SolverConfig
@@ -542,6 +544,27 @@ class TestPolyUnitGroup:
         for a, b in ((x, y), (x, x)):
             want = (Poly(F, list(a)) * Poly(F, list(b))).mod(f).coeffs
             assert R.mul(a, b) == tuple(want) + (F.zero,) * (deg - len(want))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        p=st.sampled_from([2, 3, 65521, 1048573, 2**61 - 1]),
+        deg=st.integers(1, 9),
+        worst=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prime_field_mul_matches_the_per_pair_reference(self, p, deg, worst, seed):
+        # worst: every coefficient of x, y and f's tail is p - 1, so every
+        # unreduced sum is as large as the products and folds can make it
+        F = PrimeField(p)
+        rng = random.Random(seed)
+        draw = (lambda: p - 1) if worst else (lambda: rng.randrange(p) if rng.random() < 0.7 else 0)
+        f = Poly(F, [1 if worst else draw() for _ in range(deg)] + [1])  # tail -1 = p - 1
+        R = PolyUnitGroup(F, f)
+        x, y = tuple(draw() for _ in range(deg)), tuple(draw() for _ in range(deg))
+        monomial = tuple(int(i == deg - 1) * (p - 1) for i in range(deg))
+        for a, b in ((x, y), (x, x), (x, monomial), (monomial, monomial)):
+            want = schoolbook_poly_divmod(schoolbook_poly_mul(Poly(F, list(a)), Poly(F, list(b))), f)[1].coeffs
+            assert R.mul(a, b) == tuple(want) + (0,) * (deg - len(want))
 
     def test_order_of_x_over_repeated_factor(self):
         # (x - 3)^3 over F_5: ord(x) = ord(3) * 5

@@ -224,6 +224,30 @@ class TestSolveElementaryAbelian:
             solve_elementary_abelian(SdlpInstance(V, singular, (1, 0), (0, 0)), CFG)
 
 
+def test_irreducible_layer_builds_its_field_without_a_second_test(monkeypatch):
+    # factor_poly proves each factor irreducible; the field built from it
+    # must not run the test again
+    import sdlp.ff as ff
+
+    rng = random.Random("trusted-field")
+    F = PrimeField(65521)
+    while True:
+        f = Poly(F, [F.rand(rng) for _ in range(3)] + [F.one])
+        if ff.is_irreducible(f):
+            break
+    V = VectorGroup(65521, 3)
+    sigma = LinearMapEndo(V, Matrix.companion(f))
+    g = V.rand_element(rng)
+    inst = SdlpInstance(V, sigma, g, rho_pow(g, sigma, 123456789))
+    want = solve_elementary_abelian(inst, CFG)
+
+    def forbidden(f):
+        raise AssertionError("the orbit problem re-tested a proven factor")
+
+    monkeypatch.setattr(ff, "is_irreducible", forbidden)
+    assert solve_elementary_abelian(inst, CFG) == want and want.contains(123456789)
+
+
 class TestCyclicField:
     """The orbit problem's Krylov coordinates view the cyclic module of v as
     F_p[x]/(f): v becomes 1 and B acts as multiplication by x."""
@@ -394,6 +418,48 @@ class TestFindConjugator:
         embedded = Matrix(a.field, [[a.field.from_int(v) for v in row] for row in x.rows])
         target = Matrix(a.field, [[a.field.from_int(v) for v in row] for row in image.rows])
         assert (a.inverse() * embedded * a).entries_key() == target.entries_key()
+
+
+def _reference_draw(basis, d, fld, seed):
+    """The conjugator draw with a rank test before each inverse: (a, the
+    number of draws it took)."""
+    rng = random.Random(f"conjugator-{seed}")
+    for draws in range(1, 33):
+        y = Matrix.zeros(fld, d, d)
+        for Y in basis:
+            y = y + Y.scale(fld.rand(rng))
+        if y.is_invertible():
+            return y.inverse(), draws
+    return None, 32
+
+
+class TestConjugatorDraw:
+    """Each draw is eliminated once: `inverse` reports a singular draw, and
+    the draws and the conjugator chosen are the rank-tested ones."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_inverse_per_draw_and_the_same_conjugator(self, seed, monkeypatch):
+        x = Matrix.identity(F5, 2)  # every matrix intertwines: many draws are singular
+        want, draws = _reference_draw(_intertwiner_basis([x], [x], 2, F5), 2, F5, seed)
+        calls = [0]
+        inverse = Matrix.inverse
+
+        def counted(self):
+            calls[0] += 1
+            return inverse(self)
+
+        def forbidden(self):
+            raise AssertionError("a draw was rank-tested before its inverse")
+
+        monkeypatch.setattr(Matrix, "inverse", counted)
+        monkeypatch.setattr(Matrix, "is_invertible", forbidden)
+        a = find_conjugator([x], [x], 2, F5, SolverConfig(seed=seed))
+        assert a == want and calls[0] == draws
+
+    def test_some_seed_rejects_a_singular_draw(self):
+        x = Matrix.identity(F5, 2)
+        basis = _intertwiner_basis([x], [x], 2, F5)
+        assert max(_reference_draw(basis, 2, F5, seed)[1] for seed in range(12)) > 1
 
 
 class TestIntertwinerBasis:
