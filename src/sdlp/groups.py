@@ -211,6 +211,10 @@ class MatrixGroup(GroupHandle):
     def inv(self, x):
         return x.inverse()
 
+    def pow(self, x, n: int):
+        # Matrix.__pow__, which powers an upper-triangular x from its diagonal
+        return x**n
+
     def label(self, x):
         return x.entries_key()
 
@@ -749,6 +753,8 @@ class ConjugationEndo(Endo):
         return self._from_mat(self.a_inv * self._to_mat(x) * self.a)
 
     def pow(self, k):
+        """conj_{a^k}, with a^k from `Matrix.__pow__`, so an upper-triangular
+        a is powered from its diagonal."""
         if k == -1:
             return ConjugationEndo._trusted(self.group, self.a_inv, self.a)
         # inverting b once, when first needed, is cheaper than powering
@@ -766,8 +772,12 @@ class ConjugationEndo(Endo):
         return True
 
     def semidirect_power(self, g, t):
-        # prod_{i<t} a^-i g a^i telescopes to (g a^-1)^t a^t, and sigma^t is
-        # conjugation by b = a^t
+        """(rho^t(1), sigma^t): prod_{i<t} a^-i g a^i telescopes to
+        (g a^-1)^t a^t, and sigma^t is conjugation by b = a^t. Both powers
+        are `Matrix.__pow__`. On the Heisenberg and Borel platforms a and
+        g a^-1 are upper triangular, so each is r(M) for r = x^t mod the
+        characteristic polynomial: one field power per distinct diagonal
+        entry and d - 2 matrix products, not about 1.5 log2 t."""
         if t == 1:
             return g, self
         b = self.a**t

@@ -1,20 +1,28 @@
-"""Dense exact matrices over finite fields: products, inverses and row
-reduction for general systems, and `Echelon`, the one incremental
-elimination. Everything that grows a basis vector by vector goes through
-it: `extract_basis`, the Krylov annihilator and coordinates the orbit
-problem and linear-map powers are built on (`krylov`, `annihilator`,
-`min_poly`) and the power basis of an extension-field element
-(`PowerBasis`).
+"""Dense exact matrices over finite fields: products, inverses, powers
+(upper-triangular ones from their diagonal) and row reduction for general
+systems, and `Echelon`, the one incremental elimination. Everything that
+grows a basis vector by vector goes through it: `extract_basis`, the
+Krylov annihilator and coordinates the orbit problem and linear-map powers
+are built on (`krylov`, `annihilator`, `min_poly`) and the power basis of
+an extension-field element (`PowerBasis`).
 
 Vectors are tuples of field elements; a Matrix is immutable and hashable so
 it can double as a black-box group code-word.
 """
 
+import math
 import operator
 
 from .errors import SdlpError
 from .ff import Poly, PrimeField
 from .integers import _pow
+
+# Powers of an upper-triangular matrix with an exponent of at least this
+# many bits take `_triangular_power`, and only they pay the triangularity
+# scan. From here the route is faster over every prime and binary field
+# timed; over odd extension fields, whose inversions are slow, it wins only
+# from 8 to 17 bits on (timed table in CHANGES.md)
+_TRIANGULAR_POWER_MIN_BITS = 5
 
 
 class Matrix:
@@ -97,12 +105,21 @@ class Matrix:
         return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
 
     def __pow__(self, n: int):
+        """self^n. An upper-triangular matrix with n of at least
+        _TRIANGULAR_POWER_MIN_BITS bits is r(self) for r = x^n mod its
+        characteristic polynomial (`_triangular_power`): one field power per
+        distinct diagonal entry and d - 2 matrix products; every other power
+        is square-and-multiply.
+        A negative n inverts first (the inverse of a triangular matrix is
+        triangular)."""
         if not self.is_square():
             raise SdlpError("power of a non-square matrix")
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
             return Matrix.identity(self.field, self.nrows)
+        if n.bit_length() >= _TRIANGULAR_POWER_MIN_BITS and self.is_upper_triangular():
+            return _triangular_power(self, n)
         return _pow(self, n, operator.mul, None)  # `one` is read only at n = 0
 
     def inverse(self):
@@ -121,6 +138,10 @@ class Matrix:
 
     def is_invertible(self):
         return self.is_square() and self.rank() == self.nrows
+
+    def is_upper_triangular(self):
+        zero = self.field.zero
+        return all(a == zero for i, r in enumerate(self.rows) for a in r[:i])
 
     def is_identity(self):
         F = self.field
@@ -145,6 +166,64 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.rows]})"
+
+
+def _triangular_power(M: Matrix, n: int) -> Matrix:
+    """M^n for an upper-triangular M and n >= 0, as r(M) with r = x^n mod
+    chi, chi = prod_i (x - m_ii): the roots of chi are the diagonal, so r
+    is the Hermite interpolant of x^n there (Higham, Functions of
+    Matrices, 2008, 1.2). r is taken in Newton form over the diagonal
+    entries, equal ones next to each other, and evaluated by Horner's rule
+    in d - 2 matrix products.
+
+    The divided difference over k + 1 equal nodes lam is the Hasse
+    derivative C(n, k) lam^(n - k), which holds in characteristic p where
+    the k-th derivative over k! does not; over distinct end nodes it is
+    the usual quotient. Each distinct diagonal value takes one field power.
+    """
+    F = M.field
+    d = M.nrows
+    mult = {}  # distinct diagonal values in first-seen order -> multiplicity
+    for i, row in enumerate(M.rows):
+        mult[row[i]] = mult.get(row[i], 0) + 1
+    prime = isinstance(F, PrimeField)
+    nodes, hasse = [], {}
+    for lam, m in mult.items():
+        nodes += [lam] * m
+        terms = [pow(lam, n, F.p) if prime else _pow(lam, n, F.mul, F.one)]
+        if m > 1:
+            if lam == F.zero:  # C(n, k) 0^(n - k) is 1 at k = n and 0 elsewhere
+                terms += [F.one if k == n else F.zero for k in range(1, m)]
+            else:  # lam^(n - k) = lam^n (lam^-1)^k
+                inv, term = F.inv(lam), terms[0]
+                for k in range(1, m):
+                    term = F.mul(term, inv)
+                    terms.append(F.mul(F.from_int(math.comb(n, k) % F.char), term))
+        hasse[lam] = terms
+    # Newton's table in place: after round j, c[i] = f[nodes[i - j .. i]]
+    c = [hasse[lam][0] for lam in nodes]
+    for j in range(1, d):
+        for i in range(d - 1, j - 1, -1):
+            a, b = nodes[i - j], nodes[i]
+            if a == b:  # j + 1 equal nodes, since equal ones are adjacent
+                c[i] = hasse[b][j]
+            else:
+                c[i] = F.mul(F.sub(c[i], c[i - 1]), F.inv(F.sub(b, a)))
+    if d < 2:
+        return Matrix(F, [c] if d else [])
+    # Horner's rule on r = c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)); its
+    # innermost step c_{d-2} + c_{d-1} (M - x_{d-2}) needs no product
+    top = c[d - 1]
+    P = _plus_diagonal(M.scale(top), F.sub(c[d - 2], F.mul(top, nodes[d - 2])))
+    for k in range(d - 3, -1, -1):
+        P = _plus_diagonal(P * _plus_diagonal(M, F.neg(nodes[k])), c[k])
+    return P
+
+
+def _plus_diagonal(M: Matrix, c) -> Matrix:
+    """M + c I."""
+    add = M.field.add
+    return Matrix(M.field, [row[:i] + (add(row[i], c),) + row[i + 1 :] for i, row in enumerate(M.rows)])
 
 
 def _rref(rows, F):
@@ -311,19 +390,6 @@ def _poly_lcm(a: Poly, b: Poly) -> Poly:
         return Poly(a.field, [])
     g = a.gcd(b)
     return (a * b).divmod(g)[0].monic()
-
-
-def restrict_to_subspace(B: Matrix, basis) -> Matrix:
-    """Matrix of B on span(basis) in that basis; requires invariance."""
-    F = B.field
-    cols = []
-    M = Matrix.from_columns(F, basis)
-    for v in basis:
-        c = solve_linear(M, B.matvec(v))
-        if c is None:
-            raise SdlpError("subspace is not invariant under the map")
-        cols.append(c)
-    return Matrix.from_columns(F, cols)
 
 
 class PowerBasis:

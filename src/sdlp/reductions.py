@@ -24,7 +24,7 @@ from .groups import (
     rho_pow_inverse_apply,
     semidirect_power,
 )
-from .linalg import Matrix, coordinates_in_basis, extract_basis, restrict_to_subspace
+from .linalg import Echelon, Matrix
 
 
 # ---------------------------------------------------------------------------
@@ -100,17 +100,22 @@ def _vector_image_instance(inst: SdlpInstance, k: int) -> SdlpInstance:
     G: VectorGroup = inst.group
     B = inst.sigma.matrix
     Bk = B**k
-    basis = extract_basis(B.field, [Bk.column(j) for j in range(G.d)])
+    # one elimination picks the basis of B^k's column space and gives every
+    # coordinate over it: B's columns there, and those of B^k g and B^k h
+    echelon = Echelon(B.field)
+    for j in range(G.d):
+        echelon.add(Bk.column(j))
+    basis = echelon.basis
     K = VectorGroup(G.p, len(basis))
     if not basis:
         ident = LinearMapEndo(K, Matrix.zeros(B.field, 0, 0))
         return SdlpInstance(K, ident, (), ())
-    S = restrict_to_subspace(B, basis)
-    g2 = coordinates_in_basis(B.field, basis, Bk.matvec(inst.g))
-    h2 = coordinates_in_basis(B.field, basis, Bk.matvec(inst.h))
-    if g2 is None or h2 is None:
-        raise InternalAssertionError("image elements left the stable image subspace")
-    return SdlpInstance(K, LinearMapEndo(K, S), g2, h2)
+    cols = [echelon.coords(B.matvec(v)) for v in basis]
+    g2 = echelon.coords(Bk.matvec(inst.g))
+    h2 = echelon.coords(Bk.matvec(inst.h))
+    if None in cols or g2 is None or h2 is None:
+        raise InternalAssertionError("the stable image subspace is not invariant")
+    return SdlpInstance(K, LinearMapEndo(K, Matrix.from_columns(B.field, cols)), g2, h2)
 
 
 def _tail_search(inst: SdlpInstance, sub_sol: SolutionSet, k: int, config: SolverConfig) -> SolutionSet:

@@ -493,6 +493,14 @@ class TestConjugationPowerHook:
         rng = random.Random(f"hook-count-{kind}")
         sigma = fresh_automorphism(kind, rng)
         g = sigma.group.rand_element(rng)
+        conj = next(c for c in getattr(sigma, "components", [sigma]) if isinstance(c, ConjugationEndo))
+        h = g[0] if kind == "conjugation-product" else g
+        X = h if conj._to_mat is None else conj._to_mat(h)
+        d = conj.a.nrows
+        # the Heisenberg, subgroup and product kinds conjugate by an
+        # upper-triangular a; the seeded matrix kind's a and g a^-1 are not
+        triangular = kind != "matrix"
+        assert conj.a.is_upper_triangular() == (X * conj.a_inv).is_upper_triangular() == triangular
 
         def forbidden(*args):
             raise AssertionError("the closed form called apply or compose")
@@ -515,9 +523,14 @@ class TestConjugationPowerHook:
             products[0] = 0
             sigma.components[1].semidirect_power(g[1], t)
             conjugation_products -= products[0]
-        # a^t and (g a^-1)^t take bitlen(t) + popcount(t) - 2 products each,
-        # g a^-1 and the product of the two powers one each
-        assert conjugation_products == 2 * (t.bit_length() + t.bit_count() - 2) + 2
+        # g a^-1 and the product of the two powers take one product each;
+        # a^t and (g a^-1)^t take d - 2 each when triangular (Horner's rule
+        # on x^t mod the characteristic polynomial), else bitlen(t) +
+        # popcount(t) - 2 each (square-and-multiply)
+        if triangular:
+            assert conjugation_products == 2 * (d - 2) + 2
+        else:
+            assert conjugation_products == 2 * (t.bit_length() + t.bit_count() - 2) + 2
 
     def test_pair_image_asks_its_inner_conjugation(self, monkeypatch):
         rng = random.Random("hook-pair")

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -7,9 +8,12 @@ from hypothesis import strategies as st
 from conftest import eval_poly_at_matrix, fold_dot, rand_invertible
 from sdlp.errors import SdlpError
 from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
+from sdlp.integers import _pow
 from sdlp.linalg import (
+    _TRIANGULAR_POWER_MIN_BITS,
     Echelon,
     Matrix,
+    _triangular_power,
     annihilator,
     coordinates_in_basis,
     extract_basis,
@@ -71,6 +75,110 @@ class TestMatrixProducts:
     def test_ragged_rows_raise(self, rows):
         with pytest.raises(SdlpError, match="ragged"):
             Matrix(F5, rows)
+
+
+# prime, binary and odd-characteristic extension fields, small and large
+TRIANGULAR_FIELDS = {f"F_{q}": field_of_size(q) for q in (2, 3, 65521, 2**61 - 1, 4, 9, 2**16, 3**10)}
+
+
+def _triangular(F, d, pool, rng):
+    """An upper-triangular d x d matrix with its diagonal drawn from pool."""
+    return Matrix(F, [[rng.choice(pool) if i == j else F.rand(rng) if j > i else F.zero for j in range(d)] for i in range(d)])
+
+
+def _square_and_multiply(M, n):
+    """The reference power: M^n by the generic loop, M^-1 first for n < 0."""
+    if n < 0:
+        M, n = M.inverse(), -n
+    return _pow(M, n, operator.mul, Matrix.identity(M.field, M.nrows))
+
+
+class TestTriangularPower:
+    """Upper-triangular powers from the diagonal (x^n mod the characteristic
+    polynomial in Newton form) against square-and-multiply. A pool of two
+    diagonal values makes the interpolation nodes confluent, where the
+    divided differences are Hasse derivatives C(n, k) lam^(n - k)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        name=st.sampled_from(sorted(TRIANGULAR_FIELDS)),
+        d=st.integers(1, 4),
+        zero=st.booleans(),
+        n=st.one_of(st.integers(0, 64), st.integers(2**39, 2**40 - 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_square_and_multiply(self, name, d, zero, n, seed):
+        F = TRIANGULAR_FIELDS[name]
+        rng = random.Random(seed)
+        pool = [F.zero if zero else F.rand(rng), F.rand(rng)]
+        M = _triangular(F, d, pool, rng)
+        want = _square_and_multiply(M, n)
+        assert _triangular_power(M, n) == want
+        assert M**n == want
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        name=st.sampled_from(sorted(TRIANGULAR_FIELDS)),
+        d=st.integers(1, 4),
+        n=st.one_of(st.integers(1, 64), st.integers(2**39, 2**40 - 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_negative_powers_invert_first(self, name, d, n, seed):
+        F = TRIANGULAR_FIELDS[name]
+        rng = random.Random(seed)
+        M = _triangular(F, d, [F.rand_nonzero(rng), F.rand_nonzero(rng)], rng)
+        assert M**-n == _square_and_multiply(M, -n)
+        assert M**-n * M**n == Matrix.identity(F, d)
+
+    @pytest.mark.parametrize("name", ["F_65521", "F_4", "F_9"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_crossover_and_product_count(self, name, d, monkeypatch):
+        F = TRIANGULAR_FIELDS[name]
+        rng = random.Random(f"crossover-{name}-{d}")
+        M = _triangular(F, d, [F.rand_nonzero(rng), F.rand_nonzero(rng)], rng)
+        full = Matrix(F, [[F.rand_nonzero(rng) for _ in range(d)] for _ in range(d)])
+        products = [0]
+        matmul = Matrix.__mul__
+
+        def counted(x, y):
+            products[0] += 1
+            return matmul(x, y)
+
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        below = 2 ** (_TRIANGULAR_POWER_MIN_BITS - 1) - 1  # all ones, one bit short
+        for n in (below, below + 1, 2**_TRIANGULAR_POWER_MIN_BITS - 1, 2**40 + 12345):
+            for A in (M, full):
+                products[0] = 0
+                got = A**n
+                triangular = A is M or d == 1  # full has nonzero entries below the diagonal
+                route = triangular and n.bit_length() >= _TRIANGULAR_POWER_MIN_BITS
+                # Horner's rule on the interpolant takes d - 2 products;
+                # square-and-multiply bitlen(n) - 1 squarings and
+                # popcount(n) - 1 products by A
+                assert products[0] == (max(d - 2, 0) if route else n.bit_length() + n.bit_count() - 2)
+                assert got == _square_and_multiply(A, n)
+
+    def test_the_scan_runs_only_above_the_crossover(self, monkeypatch):
+        scanned = []
+        scan = Matrix.is_upper_triangular
+
+        def counted(self):
+            scanned.append(self)
+            return scan(self)
+
+        monkeypatch.setattr(Matrix, "is_upper_triangular", counted)
+        B = Matrix(F5, [[1, 2], [0, 3]])
+        B ** (2 ** (_TRIANGULAR_POWER_MIN_BITS - 1) - 1)
+        assert scanned == []
+        B ** (2 ** (_TRIANGULAR_POWER_MIN_BITS - 1))
+        assert scanned == [B]
+
+    def test_triangularity(self):
+        assert Matrix(F5, [[1, 2], [0, 3]]).is_upper_triangular()
+        assert not Matrix(F5, [[1, 2], [4, 3]]).is_upper_triangular()
+        F9 = field_of_size(9)  # a nonzero extension-field entry is a truthy tuple
+        assert Matrix(F9, [[F9.one, F9.gen()], [F9.zero, F9.one]]).is_upper_triangular()
+        assert not Matrix(F9, [[F9.one, F9.zero], [F9.gen(), F9.one]]).is_upper_triangular()
 
 
 class TestNullspace:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdlp.linalg as linalg
 from conftest import (
     rand_invertible,
     rand_upper_triangular,
@@ -22,6 +23,7 @@ from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
+    GroupHandle,
     HeisenbergGroup,
     LinearMapEndo,
     MatrixGroup,
@@ -491,6 +493,40 @@ class TestElementOrder:
         with pytest.raises(SdlpError, match="does not annihilate"):
             element_order(Short(PrimeField(101)), 3)
         assert element_order(Short(PrimeField(101)), 14) == (10, {2: 1, 5: 1})  # 14 = 4^5
+
+    @pytest.mark.parametrize("q, d", [(7, 3), (65521, 3), (2**16, 2), (3**10, 3)])
+    def test_borel_orders_and_logs_match_the_generic_power(self, q, d, monkeypatch):
+        # MatrixGroup.pow is Matrix.__pow__, which powers upper-triangular
+        # elements from their diagonal; powers are unique, so the orders and
+        # logs equal those of GroupHandle.pow's square-and-multiply
+        F = field_of_size(q)
+        rng = random.Random(f"borel-{q}-{d}")
+        G = MatrixGroup(F, d, [rand_upper_triangular(F, d, rng) for _ in range(2)])
+        bases = [G.rand_element(rng) for _ in range(3)]
+        exponents = [rng.randrange(1, 2**20) for _ in bases]
+
+        def orders_and_logs():
+            out = []
+            for x, t in zip(bases, exponents):
+                order = element_order(G, x)
+                out.append((order, dlog(G, x, GroupHandle.pow(G, x, t), order)))
+            return out
+
+        routed = [0]
+        power = linalg._triangular_power
+
+        def counted(M, n):
+            routed[0] += 1
+            return power(M, n)
+
+        monkeypatch.setattr(linalg, "_triangular_power", counted)
+        got = orders_and_logs()
+        assert routed[0] > 0
+        monkeypatch.setattr(MatrixGroup, "pow", GroupHandle.pow)
+        routed[0] = 0
+        assert orders_and_logs() == got and routed[0] == 0
+        for ((n, _), log), t in zip(got, exponents):
+            assert log == t % n
 
     def test_matrix_uses_tight_multiple(self):
         B = Matrix(F5, [[0, 4], [1, 4]])
