@@ -169,10 +169,9 @@ class ExtField:
     def mul_by(self, c):
         """The map a -> a * c, as the F_p-linear map it is: the e x e matrix
         whose column j is c x^j is built once, and each product is then e
-        dot products over F_p (Shoup's precomputed multiplier). A walk long
-        enough to repay a change of basis multiplies by c in c's own power
-        basis instead, where the step is a shift and a fold
-        (`linalg.PowerBasis`)."""
+        dot products over F_p (Shoup's precomputed multiplier). A BSGS walk
+        long enough to repay a change of basis steps by c in the window
+        coordinates of c's power basis instead (`oracles._window_bsgs`)."""
         p = self.p
         x = self.gen()
         cols = [c]
@@ -236,13 +235,43 @@ class ExtField:
         return [[unpack(sum(map(mul, r, c))) for c in cols] for r in rows]
 
     def inv(self, a):
-        if all(x == 0 for x in a):
+        """a^-1 by the extended Euclidean algorithm over F_p on int
+        coefficient lists (constant term first, no trailing zeros): s_i a =
+        r_i mod the modulus at every step, and the last nonzero remainder
+        is a constant."""
+        p = self.p
+        r0, r1 = list(self.modulus.coeffs), list(a)
+        while r1 and not r1[-1]:
+            r1.pop()
+        if not r1:
             raise ZeroDivisionError("inverse of zero")
-        g, s = _poly_half_ext_gcd(Poly(self.base, list(a)), self.modulus)
-        if g.degree() != 0:
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            d = len(r1) - 1
+            lead = pow(r1[-1], -1, p)
+            q = [0] * (len(r0) - d)
+            low = r1[:d]
+            for i in range(len(r0) - 1, d - 1, -1):  # r0 <- r0 mod r1; its top cancels
+                c = q[i - d] = r0[i] % p * lead % p
+                if c:
+                    for j, b in enumerate(low, i - d):
+                        r0[j] -= c * b
+            r = [x % p for x in r0[:d]]
+            while r and not r[-1]:
+                r.pop()
+            s = s0 + [0] * (len(q) + len(s1) - 1 - len(s0))
+            for i, c in enumerate(q):  # s <- s0 - q s1
+                if c:
+                    for j, b in enumerate(s1, i):
+                        s[j] -= c * b
+            s = [x % p for x in s]
+            while s and not s[-1]:
+                s.pop()
+            r0, r1, s0, s1 = r1, r, s1, s
+        if not r1:
             raise ZeroDivisionError("element not invertible (reducible modulus?)")
-        s = s.scale(self.base.inv(g.coeffs[0]))
-        return self.from_coeffs(s.coeffs)
+        c = pow(r1[0], -1, p)
+        return tuple([x * c % p for x in s1] + [0] * (self.degree - len(s1)))
 
     def from_int(self, n: int):
         digits = []

@@ -1,10 +1,10 @@
-"""Dense exact matrices over finite fields: products, inverses, powers
-(upper-triangular ones from their diagonal) and row reduction for general
-systems, and `Echelon`, the one incremental elimination. Everything that
-grows a basis vector by vector goes through it: `extract_basis`, the
-Krylov annihilator and coordinates the orbit problem and linear-map powers
-are built on (`krylov`, `annihilator`, `min_poly`) and the power basis of
-an extension-field element (`PowerBasis`).
+"""Dense exact matrices over finite fields: products, inverses and powers
+(upper-triangular ones by back substitution and from their diagonal) and
+row reduction for general systems, and `Echelon`, the one incremental
+elimination. Everything that grows a basis vector by vector goes through
+it: the Krylov annihilator and coordinates the orbit problem and
+linear-map powers are built on (`krylov`, `annihilator`, `min_poly`) and
+the power basis of an extension-field element (`PowerBasis`).
 
 Vectors are tuples of field elements; a Matrix is immutable and hashable so
 it can double as a black-box group code-word.
@@ -123,10 +123,14 @@ class Matrix:
         return _pow(self, n, operator.mul, None)  # `one` is read only at n = 0
 
     def inverse(self):
+        """self^-1: by back substitution for an upper-triangular matrix,
+        else by row reduction of [self | I]."""
         F = self.field
         n = self.nrows
         if not self.is_square():
             raise SdlpError("inverse of a non-square matrix")
+        if self.is_upper_triangular():
+            return _triangular_inverse(self)
         aug = [list(r) + [F.one if i == j else F.zero for j in range(n)] for i, r in enumerate(self.rows)]
         rows, pivots = _rref(aug, F)
         if pivots != list(range(n)):
@@ -218,6 +222,26 @@ def _triangular_power(M: Matrix, n: int) -> Matrix:
     for k in range(d - 3, -1, -1):
         P = _plus_diagonal(P * _plus_diagonal(M, F.neg(nodes[k])), c[k])
     return P
+
+
+def _triangular_inverse(M: Matrix) -> Matrix:
+    """M^-1 for an upper-triangular M, by back substitution: the inverse is
+    upper triangular, and from the bottom row up, row i has 1/m_ii on the
+    diagonal and, right of it, x_ij = -(1/m_ii) sum_{i<l<=j} m_il x_lj."""
+    F = M.field
+    n = M.nrows
+    rows = [None] * n
+    for i in range(n - 1, -1, -1):
+        m = M.rows[i]
+        if m[i] == F.zero:
+            raise SdlpError("singular matrix")
+        d = F.inv(m[i])
+        row = [F.zero] * n
+        row[i] = d
+        for j in range(i + 1, n):
+            row[j] = F.neg(F.mul(d, F.dot(m[i + 1 : j + 1], [rows[l][j] for l in range(i + 1, j + 1)])))
+        rows[i] = row
+    return Matrix(F, rows)
 
 
 def _plus_diagonal(M: Matrix, c) -> Matrix:
@@ -336,14 +360,6 @@ class Echelon:
         return None if any(a != self.field.zero for a in rest) else tuple(w)
 
 
-def extract_basis(field, vectors) -> list:
-    """A maximal linearly independent subset, preserving input order."""
-    echelon = Echelon(field)
-    for v in vectors:
-        echelon.add(v)
-    return echelon.basis
-
-
 def coordinates_in_basis(field, basis, v):
     """Coefficients c with v = sum c_i basis_i, or None if v not in span."""
     if not basis:
@@ -396,71 +412,23 @@ class PowerBasis:
     """The subfield F_p(c) of an ExtField in the basis 1, c, ..., c^(k-1),
     k = deg minpoly(c); an element is the k-tuple of its coordinates.
 
-    There, multiplying by c is multiplying by y in F_p[y]/(minpoly(c)): one
-    shift and one fold of the top coordinate by the minimal polynomial's
-    tail, where the field's own basis takes a dense e x e product. An
-    `Echelon` over F_p is fed 1, c, c^2, ... until c^k depends on the lower
-    powers: that dependency is the minimal polynomial, and the echelon is
-    the change of basis. It costs k - 1 field products and no
-    irreducibility test (minpoly(c) is irreducible). `coords` moves an
-    element in, or returns None when it lies outside F_p(c). `identity`,
-    `stepper`, `inv` and `label` mirror a unit-group handle's, so a walk
-    runs on the coordinates unchanged.
+    An `Echelon` over F_p is fed 1, c, c^2, ... until c^k depends on the
+    lower powers: that dependency is the minimal polynomial's tail `tail`,
+    c^k = sum_j tail_j c^j, and the echelon is the change of basis. It
+    costs k - 1 field products and no irreducibility test (minpoly(c) is
+    irreducible). `coords` moves an element in, or returns None when it
+    lies outside F_p(c). BSGS over F_{p^e}^* walks in the windows of the
+    linear recurrence that the tail defines (`oracles._window_bsgs`).
     """
 
     def __init__(self, fld, c):
-        self.fld = fld
-        self.p = fld.p
         self._echelon = echelon = Echelon(fld.base)
         power = fld.one
         while (w := echelon.add(power)) is None:
             power = fld.mul(power, c) if len(echelon.basis) > 1 else c
-        self._powers = echelon.basis  # c^0 .. c^(k-1) in the field's basis
-        self.degree = k = len(self._powers)
-        # c^k = sum_j w_j c^j: the fold adds top * w_j to coordinate j
-        self._tail = [(j, t) for j, t in enumerate(w) if t]
-        self.identity = (1,) + (0,) * (k - 1)
-        self.gen = self.coords(c)
+        self.degree = len(echelon.basis)
+        self.tail = w
 
     def coords(self, a):
         """The coordinates of a field element, or None outside F_p(c)."""
         return self._echelon.coords(a)
-
-    def element(self, coords):
-        """The field element with these coordinates."""
-        p = self.p
-        cols = [[x * w for x in power] for w, power in zip(coords, self._powers)]
-        return tuple(sum(col) % p for col in zip(*cols))
-
-    def times_gen(self, a):
-        """a * c: shift up, then fold the top coordinate back."""
-        p = self.p
-        b = [0, *a]
-        top = b.pop()
-        for j, t in self._tail:
-            b[j] = (b[j] + top * t) % p
-        return tuple(b)
-
-    def stepper(self, w):
-        """The map a -> a * w: the shift and fold for w = c, else the k x k
-        matrix whose column j is w c^j, built once (as `ExtField.mul_by`)."""
-        if w == self.gen:
-            return self.times_gen
-        p = self.p
-        cols = [w]
-        for _ in range(self.degree - 1):
-            cols.append(self.times_gen(cols[-1]))
-        rows = list(zip(*cols))
-        mul = operator.mul
-        return lambda a: tuple([sum(map(mul, row, a)) % p for row in rows])
-
-    def inv(self, w):
-        return self.coords(self.fld.inv(self.element(w)))
-
-    def label(self, a):
-        """The base-p integer of the coordinates (as `ExtField.to_int`)."""
-        p = self.p
-        out = 0
-        for x in reversed(a):
-            out = out * p + x
-        return out

@@ -6,6 +6,8 @@ the defining equation before it leaves this module.
 """
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
 
 from . import integers
@@ -24,7 +26,7 @@ from .groups import (
     rho_apply,
     rho_pow,
 )
-from .linalg import Matrix, PowerBasis, min_poly
+from .linalg import Echelon, Matrix, PowerBasis, min_poly
 
 
 @dataclass(frozen=True)
@@ -503,30 +505,31 @@ def _dlog_brute(group, base, target, bound):
 
 def _bsgs(group, base, bound, config: SolverConfig):
     """x -> the dlog of x to base below bound, or None: the baby-step table
-    is built here once, and each call takes its own giant steps.
+    of m = ceil(sqrt(bound)) steps is built here once, and each call takes
+    its own giant steps. The table keeps the smallest j per element and the
+    giant steps run i = 0, 1, ..., m in order, so the first hit i m + j is
+    the log.
 
-    The walk runs in the view `_walk_view` picks: the group itself, or for
-    a long walk over F_{p^e}^* the base's power basis, where a baby step is
-    one shift and fold. Each target is moved into the view once, and one
-    outside it has no log. The table keeps the smallest j per label, so
-    either view returns the same log."""
+    Over F_{p^e}^* a table of more than _POWER_BASIS_MIN_STEPS steps is
+    built and searched in the window coordinates of `_window_bsgs`, whose
+    steps are packed block products; elsewhere each step is one product in
+    the group. Both return the same logs."""
     m = math.isqrt(max(bound, 1) - 1) + 1
     if m > config.bsgs_mem:
         raise NotApplicableError("instance too large for the BSGS table")
-    view, into = _walk_view(group, base, m)
-    label = view.label
-    baby = view.stepper(into(base))
+    if isinstance(group, UnitGroup) and isinstance(group.fld, ExtField) and m > _POWER_BASIS_MIN_STEPS:
+        return _window_bsgs(group.fld, base, m)
+    label = group.label
+    baby = group.stepper(base)
     table = {}
-    cur = view.identity
+    cur = group.identity
     for j in range(m):
         table.setdefault(label(cur), j)
         cur = baby(cur)
-    giant = view.stepper(view.inv(cur))  # x -> x base^{-m}
+    giant = group.stepper(group.inv(cur))  # x -> x base^{-m}
 
     def find(target):
-        gamma = into(target)
-        if gamma is None:
-            return None
+        gamma = target
         for i in range(m + 1):
             j = table.get(label(gamma))
             if j is not None:
@@ -538,19 +541,122 @@ def _bsgs(group, base, bound, config: SolverConfig):
 
 
 # Fewer baby steps than this do not repay the change of basis: timed, the
-# power basis breaks even with the field's own at 30 to 40 steps for every
-# e from 2 to 10 (one table and one lookup on each side)
+# window walk breaks even with the field's own at 32 to 48 steps for every e
+# from 2 to 10 (one table and one full search on each side)
 _POWER_BASIS_MIN_STEPS = 32
+# The most recurrence terms per baby-step block and giant steps per block; a
+# table of m steps takes at most sqrt(m) of each, so that a short one pays
+# little set-up (timed in CHANGES.md)
+_BABY_BLOCK = 64
+_GIANT_BLOCK = 64
 
 
-def _walk_view(group, base, m):
-    """(view, into) for a BSGS walk of m baby steps: the group with the
-    identity map, or, over F_{p^e}^* for m > _POWER_BASIS_MIN_STEPS, base's
-    `PowerBasis` with its `coords`."""
-    if isinstance(group, UnitGroup) and isinstance(group.fld, ExtField) and m > _POWER_BASIS_MIN_STEPS:
-        basis = PowerBasis(group.fld, base)
-        return basis, basis.coords
-    return group, lambda x: x
+def _window_bsgs(fld, c, m):
+    """`_bsgs` over F_{p^e}^* for a base c and m baby steps, in window
+    coordinates (Shoup, "Efficient computation of minimal polynomials in
+    algebraic extensions of finite fields", ISSAC 1999).
+
+    Let k = deg minpoly(c), phi the coordinate 0 in c's `PowerBasis`, and
+    window(a) = (phi(a c^l))_{l<k}. This is a bijection from F_p(c) to
+    F_p^k: phi != 0 and (a, b) -> phi(ab) is nondegenerate on a field. The
+    windows of c^0, c^1, ... are the overlapping k-windows of one sequence
+    s_n = phi(c^n), which starts 1, 0, ..., 0 and follows s_{n+k} =
+    sum_j w_j s_{n+j}, w the minimal polynomial's tail.
+
+    Baby steps: s_{n+i} = sum_l r_l s_{n+l} for r the power-basis
+    coordinates of c^i, so the next terms after a window are one
+    `_PackedRows` product by the rows for c^k, c^(k+1), .... The keys are
+    k-term byte windows of the sequence.
+
+    Giant steps: with the Hankel matrices H_n = (s_{n+l+i})_{l,i}, the
+    element with power-basis coordinates u has window H_0 u, and times c^m
+    the window H_m u, so window(a c^-m) = M window(a) for M = H_0 H_m^-1:
+    row r of M is the coordinates of row r of H_0 over the rows of H_m. M,
+    M^2, ..., M^G stacked are one `_PackedRows` product, G steps at a time.
+    A target is moved in by `coords` once; one outside F_p(c) is no power
+    of c and takes no giant step.
+    """
+    basis = PowerBasis(fld, c)
+    k, p, F = basis.degree, fld.p, fld.base
+    rows = [list(basis.tail)]  # c^k, c^(k+1), ...: shift up, fold the top back
+    while len(rows) < min(_BABY_BLOCK, math.isqrt(m)):
+        top = rows[-1][-1]
+        rows.append([(a + top * t) % p for a, t in zip([0, *rows[-1][:-1]], basis.tail)])
+    baby = _PackedRows(p, rows)
+    terms = [1] + [0] * (k - 1)
+    while len(terms) < m + 2 * k - 1:
+        terms += baby(terms[-k:])
+    # a key is the k-term window as bytes, each term in the narrowest slot
+    code, size = next((code, size) for code, size in (("B", 1), ("H", 2), ("I", 4), ("Q", 8)) if p <= 1 << 8 * size)
+    width = k * size
+    buf = struct.pack(f"<{m + k - 1}{code}", *terms[: m + k - 1])
+    # reversed, so that the smallest j of a repeated key is written last
+    keys = [buf[at : at + width] for at in range((m - 1) * size, -1, -size)]
+    table = dict(zip(keys, range(m - 1, -1, -1)))
+    h0 = [terms[r : r + k] for r in range(k)]
+    hm = Echelon(F)
+    for r in range(k):
+        hm.add(terms[m + r : m + r + k])
+    powers = [[hm.coords(row) for row in h0]]  # the rows of M
+    times_m = _PackedRows(p, list(zip(*powers[0])))  # row -> row M
+    G = min(_GIANT_BLOCK, math.isqrt(m))
+    while len(powers) < G:
+        powers.append([times_m(row) for row in powers[-1]])
+    jump = _PackedRows(p, [row for power in powers for row in power])
+    pack = struct.Struct(f"<{G * k}{code}").pack
+    cuts = [slice(at, at + width) for at in range(0, G * width, width)]
+
+    def find(target):
+        u = basis.coords(target)
+        if u is None:
+            return None
+        window = [F.dot(row, u) for row in h0]
+        j = table.get(struct.pack(f"<{k}{code}", *window))
+        if j is not None:
+            return j
+        for i in range(0, m, G):  # the windows of target c^(-m (i + g)), g = 1 .. G
+            block = jump(window)
+            keys = list(map(pack(*block).__getitem__, cuts[: m - i]))
+            if not table.keys().isdisjoint(keys):
+                for g, j in enumerate(map(table.get, keys), i + 1):
+                    if j is not None:
+                        return g * m + j
+            window = block[-k:]
+        return None
+
+    return find
+
+
+class _PackedRows:
+    """v -> [dot(row, v) mod p for row in rows] for a fixed matrix over F_p,
+    as one packed product (Kronecker substitution).
+
+    Column l is one int whose slot i holds rows[i][l], so sum_l v_l col_l
+    holds row i's dot product in slot i. A dot product of k terms below p
+    is at most k (p - 1)^2, so the slots are 64 bits wide, read back by
+    one `struct` unpack, while that fits, and otherwise just wide enough
+    for it, read back by `int.from_bytes`."""
+
+    def __init__(self, p, rows):
+        self.p = p
+        size = max(8, -(-(len(rows[0]) * (p - 1) ** 2).bit_length() // 8))
+        self._size = size
+        self._nbytes = size * len(rows)
+        if size == 8:
+            fmt = struct.Struct(f"<{len(rows)}Q")
+            self._cols = [int.from_bytes(fmt.pack(*col), "little") for col in zip(*rows)]
+            self._unpack = fmt.unpack
+        else:
+            self._cols = [int.from_bytes(b"".join(x.to_bytes(size, "little") for x in col), "little") for col in zip(*rows)]
+            self._unpack = None
+
+    def __call__(self, v):
+        raw = sum(map(operator.mul, v, self._cols)).to_bytes(self._nbytes, "little")
+        p = self.p
+        if self._unpack is not None:
+            return [x % p for x in self._unpack(raw)]
+        size = self._size
+        return [int.from_bytes(raw[at : at + size], "little") % p for at in range(0, len(raw), size)]
 
 
 def _prime_order_log(group, base, p, config: SolverConfig):

@@ -22,7 +22,7 @@ from sdlp.groups import (
     mulclose,
     rho_pow,
 )
-from sdlp.linalg import Matrix, nullspace
+from sdlp.linalg import Echelon, Matrix, _rref, nullspace
 from sdlp.oracles import ensure_endo_order
 
 
@@ -33,6 +33,24 @@ def eval_poly_at_matrix(poly, B):
     for c in reversed(poly.coeffs):
         out = out * B + Matrix.identity(F, B.nrows).scale(c)
     return out
+
+
+def extract_basis(field, vectors) -> list:
+    """Reference maximal linearly independent subset, preserving input
+    order: the inputs an `Echelon` accepts."""
+    echelon = Echelon(field)
+    for v in vectors:
+        echelon.add(v)
+    return echelon.basis
+
+
+def rref_inverse(M):
+    """Reference `Matrix.inverse`: row reduction of [M | I], for every
+    square M; None when M is singular."""
+    F, n = M.field, M.nrows
+    aug = [list(r) + [F.one if i == j else F.zero for j in range(n)] for i, r in enumerate(M.rows)]
+    rows, pivots = _rref(aug, F)
+    return Matrix(F, [r[n:] for r in rows]) if pivots == list(range(n)) else None
 
 
 def fold_dot(fld, a, b):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import eval_poly_at_matrix, fold_dot, rand_invertible
+import sdlp.linalg as linalg
+from conftest import eval_poly_at_matrix, extract_basis, fold_dot, rand_invertible, rand_upper_triangular, rref_inverse
 from sdlp.errors import SdlpError
 from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
 from sdlp.integers import _pow
@@ -16,7 +17,6 @@ from sdlp.linalg import (
     _triangular_power,
     annihilator,
     coordinates_in_basis,
-    extract_basis,
     min_poly,
     nullspace,
     solve_linear,
@@ -87,9 +87,10 @@ def _triangular(F, d, pool, rng):
 
 
 def _square_and_multiply(M, n):
-    """The reference power: M^n by the generic loop, M^-1 first for n < 0."""
+    """The reference power: M^n by the generic loop, M^-1 (by row
+    reduction) first for n < 0."""
     if n < 0:
-        M, n = M.inverse(), -n
+        M, n = rref_inverse(M), -n
     return _pow(M, n, operator.mul, Matrix.identity(M.field, M.nrows))
 
 
@@ -179,6 +180,46 @@ class TestTriangularPower:
         F9 = field_of_size(9)  # a nonzero extension-field entry is a truthy tuple
         assert Matrix(F9, [[F9.one, F9.gen()], [F9.zero, F9.one]]).is_upper_triangular()
         assert not Matrix(F9, [[F9.one, F9.zero], [F9.gen(), F9.one]]).is_upper_triangular()
+
+
+class TestTriangularInverse:
+    """Upper-triangular inverses by back substitution against row reduction
+    of [M | I], over prime, extension and binary fields. A pool with zero
+    makes some diagonals singular."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        name=st.sampled_from(sorted(TRIANGULAR_FIELDS)),
+        d=st.integers(1, 5),
+        zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_row_reduction(self, name, d, zero, seed):
+        F = TRIANGULAR_FIELDS[name]
+        rng = random.Random(seed)
+        pool = [F.zero if zero else F.rand_nonzero(rng), F.rand_nonzero(rng)]
+        M = _triangular(F, d, pool, rng)
+        want = rref_inverse(M)
+        if want is None:
+            with pytest.raises(SdlpError, match="singular matrix"):
+                M.inverse()
+        else:
+            assert M.inverse() == want
+            assert M * want == Matrix.identity(F, d)
+
+    @pytest.mark.parametrize("name", ["F_65521", "F_9", "F_65536"])
+    def test_lower_triangular_and_full_matrices_row_reduce(self, name, monkeypatch):
+        F = TRIANGULAR_FIELDS[name]
+        rng = random.Random(f"inverse-{name}")
+        calls = []
+        monkeypatch.setattr(linalg, "_triangular_inverse", lambda M: calls.append(M))
+        U = rand_upper_triangular(F, 3, rng)
+        for A in (U.transpose(), rand_invertible(F, 3, rng)):
+            if not A.is_upper_triangular():
+                assert A.inverse() == rref_inverse(A)
+        assert calls == []
+        U.inverse()
+        assert calls == [U]
 
 
 class TestNullspace:

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import pickle
 import random
@@ -33,10 +34,12 @@ from sdlp.groups import (
 )
 from sdlp.linalg import Matrix, PowerBasis
 from sdlp.oracles import (
+    _GIANT_BLOCK,
     _POWER_BASIS_MIN_STEPS,
     OrbitShape,
     PolyUnitGroup,
     UnitGroup,
+    _PackedRows,
     _bsgs,
     _endo_order_by_walk,
     dlog,
@@ -277,9 +280,24 @@ class TestPowerBasisWalk:
         F = field_of_size(p**e)
         base = _element_of_order(F, l, random.Random(0))
         find = _bsgs(UnitGroup(F), base, l, SolverConfig())
-        labels = []
-        monkeypatch.setattr(PowerBasis, "label", lambda self, a: labels.append(a))
-        assert find(F.gen()) is None and labels == []
+        blocks = []
+        monkeypatch.setattr(_PackedRows, "__call__", lambda self, v: blocks.append(v))
+        assert find(F.gen()) is None and blocks == []
+
+    def test_windows_are_injective_on_the_subfield(self):
+        # every power of a generator of F_{7^4}^* gets its own log, so no
+        # two elements share a window
+        F = field_of_size(7**4)
+        U = UnitGroup(F)
+        n = 7**4 - 1
+        c = _element_of_order(F, n, random.Random(4))
+        assert math.isqrt(n - 1) + 1 > _POWER_BASIS_MIN_STEPS
+        find = _bsgs(U, c, n, SolverConfig())
+        powers, cur = [], F.one
+        for _ in range(n):
+            powers.append(cur)
+            cur = F.mul(cur, c)
+        assert [find(a) for a in powers] == list(range(n))
 
     @staticmethod
     def _count_dense_products(monkeypatch):
@@ -347,6 +365,104 @@ class TestPowerBasisWalk:
         monkeypatch.setattr(ExtField, "mul_by", forbidden)
         with pytest.raises(NotApplicableError, match="too large"):
             _bsgs(UnitGroup(F), base, l, SolverConfig(bsgs_mem=_POWER_BASIS_MIN_STEPS))
+
+
+def _bsgs_reference(t, n, m):
+    """What BSGS with m baby steps answers for c^t, c of order n: the first
+    i <= m for which c^(t - i m) is some c^j with j < m, and then the
+    smallest such j; None when no i hits."""
+    for i in range(m + 1):
+        j = (t - i * m) % n
+        if j < m:
+            return i * m + j
+    return None
+
+
+# F_{p^2} for a p above 2^32 with p = 3 mod 4, so x^2 + 1 is its modulus; a
+# window dot product k (p - 1)^2 overflows a 64-bit slot even at k = 1.
+# p - 1 has the prime factor 74197 and p + 1 the prime factor 46567.
+WIDE_P = 4294967543
+
+
+def _window_cases():
+    """name -> (field, base, order of base, bounds): dense bases, subfield
+    bases with k = 1, 2, 3, a base of small order whose table repeats keys,
+    and bases past the 64-bit slot bound. A bound below the order lets the
+    last giant step i = m hit."""
+    rng = random.Random("window-cases")
+    F41 = field_of_size(41**3)
+    wide = field_of_size(WIDE_P**2)
+    cases = {
+        "41^3-primitive": (F41, 41**3 - 1, [41**3 - 1, 40000]),
+        "41^3-small-order": (F41, 1723, [1 << 22]),
+        "2063^1-in-2063^3": (field_of_size(2063**3), 1031, [1031]),
+        "2137^2-in-2137^4": (field_of_size(2137**4), 1069, [1069, 1100]),
+        "41^3-in-41^6": (field_of_size(41**6), 1723, [1723]),
+        "wide-k1": (wide, 74197, [74197, 50000]),
+        "wide-k2": (wide, 46567, [46567]),
+    }
+    return {name: (F, _element_of_order(F, n, rng), n, bounds) for name, (F, n, bounds) in cases.items()}
+
+
+WINDOW_CASES = _window_cases()
+
+
+@functools.cache
+def _finder(name, bound):
+    """One BSGS table per case and bound, shared by the drawn examples."""
+    F, base, _, _ = WINDOW_CASES[name]
+    return _bsgs(UnitGroup(F), base, bound, SolverConfig())
+
+
+class TestWindowWalk:
+    """The window walk against the reference answer: hits at i = 0, at the
+    giant-block edges G and G + 1 and at i = m, and targets that are not
+    powers of the base."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_logs_match_the_reference(self, data):
+        name = data.draw(st.sampled_from(sorted(WINDOW_CASES)))
+        F, base, n, bounds = WINDOW_CASES[name]
+        bound = data.draw(st.sampled_from(bounds))
+        m = math.isqrt(bound - 1) + 1
+        assert m > _POWER_BASIS_MIN_STEPS
+        G = min(_GIANT_BLOCK, math.isqrt(m))  # as `_window_bsgs` blocks its giant steps
+        i = data.draw(st.sampled_from(sorted({0, 1, G - 1, G, G + 1, 2 * G, 2 * G + 1, m - 1, m})) | st.integers(0, m))
+        j = data.draw(st.sampled_from([0, 1, m - 1]) | st.integers(0, m - 1))
+        t = (i * m + j) % n
+        U = UnitGroup(F)
+        find = _finder(name, bound)
+        assert find(U.pow(base, t)) == _bsgs_reference(t, n, m)
+        other = F.from_int(data.draw(st.integers(1, F.size - 1)))
+        if U.pow(other, n) != F.one:  # outside the one subgroup of order n
+            assert find(other) is None
+
+    def test_hits_at_the_block_edges_and_at_the_last_giant_step(self):
+        F, base, n, _ = WINDOW_CASES["41^3-primitive"]
+        U = UnitGroup(F)
+        bound = 40000
+        m = math.isqrt(bound - 1) + 1
+        G = min(_GIANT_BLOCK, math.isqrt(m))  # as `_window_bsgs` blocks its giant steps
+        assert G > 2
+        find = _finder("41^3-primitive", bound)
+        for i in (0, G, G + 1, m):
+            for j in (0, m - 1):
+                assert find(U.pow(base, i * m + j)) == i * m + j
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        p=st.sampled_from([2, 257, 65537, 2**31 - 1, WIDE_P, 2**61 - 1]),
+        r=st.integers(1, 70),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_packed_rows_match_plain_dot_products(self, p, r, k, seed):
+        rng = random.Random(seed)
+        top = rng.choice([p - 1, rng.randrange(p)])
+        rows = [[rng.choice([0, top, rng.randrange(p)]) for _ in range(k)] for _ in range(r)]
+        v = [rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(k)]
+        assert _PackedRows(p, rows)(v) == [sum(a * b for a, b in zip(row, v)) % p for row in rows]
 
 
 # (65537, 3) takes its modulus directly: field_of_size would scan 65541
