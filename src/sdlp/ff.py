@@ -68,6 +68,10 @@ class PrimeField:
         p, mul = self.p, operator.mul
         return [[sum(map(mul, r, c)) % p for c in cols] for r in rows]
 
+    def ring(self, f):
+        """F_p[x]/(f) for a monic f of degree >= 1."""
+        return _PrimeRing(self, f)
+
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -234,6 +238,13 @@ class ExtField:
         cols = [[pack(a) for a in c] for c in cols]
         return [[unpack(sum(map(mul, r, c))) for c in cols] for r in rows]
 
+    def ring(self, f):
+        """F_{p^e}[x]/(f) for a monic f of degree n >= 1: packed when slots
+        hold a sum of 2n - 1 products (n from the product, n - 1 from the
+        folds), on int coefficient lists otherwise."""
+        s = self.slots(2 * f.degree() - 1)
+        return _ExtRing(self, f) if s is None else _PackedRing(self, f, s)
+
     def inv(self, a):
         """a^-1 by the extended Euclidean algorithm over F_p on int
         coefficient lists (constant term first, no trailing zeros): s_i a =
@@ -384,8 +395,13 @@ def _slot_widths(p, e, tail):
 class BinaryField:
     """F_{2^k} with elements as int bitmasks (bit i = coefficient of x^i).
 
-    Same interface as ExtField but with carryless multiplication, which is
-    what makes desk-scale q = 2^16 matrix work tolerable.
+    Same interface as ExtField, with carry-less scalar products. Polynomial
+    work over the field (the orbit problems' rings F_{2^k}[x]/(f), x^q mod
+    f) runs on the ring kernel `_BinaryRing`, which multiplies two whole
+    polynomials as one int product; that is what makes q = 2^16 matrix
+    work cheap. Log/antilog tables would speed up scalar products too, but
+    building them for F_{2^16} takes 26-41 ms, and set-up builds such fields
+    and takes element orders in them, so they were not taken.
     """
 
     def __init__(self, k: int, modulus_int: int | None = None):
@@ -452,6 +468,10 @@ class BinaryField:
         """The table [[dot(r, c) for c in cols] for r in rows]."""
         dot = self.dot
         return [[dot(r, c) for c in cols] for r in rows]
+
+    def ring(self, f):
+        """F_{2^k}[x]/(f) for a monic f of degree >= 1, carry-less."""
+        return _BinaryRing(self, f)
 
     def inv(self, a):
         if a == 0:
@@ -630,11 +650,12 @@ class Poly:
                         out[j] += a * b
             p = F.p
             return Poly(F, [c % p for c in out])
-        for i, a in enumerate(self.coeffs):
-            if a == F.zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
+        # other fields: each coefficient is one field dot product, reduced once
+        a, b, dot = self.coeffs, other.coeffs[::-1], F.dot
+        la, lb = len(a), len(b)
+        for k in range(len(out)):
+            lo, hi = max(0, k - lb + 1), min(k + 1, la)
+            out[k] = dot(a[lo:hi], b[lb - 1 - k + lo : lb - 1 - k + hi])
         return Poly(F, out)
 
     def scale(self, c):
@@ -666,15 +687,17 @@ class Poly:
                     for j, b in enumerate(low, i - db):
                         rem[j] -= q * b
             return Poly(F, quot), Poly(F, [c % p for c in rem[:db]])
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == F.zero:
-                continue
-            q = F.mul(c, inv_lead)
-            quot[i - db] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i - db + j] = F.sub(rem[i - db + j], F.mul(q, b))
-        return Poly(F, quot), Poly(F, rem)
+        # other fields: each quotient coefficient (from the top) and each
+        # remainder coefficient is one field dot product, reduced once
+        rb, dot, n = other.coeffs[::-1], F.dot, len(quot)
+        for i in range(n - 1, -1, -1):
+            m = min(db, n - 1 - i)
+            quot[i] = F.mul(F.sub(rem[i + db], dot(quot[i + 1 : i + 1 + m], rb[1 : m + 1])), inv_lead)
+        low = []
+        for k in range(min(db, len(rem))):
+            h = min(k + 1, n)
+            low.append(F.sub(rem[k], dot(quot[:h], rb[db - k : db - k + h])))
+        return Poly(F, quot), Poly(F, low)
 
     def mod(self, other):
         return self.divmod(other)[1]
@@ -686,8 +709,15 @@ class Poly:
         return a.monic() if not a.is_zero() else a
 
     def pow_mod(self, n: int, modulus: "Poly"):
-        one = Poly(self.field, [self.field.one])
-        return _pow(self.mod(modulus), n, lambda a, b: (a * b).mod(modulus), one)
+        """self^n mod modulus for n >= 0: the n-th power in the ring
+        F[x]/(modulus), which is {0} when the modulus is a nonzero constant."""
+        F = self.field
+        if modulus.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if modulus.degree() == 0:
+            return Poly(F, [])
+        ring = F.ring(modulus.monic())
+        return Poly(F, list(ring.pow(ring.element(self.coeffs), n)))
 
     def derivative(self):
         F = self.field
@@ -716,6 +746,266 @@ class Poly:
             else:
                 terms.append(f"{c}*x^{i}" if c != self.field.one else f"x^{i}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+class PolyRing:
+    """The ring F[x]/(f) for a monic f of degree n >= 1, with elements as
+    tuples of n coefficients, constant term first.
+
+    This is the one product of polynomials mod f: each field kind has its
+    kernel, which `fld.ring(f)` picks, and `Poly.pow_mod`, the factoring
+    routines and `oracles.PolyUnitGroup` all run on it. A kernel keeps
+    elements in its own working form between products (`_lift`, `_drop`),
+    so a power converts once.
+    """
+
+    def __init__(self, fld, f):
+        self.fld = fld
+        self.modulus = f
+        self.degree = f.degree()
+
+    def element(self, coeffs):
+        """The class of sum_i coeffs[i] x^i."""
+        if len(coeffs) > self.degree:
+            coeffs = Poly(self.fld, list(coeffs)).mod(self.modulus).coeffs
+        return tuple(coeffs) + (self.fld.zero,) * (self.degree - len(coeffs))
+
+    def mul(self, x, y):
+        a = self._lift(x)
+        return self._drop(self._mul(a, a if x is y else self._lift(y)))
+
+    def pow(self, x, n: int):
+        """x^n for n >= 0, by the package's one square-and-multiply."""
+        if n == 0:
+            return self.element([self.fld.one])
+        return self._drop(_pow(self._lift(x), n, self._mul, None))
+
+    def _lift(self, x):
+        return x
+
+    _drop = _lift
+
+
+class _PrimeRing(PolyRing):
+    """F_p[x]/(f): the int products are summed unreduced, each top
+    coefficient is reduced once as it is folded by the tail of f, and the
+    n survivors once at the end."""
+
+    def __init__(self, fld, f):
+        super().__init__(fld, f)
+        # x^n = sum_k t_k x^k mod f: the nonzero (k, t_k)
+        self._tail = [(k, -c % fld.p) for k, c in enumerate(f.coeffs[:-1]) if c]
+
+    def _mul(self, x, y):
+        p = self.fld.p
+        e = self.degree
+        xs = [(i, a) for i, a in enumerate(x) if a]
+        raw = [0] * (2 * e - 1)
+        if x is y:  # squaring: each cross product once, doubled
+            for s, (i, a) in enumerate(xs):
+                raw[2 * i] += a * a
+                a += a
+                for k, b in xs[s + 1 :]:
+                    raw[i + k] += a * b
+        else:
+            ys = [(k, b) for k, b in enumerate(y) if b]
+            for i, a in xs:
+                for k, b in ys:
+                    raw[i + k] += a * b
+        for i in range(2 * e - 2, e - 1, -1):
+            c = raw[i] % p
+            if c:
+                for k, t in self._tail:
+                    raw[i - e + k] += c * t
+        return tuple([c % p for c in raw[:e]])
+
+
+class _PackedRing(PolyRing):
+    """F_{p^e}[x]/(f) on packed coefficients (`Slots`): the products and
+    the folds by the tail of f are summed unreduced, and a coefficient is
+    unpacked only when it is folded or leaves a product. The slots hold
+    the 2n - 1 products that meet in one coefficient."""
+
+    def __init__(self, fld, f, slots):
+        super().__init__(fld, f)
+        self._pack, self._unpack = slots.pack, slots.unpack
+        self._tail = [(k, slots.pack(fld.neg(c))) for k, c in enumerate(f.coeffs[:-1]) if c != fld.zero]
+
+    def _lift(self, x):
+        return tuple(map(self._pack, x))
+
+    def _drop(self, x):
+        return tuple(map(self._unpack, x))
+
+    def _mul(self, x, y):
+        pack, unpack = self._pack, self._unpack
+        e = self.degree
+        xs = [(i, a) for i, a in enumerate(x) if a]
+        raw = [0] * (2 * e - 1)
+        if x is y:  # squaring: each cross product once, doubled
+            for s, (i, a) in enumerate(xs):
+                raw[2 * i] += a * a
+                for k, b in xs[s + 1 :]:
+                    raw[i + k] += 2 * a * b
+        else:
+            ys = [(k, b) for k, b in enumerate(y) if b]
+            for i, a in xs:
+                for k, b in ys:
+                    raw[i + k] += a * b
+        for i in range(2 * e - 2, e - 1, -1):
+            if raw[i]:
+                c = pack(unpack(raw[i]))
+                if c:
+                    for k, t in self._tail:
+                        raw[i - e + k] += c * t
+        return tuple([pack(unpack(c)) for c in raw[:e]])
+
+
+class _ExtRing(PolyRing):
+    """F_{p^e}[x]/(f) for fields whose slots cannot hold a product: each
+    coefficient's products are convolved into one int list, each top list
+    is reduced once as it is folded by the tail of f, and the n survivors
+    once at the end, as `ExtField.dot` does for one sum."""
+
+    def __init__(self, fld, f):
+        super().__init__(fld, f)
+        self._tail = [(k, fld.neg(c)) for k, c in enumerate(f.coeffs[:-1]) if c != fld.zero]
+
+    def _mul(self, x, y):
+        F = self.fld
+        e = self.degree
+        raw = [[0] * (2 * F.degree - 1) for _ in range(2 * e - 1)]
+        ys = [(k, b) for k, b in enumerate(y) if any(b)]
+        for i, a in enumerate(x):
+            for k, b in ys:
+                _convolve(raw[i + k], a, b)
+        for i in range(2 * e - 2, e - 1, -1):
+            c = F._reduce(raw[i])
+            if any(c):
+                for k, t in self._tail:
+                    _convolve(raw[i - e + k], c, t)
+        return tuple([F._reduce(r) for r in raw[:e]])
+
+
+def _convolve(out, u, v):
+    """out[i + j] += u[i] v[j] for every pair, on ints."""
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v, i):
+                out[j] += a * b
+
+
+class _BinaryRing(PolyRing):
+    """F_{2^k}[x]/(f) with a whole polynomial in one int (Kronecker
+    substitution), one bit per cell.
+
+    An element's n coefficients sit in slots of w = 2k - 1 bits, constant
+    term lowest; every bit gets a cell of `cell` bytes holding 0 or 1. An
+    int product of two such ints sums, in each cell, the pairs of bits that
+    meet there, and the low bit of that sum is the carry-less (XOR) sum, so
+    one int product and one mask give the product in F_2[y][x] with each
+    slot a product of degree at most 2k - 2 < w. The top n - 1 slots are
+    reduced mod the field modulus m and folded by the precomputed x^j mod f,
+    j = n .. 2n - 2, and then every slot is reduced mod m at once by
+    carry-less Barrett: q = ((v >> k) mu) >> k with mu = y^2k // m is the
+    exact quotient for deg v < 2k, and v mod m = the low k bits of
+    v + q (m - y^k).
+
+    No cell may carry into the next. Where two operands meet, a cell sums
+    at most as many pairs as the sparser operand has set bits: n k for the
+    product, k + 1 against mu, k against m - y^k or a folded coefficient.
+    Sums add up only where the top of the product meets its quotient times
+    m - y^k (n k + k), and where the n - 1 folds meet the low slots and then
+    their quotient ((n - 1) k + 1 + k), so cells of b bytes serve while
+    (n + 1) k < 256^b. Operands with every bit set put n k pairs in the
+    middle cell of the product.
+    """
+
+    def __init__(self, fld, f):
+        super().__init__(fld, f)
+        k, n = fld.degree, self.degree
+        w = 2 * k - 1
+        cell = 1
+        while (n + 1) * k >= 1 << 8 * cell:
+            cell *= 2
+        self._k, self._w, self._cell = k, w, cell
+        self._kmask = (1 << k) - 1
+        self._kshift = 8 * cell * k
+        self._top_shift = 8 * cell * w * n
+        self._slot_bytes = cell * w
+        one = b"\x01" + b"\x00" * (cell - 1)
+        zero = b"\x00" * cell
+
+        def repeat(slot):  # a mask with this slot pattern in each of n slots
+            return int.from_bytes(slot * n, "little")
+
+        self._ones = repeat(one * w)
+        self._low = repeat(one * k + zero * (w - k))
+        self._high = repeat(one * (k - 1) + zero * (w - k + 1))
+        m = fld.modulus_int
+        self._mu = self._spread(_clmul_quotient(1 << 2 * k, m), k + 1)
+        self._m_low = self._spread(m ^ 1 << k, k)
+        # x^(n+j) mod f for j < n - 1: x times the previous, folded by x^n
+        first = self._lift(tuple(fld.neg(c) for c in f.coeffs[:-1]))
+        self._folds = [first]
+        for _ in range(n - 2):
+            v = self._folds[-1] << 8 * self._slot_bytes
+            self._folds.append(self._reduce((v & self._ones) + (v >> self._top_shift) * first))
+
+    def _spread(self, v, bits):
+        """The cells of the low `bits` bits of v."""
+        s = format(v, f"0{bits}b").encode().translate(_BITS_TO_CELLS)
+        if self._cell > 1:
+            out = bytearray(self._cell * len(s))
+            out[self._cell - 1 :: self._cell] = s
+            s = out
+        return int.from_bytes(s, "big")
+
+    def _lift(self, x):
+        w = self._w
+        v = 0
+        for c in reversed(x):
+            v = v << w | c
+        return self._spread(v, w * self.degree)
+
+    def _drop(self, v):
+        s = v.to_bytes(self._cell * self._w * self.degree, "big")
+        if self._cell > 1:
+            s = s[self._cell - 1 :: self._cell]
+        v = int(s.translate(_CELLS_TO_BITS), 2)
+        w, kmask = self._w, self._kmask
+        return tuple([v >> i * w & kmask for i in range(self.degree)])
+
+    def _reduce(self, v):
+        """Every slot of v mod m, for slots of degree < 2k."""
+        s, high = self._kshift, self._high
+        q = (((v >> s) & high) * self._mu >> s) & high
+        return (v + q * self._m_low) & self._low
+
+    def _mul(self, x, y):
+        z = x * y
+        top = z >> self._top_shift
+        z &= self._ones
+        if top:
+            top = self._reduce(top).to_bytes(self._slot_bytes * (self.degree - 1), "little")
+            step, size = self._slot_bytes, self._cell * self._k
+            coeffs = [int.from_bytes(top[i : i + size], "little") for i in range(0, len(top), step)]
+            z += sum(map(operator.mul, coeffs, self._folds))
+        return self._reduce(z)
+
+
+_BITS_TO_CELLS = bytes.maketrans(b"01", b"\x00\x01")
+_CELLS_TO_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _clmul_quotient(a: int, b: int) -> int:
+    """The carry-less quotient a // b of bit polynomials."""
+    q = 0
+    while a.bit_length() >= b.bit_length():
+        s = a.bit_length() - b.bit_length()
+        q |= 1 << s
+        a ^= b << s
+    return q
 
 
 def _poly_half_ext_gcd(a: Poly, b: Poly):
@@ -826,11 +1116,12 @@ def _equal_degree_split(f: Poly, d: int, rng: random.Random):
             b = a.pow_mod((q**d - 1) // 2, f) - Poly(F, [F.one])
         else:
             # char 2: use the trace map sum a^(2^i)
-            b = Poly(F, [])
-            t = a.mod(f)
-            for _ in range(d * _log2_exact(q)):
-                b = (b + t).mod(f)
-                t = (t * t).mod(f)
+            ring = F.ring(f)
+            t = b = ring.element(a.coeffs)
+            for _ in range(d * _log2_exact(q) - 1):
+                t = ring.mul(t, t)
+                b = tuple(map(F.add, b, t))
+            b = Poly(F, list(b))
         g = b.gcd(f)
         if 0 < g.degree() < n:
             break

@@ -701,10 +701,8 @@ class LinearMapEndo(Endo):
 def _x_power_mod(f: Poly, t: int) -> tuple:
     """x^t mod a monic f, as deg f coefficients: the t-th power of the class
     of x in the ring F[x]/(f)."""
-    from .oracles import PolyUnitGroup  # oracles imports this module
-
     F = f.field
-    ring = PolyUnitGroup(F, f)
+    ring = F.ring(f)
     return ring.pow(ring.element([F.zero, F.one]), t)
 
 
@@ -1032,17 +1030,6 @@ def rho_pow(g, sigma: Endo, t: int):
     if t == 0:
         return sigma.group.identity
     return semidirect_power(g, sigma, t)[0]
-
-
-def rho_pow_naive(g, sigma: Endo, t: int):
-    """Reference left-to-right product; linear in t."""
-    grp = sigma.group
-    out = grp.identity
-    cur = g
-    for _ in range(t):
-        out = grp.mul(out, cur)
-        cur = sigma.apply(cur)
-    return out
 
 
 def rho_apply(g, sigma: Endo, x):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import integers
 from .config import SolverConfig
 from .errors import NotApplicableError, SdlpError
-from .ff import ExtField, Poly, PrimeField, _poly_half_ext_gcd, factor_degrees
+from .ff import ExtField, Poly, _poly_half_ext_gcd, factor_degrees
 from .groups import (
     ConjugationEndo,
     Endo,
@@ -86,7 +86,8 @@ class UnitGroup(GroupHandle):
 class PolyUnitGroup(GroupHandle):
     """Unit group of the ring F[x]/(f) for a monic f, as a labeled handle
     for the order and dlog oracles. Elements are coefficient tuples of
-    length deg f, constant term first."""
+    length deg f, constant term first; products and powers run on the
+    field's ring kernel (`ff.PolyRing`)."""
 
     name = "poly-units"
 
@@ -95,111 +96,21 @@ class PolyUnitGroup(GroupHandle):
             raise SdlpError("modulus must be monic of degree >= 1")
         self.fld = fld
         self.modulus = modulus
-        self.degree = modulus.degree()
-        # x^deg f = sum_k t_k x^k mod f; reducing adds multiples of the
-        # nonzero (k, t_k) and needs no field inversion
-        self._tail = [(k, fld.neg(c)) for k, c in enumerate(modulus.coeffs[:-1]) if c != fld.zero]
-        # a product mod f sums at most 2 deg f - 1 field products into any
-        # coefficient: deg f from the product, deg f - 1 from the folds
-        self._slots = fld.slots(2 * self.degree - 1) if isinstance(fld, ExtField) else None
-        if self._slots is not None:
-            self._packed_tail = [(k, self._slots.pack(t)) for k, t in self._tail]
+        self.ring = fld.ring(modulus)
 
     def element(self, coeffs):
         """The class of sum_i coeffs[i] x^i."""
-        raw = list(coeffs) + [self.fld.zero] * (self.degree - len(coeffs))
-        return self._reduce(raw)
+        return self.ring.element(coeffs)
 
     @property
     def identity(self):
         return self.element([self.fld.one])
 
     def mul(self, x, y):
-        if self._slots is not None:
-            return self._packed_mul(x, y)
-        if isinstance(self.fld, PrimeField):
-            return self._prime_mul(x, y)
-        F = self.fld
-        add, mul, zero = F.add, F.mul, F.zero
-        xs = [(i, a) for i, a in enumerate(x) if a != zero]
-        raw = [zero] * (2 * self.degree - 1)
-        if x is y:  # squaring: each cross product once, doubled
-            for s, (i, a) in enumerate(xs):
-                raw[2 * i] = add(raw[2 * i], mul(a, a))
-                for k, b in xs[s + 1 :]:
-                    ab = mul(a, b)
-                    raw[i + k] = add(raw[i + k], add(ab, ab))
-        else:
-            ys = [(k, b) for k, b in enumerate(y) if b != zero]
-            for i, a in xs:
-                for k, b in ys:
-                    raw[i + k] = add(raw[i + k], mul(a, b))
-        return self._reduce(raw)
+        return self.ring.mul(x, y)
 
-    def _prime_mul(self, x, y):
-        """`mul` over a prime field: the int products are summed unreduced,
-        each top coefficient is reduced once as it is folded by the tail of
-        f, and the deg f survivors once at the end."""
-        p = self.fld.p
-        e = self.degree
-        xs = [(i, a) for i, a in enumerate(x) if a]
-        raw = [0] * (2 * e - 1)
-        if x is y:  # squaring: each cross product once, doubled
-            for s, (i, a) in enumerate(xs):
-                raw[2 * i] += a * a
-                a += a
-                for k, b in xs[s + 1 :]:
-                    raw[i + k] += a * b
-        else:
-            ys = [(k, b) for k, b in enumerate(y) if b]
-            for i, a in xs:
-                for k, b in ys:
-                    raw[i + k] += a * b
-        for i in range(2 * e - 2, e - 1, -1):
-            c = raw[i] % p
-            if c:
-                for k, t in self._tail:
-                    raw[i - e + k] += c * t
-        return tuple([c % p for c in raw[:e]])
-
-    def _packed_mul(self, x, y):
-        """`mul` on packed coefficients: each is packed once, the products
-        and the folds by the tail of f are summed unreduced, and a
-        coefficient is unpacked only when it is folded or returned."""
-        pack, unpack = self._slots.pack, self._slots.unpack
-        zero = self.fld.zero
-        e = self.degree
-        xs = [(i, pack(a)) for i, a in enumerate(x) if a != zero]
-        raw = [0] * (2 * e - 1)
-        if x is y:  # squaring: each cross product once, doubled
-            for s, (i, a) in enumerate(xs):
-                raw[2 * i] += a * a
-                for k, b in xs[s + 1 :]:
-                    raw[i + k] += 2 * a * b
-        else:
-            ys = [(k, pack(b)) for k, b in enumerate(y) if b != zero]
-            for i, a in xs:
-                for k, b in ys:
-                    raw[i + k] += a * b
-        for i in range(2 * e - 2, e - 1, -1):
-            if raw[i]:
-                c = unpack(raw[i])
-                if c != zero:
-                    c = pack(c)
-                    for k, t in self._packed_tail:
-                        raw[i - e + k] += c * t
-        return tuple([unpack(c) for c in raw[:e]])
-
-    def _reduce(self, raw):
-        F = self.fld
-        add, mul, zero = F.add, F.mul, F.zero
-        e = self.degree
-        for i in range(len(raw) - 1, e - 1, -1):
-            c = raw[i]
-            if c != zero:
-                for k, t in self._tail:
-                    raw[i - e + k] = add(raw[i - e + k], mul(c, t))
-        return tuple(raw[:e])
+    def pow(self, x, n: int):
+        return self.ring.pow(x, n) if n >= 0 else GroupHandle.pow(self, x, n)
 
     def inv(self, x):
         F = self.fld

@@ -26,6 +26,18 @@ from sdlp.linalg import Echelon, Matrix, _rref, nullspace
 from sdlp.oracles import ensure_endo_order
 
 
+def rho_pow_naive(g, sigma, t: int):
+    """Reference rho^t(1) = prod_{i<t} sigma^i(g): the left-to-right
+    product, linear in t."""
+    grp = sigma.group
+    out = grp.identity
+    cur = g
+    for _ in range(t):
+        out = grp.mul(out, cur)
+        cur = sigma.apply(cur)
+    return out
+
+
 def eval_poly_at_matrix(poly, B):
     """Reference poly(B) by Horner's rule on matrices."""
     F = B.field
@@ -101,6 +113,20 @@ def schoolbook_poly_divmod(a, b):
         for j, c in enumerate(b.coeffs):
             rem[i - db + j] = F.sub(rem[i - db + j], F.mul(q, c))
     return Poly(F, quot), Poly(F, rem)
+
+
+def schoolbook_pow_mod(a, n, f):
+    """Reference `Poly.pow_mod` for n >= 0 and deg f >= 1: square-and-
+    multiply on the per-pair product and long division."""
+    F = a.field
+    out = schoolbook_poly_divmod(Poly(F, [F.one]), f)[1]
+    base = schoolbook_poly_divmod(a, f)[1]
+    while n:
+        if n & 1:
+            out = schoolbook_poly_divmod(schoolbook_poly_mul(out, base), f)[1]
+        base = schoolbook_poly_divmod(schoolbook_poly_mul(base, base), f)[1]
+        n >>= 1
+    return out
 
 
 def stacked_intertwiner_basis(gens, imgs, d, fld):

@@ -17,6 +17,7 @@ from conftest import (
     random_heisenberg_instance,
     random_matrix_instance,
     random_vector_instance,
+    rho_pow_naive,
     table_endo,
 )
 from sdlp.config import SolverConfig
@@ -37,7 +38,6 @@ from sdlp.groups import (
     Hom,
     mulclose,
     rho_pow,
-    rho_pow_naive,
 )
 from sdlp.linalg import Matrix
 from sdlp.oracles import orbit_walk
@@ -348,8 +348,8 @@ def test_criterion_7_numerical_exactness():
     ]
     # The naive reference prod_{i<t} sigma^i(g) is built left to right in one
     # pass per backend (rho_pow_naive at every t would cost O(t^2)); one
-    # direct rho_pow_naive call per backend keeps the library reference
-    # exercised.
+    # direct call per backend also checks the tests' reference
+    # `rho_pow_naive` (conftest) at t = 1024.
     rho_ok = True
     for grp, mk, g in backends:
         sigma = mk(grp)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdlp.ff as ff
-from conftest import fold_dot, schoolbook_dot, schoolbook_poly_divmod, schoolbook_poly_mul
+from conftest import fold_dot, schoolbook_dot, schoolbook_poly_divmod, schoolbook_poly_mul, schoolbook_pow_mod
 from sdlp.errors import SdlpError
 from sdlp.ff import (
     PACK_MIN_DEGREE,
@@ -161,7 +161,8 @@ KERNEL_PRIMES = (2, 3, 65521, 1048573, 2**61 - 1)
 class TestPrimeFieldPolyKernels:
     """`Poly.__mul__` and `divmod` over a prime field sum int products and
     reduce once per coefficient; the per-pair loops in conftest are the
-    reference, and an extension field still takes them."""
+    reference. Over other fields each product coefficient is one field
+    `dot`."""
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
@@ -185,8 +186,9 @@ class TestPrimeFieldPolyKernels:
             q, r = a.divmod(b)
             assert q * b + r == a and r.degree() < b.degree()
 
-    def test_extension_field_keeps_the_per_pair_loops(self):
-        F = field_of_size(9)
+    @pytest.mark.parametrize("q", [9, 3**10, 2**16])
+    def test_other_fields_match_the_per_pair_reference(self, q):
+        F = field_of_size(q)
         rng = random.Random(9)
         for _ in range(40):
             a = Poly(F, [F.rand(rng) for _ in range(rng.randrange(0, 7))])
@@ -433,6 +435,80 @@ class TestPackedProducts:
         B = Matrix(F, [[F.rand(rng) for _ in range(c)] for _ in range(n)])
         cols = list(zip(*B.rows))
         assert (A * B).rows == tuple(tuple(schoolbook_dot(F, row, col) for col in cols) for row in A.rows)
+
+
+# one ring kernel per field kind: prime fields (small, word-size, 61-bit),
+# an extension field with slots (F_3^10) and one whose dense tail leaves
+# none (F_4093^6), carry-less F_2^k
+RING_FIELDS = {
+    "F_2": PrimeField(2),
+    "F_65521": PrimeField(65521),
+    "F_2^61-1": PrimeField(2**61 - 1),
+    "F_3^10": field_of_size(3**10),
+    "F_4093^6": _dense_field(4093, 6),
+    **{f"F_2^{k}": BinaryField(k) for k in (1, 2, 8, 16, 17, 64)},
+}
+
+
+class TestPolyRing:
+    @staticmethod
+    def check_products(F, f, x, y):
+        ring = F.ring(f)
+        for a, b in ((x, y), (x, x), (y, y)):
+            want = schoolbook_poly_divmod(schoolbook_poly_mul(Poly(F, list(a)), Poly(F, list(b))), f)[1]
+            assert ring.mul(a, b) == ring.element(want.coeffs)
+        return ring
+
+    @settings(derandomize=True, deadline=None, max_examples=250)
+    @given(
+        name=st.sampled_from(sorted(RING_FIELDS)),
+        deg=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_product_matches_the_per_pair_reference(self, name, deg, seed):
+        F = RING_FIELDS[name]
+        rng = random.Random(seed)
+        draw = (lambda: F.rand(rng) if rng.random() < 0.8 else F.zero)
+        f = Poly(F, [draw() for _ in range(deg)] + [F.one])
+        x, y = tuple(draw() for _ in range(deg)), tuple(draw() for _ in range(deg))
+        ring = self.check_products(F, f, x, y)
+        n = rng.randrange(2**20)
+        assert Poly(F, list(ring.pow(x, n))) == schoolbook_pow_mod(Poly(F, list(x)), n, f)
+
+    @pytest.mark.parametrize("name", sorted(RING_FIELDS))
+    def test_all_ones_operands_reach_the_sum_bound(self, name):
+        # every coefficient of x and of x^n mod f is the field's all-ones
+        # element q - 1 (p - 1 in every digit, every bit set), so a slot or
+        # cell sums as many products as the kernel's bound allows: n k
+        # pairs meet in the middle cell of a carry-less product
+        F = RING_FIELDS[name]
+        top = F.from_int(F.size - 1)
+        for deg in range(1, 13):
+            f = Poly(F, [F.neg(top)] * deg + [F.one])
+            self.check_products(F, f, (top,) * deg, (F.one,) + (top,) * (deg - 1))
+
+    def test_kernel_per_field_kind(self):
+        kinds = {name: type(F.ring(Poly(F, [F.one] * 10))).__name__ for name, F in RING_FIELDS.items()}
+        assert kinds["F_2^61-1"] == "_PrimeRing" and kinds["F_2^64"] == "_BinaryRing"
+        assert kinds["F_3^10"] == "_PackedRing" and kinds["F_4093^6"] == "_ExtRing"
+
+    def test_pow_mod_by_a_constant_is_zero(self):
+        # F[x]/(c) is the zero ring for a nonzero constant c
+        for F in (F5, field_of_size(9), BinaryField(16)):
+            x = Poly.x(F)
+            for n in (0, 1, 5):
+                assert x.pow_mod(n, Poly(F, [F.from_int(3)])).is_zero()
+        with pytest.raises(ZeroDivisionError):
+            Poly.x(F5).pow_mod(2, Poly(F5, []))
+
+    def test_pow_mod_reduces_by_the_monic_modulus(self):
+        # the same remainder as long division by a non-monic modulus
+        F = field_of_size(9)
+        rng = random.Random(4)
+        for _ in range(20):
+            f = Poly(F, [F.rand(rng) for _ in range(4)] + [F.rand_nonzero(rng)])
+            a = Poly(F, [F.rand(rng) for _ in range(7)])
+            assert a.pow_mod(13, f) == schoolbook_pow_mod(a, 13, f)
 
 
 class TestFactorDegrees:

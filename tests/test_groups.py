@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdlp.groups as groups
-from conftest import eval_poly_at_matrix, rand_invertible, rand_upper_triangular, sigma_closed_matrix_group, table_endo
+from conftest import (
+    eval_poly_at_matrix,
+    rand_invertible,
+    rand_upper_triangular,
+    rho_pow_naive,
+    sigma_closed_matrix_group,
+    table_endo,
+)
 from sdlp.errors import InternalAssertionError, SdlpError
 from sdlp.ff import Poly, PrimeField, field_of_size
 from sdlp.groups import (
@@ -29,7 +36,6 @@ from sdlp.groups import (
     restrict_endo,
     rho_pow,
     rho_pow_inverse_apply,
-    rho_pow_naive,
     semidirect_power,
     sigma_pow_apply,
 )

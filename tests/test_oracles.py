@@ -16,11 +16,12 @@ from conftest import (
     random_vector_instance,
     schoolbook_poly_divmod,
     schoolbook_poly_mul,
+    schoolbook_pow_mod,
     sigma_closed_matrix_group,
 )
 from sdlp.config import SolverConfig
 from sdlp.errors import NotApplicableError, SdlpError
-from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
+from sdlp.ff import ExtField, Poly, PrimeField, _PackedRing, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -668,7 +669,7 @@ class TestPolyUnitGroup:
             assert Poly(F, list(R.mul(a, b))) == (pa * pb).mod(f)
             assert Poly(F, list(R.mul(a, a))) == (pa * pa).mod(f)
             for n in (0, 1, 2, 7, 100):
-                assert Poly(F, list(R.pow(a, n))) == pa.pow_mod(n, f)
+                assert Poly(F, list(R.pow(a, n))) == schoolbook_pow_mod(pa, n, f)
             if pa.gcd(f).degree() == 0:
                 assert R.is_identity(R.mul(a, R.inv(a)))
             else:
@@ -691,7 +692,7 @@ class TestPolyUnitGroup:
         draw = (lambda: top) if worst else (lambda: F.rand(rng) if rng.random() < 0.8 else F.zero)
         f = Poly(F, [F.neg(top) if worst else draw() for _ in range(deg)] + [F.one])
         R = PolyUnitGroup(F, f)
-        assert R._slots is not None
+        assert isinstance(R.ring, _PackedRing)
         x, y = tuple(draw() for _ in range(deg)), tuple(draw() for _ in range(deg))
         for a, b in ((x, y), (x, x)):
             want = (Poly(F, list(a)) * Poly(F, list(b))).mod(f).coeffs
