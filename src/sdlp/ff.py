@@ -14,7 +14,7 @@ import random
 import struct
 
 from .errors import SdlpError
-from .integers import _pow, is_prime
+from .integers import _pow, _reduce_exponent, is_prime
 
 
 # Single products (`ExtField.dot`, `mul`) pack from this degree on; below
@@ -775,9 +775,14 @@ class PolyRing:
         return self._drop(self._mul(a, a if x is y else self._lift(y)))
 
     def pow(self, x, n: int):
-        """x^n for n >= 0, by the package's one square-and-multiply."""
+        """x^n for n >= 0, by the package's one square-and-multiply, with n
+        first reduced by the exponent of the ring's multiplicative monoid
+        (`integers._reduce_exponent` at deg f): from n >= deg f + E on, x^n
+        = x^(deg f + (n - deg f) mod E) for every x, zero divisors too."""
+        fld = self.fld
         if n == 0:
-            return self.element([self.fld.one])
+            return self.element([fld.one])
+        n = _reduce_exponent(n, self.degree, fld.size, fld.char)
         return self._drop(_pow(self._lift(x), n, self._mul, None))
 
     def _lift(self, x):

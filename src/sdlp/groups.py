@@ -232,9 +232,7 @@ class MatrixGroup(GroupHandle):
         out: dict = {}
         for e in range(1, self.d + 1):
             out = integers.merge_lcm(out, integers.factor_prime_power_minus_one(p, ext * e))
-        k = 0
-        while p**k < self.d:
-            k += 1
+        k = integers._unipotent_log(p, self.d)
         if k:
             out = integers.merge_lcm(out, {p: k})
         return out
@@ -772,10 +770,12 @@ class ConjugationEndo(Endo):
     def semidirect_power(self, g, t):
         """(rho^t(1), sigma^t): prod_{i<t} a^-i g a^i telescopes to
         (g a^-1)^t a^t, and sigma^t is conjugation by b = a^t. Both powers
-        are `Matrix.__pow__`. On the Heisenberg and Borel platforms a and
-        g a^-1 are upper triangular, so each is r(M) for r = x^t mod the
-        characteristic polynomial: one field power per distinct diagonal
-        entry and d - 2 matrix products, not about 1.5 log2 t."""
+        are `Matrix.__pow__`, which first reduces t by the exponent E(q, d)
+        of the d x d matrices over F_q, so a square-and-multiply power takes
+        about 1.5 log2 min(t, d + E) products. On the Heisenberg and Borel
+        platforms a and g a^-1 are upper triangular, so each is r(M) for r =
+        x^t mod the characteristic polynomial: one field power per distinct
+        diagonal entry and d - 2 matrix products."""
         if t == 1:
             return g, self
         b = self.a**t

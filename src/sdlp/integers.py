@@ -131,6 +131,52 @@ def _pow(x, n: int, mul, one):
     return out
 
 
+def _unipotent_log(p: int, n: int) -> int:
+    """The least k >= 0 with p^k >= n: a unipotent n x n matrix in
+    characteristic p has order dividing p^k, since (I + N)^(p^k) =
+    I + N^(p^k) and N^n = 0."""
+    k = 0
+    while p**k < n:
+        k += 1
+    return k
+
+
+def _reduce_exponent(t: int, n: int, q: int, p: int) -> int:
+    """An exponent t' with M^t' = M^t for every n x n matrix M over F_q
+    (characteristic p) and every element of F_q[x]/(f), deg f = n: t' =
+    n + (t - n) mod E for t >= n + E, else t, with E = E(q, n) =
+    lcm_{e<=n}(q^e - 1) p^k and p^k the least power of p that is >= n.
+
+    Proof. By Fitting's lemma F_q^n = N + I, both M-stable, with M
+    nilpotent on N and invertible on I. On N, M^s = 0 for every s >= n >=
+    dim N. On I, M is in GL_m(F_q), m = dim I <= n. Write M = su there,
+    s semisimple and u unipotent, commuting (Jordan-Chevalley). s is
+    diagonalisable over a splitting field of its minimal polynomial, and
+    each eigenvalue is a root of an irreducible factor of degree e <= m,
+    so it lies in F_{q^e}^* and the order of s divides lcm_{e<=m}(q^e -
+    1); u's order divides p^k (`_unipotent_log`, with m <= n). So the
+    exponent of GL_m(F_q) divides E(q, m), which divides E(q, n). Then
+    t and t' are both >= n and congruent mod E, so M^t = M^t' on N and on
+    I. An element a of F_q[x]/(f) acts on the ring, an n-dimensional
+    F_q-space, by a multiplication matrix, and a -> (its matrix) is an
+    injective ring map, so a^t = a^t' too. At n = 1 this is lam^t =
+    lam^(1 + (t - 1) mod (q - 1)) for every lam in F_q, 0 included.
+
+    Since E >= q^n - 1, a t below n + q^n - 1 costs one power of q and one
+    comparison, and E is formed only above it.
+    """
+    if t < n + q**n - 1:
+        return t
+    e = _monoid_exponent(n, q, p)
+    return t if t < n + e else n + (t - n) % e
+
+
+def _monoid_exponent(n: int, q: int, p: int) -> int:
+    """E(q, n) = lcm_{e<=n}(q^e - 1) p^k, p^k the least power of p that is
+    >= n: a multiple of the exponent of GL_n(F_q) (`_reduce_exponent`)."""
+    return math.lcm(*(q**e - 1 for e in range(1, n + 1))) * p ** _unipotent_log(p, n)
+
+
 def factorization_product(factors: dict) -> int:
     out = 1
     for p, e in factors.items():

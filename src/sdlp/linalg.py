@@ -15,7 +15,7 @@ import operator
 
 from .errors import SdlpError
 from .ff import Poly, PrimeField
-from .integers import _pow
+from .integers import _pow, _reduce_exponent
 
 # Powers of an upper-triangular matrix with an exponent of at least this
 # many bits take `_triangular_power`, and only they pay the triangularity
@@ -105,8 +105,11 @@ class Matrix:
         return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
 
     def __pow__(self, n: int):
-        """self^n. An upper-triangular matrix with n of at least
-        _TRIANGULAR_POWER_MIN_BITS bits is r(self) for r = x^n mod its
+        """self^n. n is first reduced by the exponent of the monoid of d x d
+        matrices over F_q (`integers._reduce_exponent`): from n >= d + E(q,
+        d) on, self^n = self^(d + (n - d) mod E), singular self included.
+        An upper-triangular matrix with n of at least
+        _TRIANGULAR_POWER_MIN_BITS bits is then r(self) for r = x^n mod its
         characteristic polynomial (`_triangular_power`): one field power per
         distinct diagonal entry and d - 2 matrix products; every other power
         is square-and-multiply.
@@ -116,8 +119,10 @@ class Matrix:
             raise SdlpError("power of a non-square matrix")
         if n < 0:
             return self.inverse() ** (-n)
+        F = self.field
+        n = _reduce_exponent(n, self.nrows, F.size, F.char)
         if n == 0:
-            return Matrix.identity(self.field, self.nrows)
+            return Matrix.identity(F, self.nrows)
         if n.bit_length() >= _TRIANGULAR_POWER_MIN_BITS and self.is_upper_triangular():
             return _triangular_power(self, n)
         return _pow(self, n, operator.mul, None)  # `one` is read only at n = 0
@@ -194,7 +199,9 @@ def _triangular_power(M: Matrix, n: int) -> Matrix:
     nodes, hasse = [], {}
     for lam, m in mult.items():
         nodes += [lam] * m
-        terms = [pow(lam, n, F.p) if prime else _pow(lam, n, F.mul, F.one)]
+        # lam^n = lam^(1 + (n - 1) mod (q - 1)) for n >= q: the n = 1 case of
+        # _reduce_exponent, which the builtin pow does not need
+        terms = [pow(lam, n, F.p) if prime else _pow(lam, _reduce_exponent(n, 1, F.size, F.char), F.mul, F.one)]
         if m > 1:
             if lam == F.zero:  # C(n, k) 0^(n - k) is 1 at k = n and 0 elsewhere
                 terms += [F.one if k == n else F.zero for k in range(1, m)]

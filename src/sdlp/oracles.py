@@ -227,9 +227,7 @@ def _unit_exponent_multiple(fld, f: Poly) -> dict:
     out: dict = {}
     for e in factor_degrees(f):
         out = integers.merge_lcm(out, integers.factor_prime_power_minus_one(p, fld.degree * e))
-    k = 0
-    while p**k < max(1, f.degree()):
-        k += 1
+    k = integers._unipotent_log(p, f.degree())
     if k:
         out = integers.merge_lcm(out, {p: k})
     return out

@@ -4,6 +4,7 @@ Everything is seeded; matrix-group instances close their generator sets
 under sigma so that sigma really is an endomorphism of the group.
 """
 
+import math
 import random
 
 from sdlp.config import SolverConfig
@@ -36,6 +37,26 @@ def rho_pow_naive(g, sigma, t: int):
         out = grp.mul(out, cur)
         cur = sigma.apply(cur)
     return out
+
+
+def monoid_exponent(q: int, d: int) -> int:
+    """Reference E(q, d) from its definition: the lcm of q^e - 1 over e <=
+    d, times the least power of the characteristic that is >= d."""
+    p = next(r for r in range(2, q + 1) if q % r == 0)
+    out = 1
+    for e in range(1, d + 1):
+        out = out * (q**e - 1) // math.gcd(out, q**e - 1)
+    unipotent = 1
+    while unipotent < d:
+        unipotent *= p
+    return out * unipotent
+
+
+def reduced_exponent(t: int, q: int, d: int) -> int:
+    """Reference exponent reduction: d + (t - d) mod E(q, d) from t >= d +
+    E(q, d) on, else t."""
+    e = monoid_exponent(q, d)
+    return d + (t - d) % e if t >= d + e else t
 
 
 def eval_poly_at_matrix(poly, B):

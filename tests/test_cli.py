@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -203,7 +204,7 @@ class TestExchangeAttack:
         inst = write(tmp_path, HEISENBERG_INSTANCE)
         transcript = str(tmp_path / "tr.json")
         run(capsys, "exchange", "--instance", inst, "--x", "3", "--y", "4", "--out", transcript)
-        doc = json.loads(open(transcript).read())
+        doc = json.loads(Path(transcript).read_text())
         doc["group"] = {"family": "heisenberg", "p": 8}
         code, out, err = run(capsys, "attack", "--transcript", write(tmp_path, doc, "bad.json"))
         assert code == 1 and out == "" and err.startswith("error: group: ")
@@ -212,7 +213,7 @@ class TestExchangeAttack:
         inst = write(tmp_path, HEISENBERG_INSTANCE)
         transcript = str(tmp_path / "tr.json")
         run(capsys, "exchange", "--instance", inst, "--x", "3", "--y", "4", "--out", transcript)
-        doc = json.loads(open(transcript).read())
+        doc = json.loads(Path(transcript).read_text())
         # (0,0,6) is outside the orbit for this sigma and g (checked below)
         from sdlp.cli import build_group, build_sigma, parse_element
         from sdlp.oracles import orbit_walk

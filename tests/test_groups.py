@@ -10,6 +10,7 @@ from conftest import (
     eval_poly_at_matrix,
     rand_invertible,
     rand_upper_triangular,
+    reduced_exponent,
     rho_pow_naive,
     sigma_closed_matrix_group,
     table_endo,
@@ -39,7 +40,7 @@ from sdlp.groups import (
     semidirect_power,
     sigma_pow_apply,
 )
-from sdlp.linalg import Matrix
+from sdlp.linalg import _TRIANGULAR_POWER_MIN_BITS, Matrix
 from sdlp.oracles import orbit_index_period
 
 F3 = PrimeField(3)
@@ -530,13 +531,17 @@ class TestConjugationPowerHook:
             sigma.components[1].semidirect_power(g[1], t)
             conjugation_products -= products[0]
         # g a^-1 and the product of the two powers take one product each;
-        # a^t and (g a^-1)^t take d - 2 each when triangular (Horner's rule
-        # on x^t mod the characteristic polynomial), else bitlen(t) +
-        # popcount(t) - 2 each (square-and-multiply)
-        if triangular:
+        # a^t and (g a^-1)^t run at the reduced exponent m and take d - 2
+        # each when triangular (Horner's rule on x^m mod the characteristic
+        # polynomial), else bitlen(m) + popcount(m) - 2 each
+        # (square-and-multiply)
+        m = reduced_exponent(t, conj.a.field.size, d)
+        if triangular and m.bit_length() >= _TRIANGULAR_POWER_MIN_BITS:
             assert conjugation_products == 2 * (d - 2) + 2
         else:
-            assert conjugation_products == 2 * (t.bit_length() + t.bit_count() - 2) + 2
+            assert conjugation_products == 2 * (m.bit_length() + m.bit_count() - 2) + 2
+        if not triangular:  # F_9 at d = 2: E(9, 2) = 240, so m < 2^8
+            assert m < 2**8 and conjugation_products < 2 * (t.bit_length() + t.bit_count() - 2) + 2
 
     def test_pair_image_asks_its_inner_conjugation(self, monkeypatch):
         rng = random.Random("hook-pair")

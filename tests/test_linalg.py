@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdlp.linalg as linalg
-from conftest import eval_poly_at_matrix, extract_basis, fold_dot, rand_invertible, rand_upper_triangular, rref_inverse
+from conftest import (
+    eval_poly_at_matrix,
+    extract_basis,
+    fold_dot,
+    rand_invertible,
+    rand_upper_triangular,
+    reduced_exponent,
+    rref_inverse,
+)
 from sdlp.errors import SdlpError
 from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
 from sdlp.integers import _pow
@@ -147,16 +155,28 @@ class TestTriangularPower:
 
         monkeypatch.setattr(Matrix, "__mul__", counted)
         below = 2 ** (_TRIANGULAR_POWER_MIN_BITS - 1) - 1  # all ones, one bit short
-        for n in (below, below + 1, 2**_TRIANGULAR_POWER_MIN_BITS - 1, 2**40 + 12345):
+        big = 2**40 + 12345
+        # over F_4 and F_9 every d <= 4 has E(q, d) below 2^40; over F_65521
+        # only d = 1 does, and there the route is the same either way
+        assert (reduced_exponent(big, F.size, d) < big) == (name != "F_65521" or d == 1)
+        for n in (below, below + 1, 2**_TRIANGULAR_POWER_MIN_BITS - 1, big):
+            m = reduced_exponent(n, F.size, d)  # the exponent the power runs at
             for A in (M, full):
+                triangular = A is M or d == 1  # full has nonzero entries below the diagonal
+
+                def count(e):
+                    # Horner's rule on the interpolant takes d - 2 products;
+                    # square-and-multiply bitlen(e) - 1 squarings and
+                    # popcount(e) - 1 products by A
+                    if triangular and e.bit_length() >= _TRIANGULAR_POWER_MIN_BITS:
+                        return max(d - 2, 0)
+                    return e.bit_length() + e.bit_count() - 2
+
                 products[0] = 0
                 got = A**n
-                triangular = A is M or d == 1  # full has nonzero entries below the diagonal
-                route = triangular and n.bit_length() >= _TRIANGULAR_POWER_MIN_BITS
-                # Horner's rule on the interpolant takes d - 2 products;
-                # square-and-multiply bitlen(n) - 1 squarings and
-                # popcount(n) - 1 products by A
-                assert products[0] == (max(d - 2, 0) if route else n.bit_length() + n.bit_count() - 2)
+                assert products[0] == count(m)
+                if m < n and not (triangular and n.bit_length() >= _TRIANGULAR_POWER_MIN_BITS):
+                    assert products[0] < count(n)  # square-and-multiply either way, on fewer bits
                 assert got == _square_and_multiply(A, n)
 
     def test_the_scan_runs_only_above_the_crossover(self, monkeypatch):
