@@ -10,11 +10,12 @@ for the attack), 3 a failed internal self-check.
 import argparse
 import functools
 import json
+import random
 import sys
 
 from .config import SolverConfig, default_seed
 from .errors import InstanceFormatError, InternalAssertionError, NoSolutionError, NotApplicableError, SdlpError
-from .ff import field_of_size
+from .ff import BinaryField, ExtField, Poly, PrimeField, field_of_size
 from .groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -31,9 +32,10 @@ from .groups import (
     TableEndo,
     VectorGroup,
 )
+from .integers import factorize
 from .linalg import Matrix
 from .oracles import orbit_index_period
-from .protocol import ExchangeTranscript, spdke_attack, spdke_exchange
+from .protocol import ExchangeTranscript, draw_secrets, spdke_attack, spdke_exchange
 from .solvers import CHAIN_TAGS, SOLVER_NAMES, ChainLevel, NormalChain, heisenberg_chain, solve
 
 MAX_INT = (1 << 63) - 1
@@ -121,9 +123,6 @@ def _build_field(q: int, modulus):
     term first)."""
     if modulus is None:
         return field_of_size(q)
-    from .ff import BinaryField, ExtField, Poly, PrimeField
-    from .integers import factorize
-
     fac = factorize(q)
     if len(fac) != 1:
         _fail(f"group.q: {q} is not a prime power")
@@ -194,8 +193,6 @@ def build_sigma(spec: dict, group: GroupHandle) -> Endo:
         _check_keys(spec, "sigma(linear)", ("kind", "matrix"))
         if not isinstance(group, VectorGroup):
             _fail("sigma(linear) needs a vector group")
-        from .ff import PrimeField
-
         endo = LinearMapEndo(group, _parse_matrix(spec["matrix"], PrimeField(group.p), group.d, "sigma.matrix"))
     elif kind == "conjugation":
         _check_keys(spec, "sigma(conjugation)", ("kind", "matrix"))
@@ -407,10 +404,6 @@ def cmd_exchange(args) -> int:
     if args.x is not None and args.y is not None:
         x, y = args.x, args.y
     else:
-        import random
-
-        from .protocol import draw_secrets
-
         x, y = draw_secrets(group, sigma, g, random.Random(config.seed), config)
     tr = spdke_exchange(group, sigma, g, x, y)
     out = {

@@ -14,7 +14,7 @@ import random
 import struct
 
 from .errors import SdlpError
-from .integers import _pow, _reduce_exponent, is_prime
+from .integers import _pow, _reduce_exponent, factorize, is_prime
 
 
 # Single products (`ExtField.dot`, `mul`) pack from this degree on; below
@@ -409,7 +409,7 @@ class BinaryField:
             raise SdlpError("binary field size out of range")
         base = PrimeField(2)
         if modulus_int is None:
-            modulus_int = _poly_to_bits(canonical_irreducible(base, k))
+            modulus_int = _bits(canonical_irreducible(base, k).coeffs)
         if modulus_int.bit_length() != k + 1:
             raise SdlpError("modulus must have degree k")
         mod_poly = Poly(base, [(modulus_int >> i) & 1 for i in range(k + 1)])
@@ -504,11 +504,7 @@ class BinaryField:
         return a
 
     def from_coeffs(self, coeffs):
-        v = 0
-        for i, c in enumerate(coeffs):
-            if c % 2:
-                v ^= 1 << i
-        return self._mod_bits(v)
+        return self._mod_bits(_bits(coeffs))
 
     def rand(self, rng: random.Random):
         return rng.randrange(self.size)
@@ -523,11 +519,7 @@ class BinaryField:
         return tuple((a >> i) & 1 for i in range(self.degree))
 
     def from_prime_coeffs(self, coeffs):
-        v = 0
-        for i, c in enumerate(coeffs):
-            if c % 2:
-                v |= 1 << i
-        return v
+        return _bits(coeffs)
 
     def __eq__(self, other):
         return isinstance(other, BinaryField) and other.modulus_int == self.modulus_int
@@ -539,9 +531,10 @@ class BinaryField:
         return f"F_2^{self.degree}"
 
 
-def _poly_to_bits(f: Poly) -> int:
+def _bits(coeffs) -> int:
+    """The int whose bit i is coeffs[i] mod 2."""
     v = 0
-    for i, c in enumerate(f.coeffs):
+    for i, c in enumerate(coeffs):
         if c % 2:
             v |= 1 << i
     return v
@@ -550,8 +543,6 @@ def _poly_to_bits(f: Poly) -> int:
 def field_of_size(q: int) -> "PrimeField | ExtField | BinaryField":
     """F_q for a prime power q, with the canonical (lexicographically
     smallest irreducible) modulus when q is a proper power."""
-    from .integers import factorize
-
     fac = factorize(q)
     if len(fac) != 1:
         raise SdlpError(f"{q} is not a prime power")

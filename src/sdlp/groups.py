@@ -9,13 +9,15 @@ least ceil(log2 |G|) bits. Equality of elements must always go through
 labels; PairImage backends deliberately use non-unique encodings.
 """
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 
 from . import integers
 from .errors import InternalAssertionError, SdlpError
-from .ff import Poly
-from .linalg import Matrix, krylov, min_poly, solve_linear
+from .ff import Poly, PrimeField
+from .linalg import Echelon, Matrix, krylov, min_poly
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +171,7 @@ class VectorGroup(GroupHandle):
         return self.p**self.d
 
     def elements(self):
-        def rec(k):
-            if k == 0:
-                yield ()
-                return
-            for rest in rec(k - 1):
-                for a in range(self.p):
-                    yield rest + (a,)
-
-        return rec(self.d)
+        return itertools.product(range(self.p), repeat=self.d)
 
     def rand_element(self, rng):
         return tuple(rng.randrange(self.p) for _ in range(self.d))
@@ -251,8 +245,6 @@ class HeisenbergGroup(GroupHandle):
         if not integers.is_prime(p):
             raise SdlpError("heisenberg group needs a prime p")
         self.p = p
-        from .ff import PrimeField
-
         self.field = PrimeField(p)
 
     @property
@@ -284,10 +276,7 @@ class HeisenbergGroup(GroupHandle):
         return self.p**3
 
     def elements(self):
-        for a in range(self.p):
-            for b in range(self.p):
-                for c in range(self.p):
-                    yield (a, b, c)
+        return itertools.product(range(self.p), repeat=3)
 
     def rand_element(self, rng):
         return tuple(rng.randrange(self.p) for _ in range(3))
@@ -583,8 +572,6 @@ class PowerMapEndo(Endo):
         return PowerMapEndo(self.group, self.e * other.e % self.modulus)
 
     def is_automorphism(self):
-        import math
-
         return math.gcd(self.e, self.modulus) == 1
 
     def __repr__(self):
@@ -686,7 +673,7 @@ class LinearMapEndo(Endo):
             return Endo.semidirect_power(self, g, t)
         B = self.matrix
         F = B.field
-        h, echelon = krylov(B.affine(g), (F.zero,) * d + (F.one,))
+        h, echelon = krylov(F, B.affine(g).matvec, (F.zero,) * d + (F.one,))
         r = _x_power_mod(h, t)
         dot = F.dot
         rho = tuple([dot(r, col) for col in list(zip(*echelon.basis))[:d]])
@@ -1087,27 +1074,19 @@ def _check_kernel_invariance(psi: Hom, sigma: Endo):
 
 def _induced_linear_map(psi: Hom, sigma: Endo):
     """Matrix of the induced map on a vector-group target, or None if the
-    generator images do not span the target."""
+    generator images do not span the target. The matrix M takes each
+    psi(x_j) to psi(sigma(x_j)): with V the matrix whose rows are the
+    psi(x_j), row i of M solves V m = (psi(sigma(x_j))_i)_j, and every row
+    is read off one `Echelon` of V's columns."""
     tgt: VectorGroup = psi.target
-    F = _prime_field_of(tgt)
+    F = PrimeField(tgt.p)
     gens = psi.source.generators()
-    if not gens and tgt.d == 0:
-        return LinearMapEndo(tgt, Matrix.zeros(F, 0, 0))
     vecs = [psi(x) for x in gens]
     imgs = [psi(sigma.apply(x)) for x in gens]
-    V = Matrix(F, vecs)  # rows are psi(x_j)
-    if V.rank() < tgt.d:
+    echelon = Echelon(F)
+    if any(echelon.add(tuple(v[i] for v in vecs)) is not None for i in range(tgt.d)):
         return None
-    rows = []
-    for i in range(tgt.d):
-        row = solve_linear(V, tuple(w[i] for w in imgs))
-        if row is None:
-            raise SdlpError("kernel not invariant")
-        rows.append(row)
+    rows = [echelon.coords(tuple(w[i] for w in imgs)) for i in range(tgt.d)]
+    if None in rows:
+        raise SdlpError("kernel not invariant")
     return LinearMapEndo(tgt, Matrix(F, rows))
-
-
-def _prime_field_of(tgt: VectorGroup):
-    from .ff import PrimeField
-
-    return PrimeField(tgt.p)

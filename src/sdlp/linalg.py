@@ -1,10 +1,11 @@
 """Dense exact matrices over finite fields: products, inverses and powers
-(upper-triangular ones by back substitution and from their diagonal) and
-row reduction for general systems, and `Echelon`, the one incremental
-elimination. Everything that grows a basis vector by vector goes through
-it: the Krylov annihilator and coordinates the orbit problem and
-linear-map powers are built on (`krylov`, `annihilator`, `min_poly`) and
-the power basis of an extension-field element (`PowerBasis`).
+(upper-triangular ones by back substitution and from their diagonal), and
+`Echelon`, the one elimination. Rank, invertibility, inverses, null spaces
+and linear systems feed it rows or columns, and `krylov` feeds it v,
+step(v), step(step(v)), ... for any linear map `step`: the annihilators
+and coordinates that the orbit problem, linear-map powers and `min_poly`
+are built on, and the subfield F_p(c) of an extension field in the basis
+1, c, c^2, ... (`oracles._window_bsgs`).
 
 Vectors are tuples of field elements; a Matrix is immutable and hashable so
 it can double as a black-box group code-word.
@@ -129,24 +130,35 @@ class Matrix:
 
     def inverse(self):
         """self^-1: by back substitution for an upper-triangular matrix,
-        else by row reduction of [self | I]."""
-        F = self.field
-        n = self.nrows
+        else from an `Echelon` of the rows: row j of self^-1 is the
+        coordinates of the unit vector e_j over them."""
         if not self.is_square():
             raise SdlpError("inverse of a non-square matrix")
         if self.is_upper_triangular():
             return _triangular_inverse(self)
-        aug = [list(r) + [F.one if i == j else F.zero for j in range(n)] for i, r in enumerate(self.rows)]
-        rows, pivots = _rref(aug, F)
-        if pivots != list(range(n)):
+        echelon = self._row_echelon()
+        if echelon is None:
             raise SdlpError("singular matrix")
-        return Matrix(F, [r[n:] for r in rows])
+        F, n = self.field, self.nrows
+        units = ([F.one if i == j else F.zero for j in range(n)] for i in range(n))
+        return Matrix(F, [echelon.coords(e) for e in units])
 
     def rank(self):
-        return len(_rref([list(r) for r in self.rows], self.field)[1])
+        echelon = Echelon(self.field)
+        for row in self.rows:
+            echelon.add(row)
+        return len(echelon.basis)
 
     def is_invertible(self):
-        return self.is_square() and self.rank() == self.nrows
+        return self.is_square() and self._row_echelon() is not None
+
+    def _row_echelon(self):
+        """An `Echelon` fed every row, or None at the first row that depends
+        on those before it."""
+        echelon = Echelon(self.field)
+        if any(echelon.add(row) is not None for row in self.rows):
+            return None
+        return echelon
 
     def is_upper_triangular(self):
         zero = self.field.zero
@@ -257,67 +269,53 @@ def _plus_diagonal(M: Matrix, c) -> Matrix:
     return Matrix(M.field, [row[:i] + (add(row[i], c),) + row[i + 1 :] for i, row in enumerate(M.rows)])
 
 
-def _rref(rows, F):
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if rows[i][c] != F.zero), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, a) for a in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c] != F.zero:
-                f = rows[i][c]
-                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return rows, pivots
-
-
 def nullspace(M: Matrix) -> list:
-    """Basis of {v : Mv = 0}, with len = ncols - rank(M)."""
+    """Basis of {v : Mv = 0}, with len = ncols - rank(M): an `Echelon` is
+    fed the columns, and each column f that depends on the pivot columns
+    p_i before it, M_f = sum_i w_i M_(p_i), gives the vector that is 1 at
+    f and -w_i at p_i."""
     F = M.field
-    rows, pivots = _rref([list(r) for r in M.rows], F)
-    free = [c for c in range(M.ncols) if c not in pivots]
-    basis = []
-    for f in free:
+    echelon = Echelon(F)
+    pivots, basis = [], []
+    for f, col in enumerate(zip(*M.rows)):
+        w = echelon.add(col)
+        if w is None:
+            pivots.append(f)
+            continue
         v = [F.zero] * M.ncols
         v[f] = F.one
-        for i, p in enumerate(pivots):
-            v[p] = F.neg(rows[i][f])
+        for p, c in zip(pivots, w):
+            v[p] = F.neg(c)
         basis.append(tuple(v))
     return basis
 
 
 def solve_linear(M: Matrix, b) -> "tuple | None":
-    """One solution x of Mx = b, or None when inconsistent."""
+    """One solution x of Mx = b, or None when inconsistent: b's coordinates
+    over the pivot columns of an `Echelon` of the columns, 0 elsewhere."""
     F = M.field
-    aug = [list(r) + [bb] for r, bb in zip(M.rows, b)]
-    rows, pivots = _rref(aug, F)
-    if M.ncols in pivots:
+    echelon = Echelon(F)
+    pivots = [f for f, col in enumerate(zip(*M.rows)) if echelon.add(col) is None]
+    w = echelon.coords(b)
+    if w is None:
         return None
     x = [F.zero] * M.ncols
-    for i, p in enumerate(pivots):
-        x[p] = rows[i][M.ncols]
+    for p, c in zip(pivots, w):
+        x[p] = c
     return tuple(x)
 
 
 class Echelon:
-    """Incremental elimination over a field: the one place a basis grows
-    vector by vector.
+    """Incremental elimination over a field: the package's one row
+    reduction, through which every basis grows vector by vector.
 
     Each row is an accepted input reduced against the rows before it (so
     it is zero at their pivots) and scaled to 1 at its own pivot, its first
     nonzero entry; it keeps its combination of the accepted inputs.
     `basis` lists the accepted inputs in order; coordinates are over it, so
-    they are unique.
+    they are unique. The pivots, sorted, are those of the reduced row
+    echelon form of the inputs stacked as rows; fed the columns of a
+    matrix, it accepts exactly that form's pivot columns.
     """
 
     def __init__(self, field):
@@ -386,26 +384,26 @@ def min_poly(B: Matrix) -> Poly:
         if m.degree() == n:
             break
         e = tuple(F.one if j == i else F.zero for j in range(n))
-        loc = annihilator(B, e)
-        m = _poly_lcm(m, loc)
+        m = _poly_lcm(m, krylov(F, B.matvec, e)[0])
     return m
 
 
-def annihilator(B: Matrix, v) -> Poly:
-    """Least monic m with m(B)v = 0: the first dependency among v, Bv, ..."""
-    return krylov(B, v)[0]
+def krylov(field, step, v):
+    """(f, echelon) for an F-linear map `step` and a vector v: f is the
+    annihilator of v, the least monic f with f(step) v = 0, and the echelon
+    was fed v, step(v), ... up to the first dependency step^k v = sum_j c_j
+    step^j v, k = deg f. So its basis is v, step(v), ..., step^(k-1) v, f =
+    x^k - sum_j c_j x^j, and `echelon.coords(w)` reads w = c(step) v as the
+    coefficients of c, or None outside the Krylov space: there v is 1 and
+    step is multiplication by x in F[x]/(f).
 
-
-def krylov(B: Matrix, v):
-    """(f, echelon): f is the annihilator of v under B, and the echelon was
-    fed v, Bv, ... up to the first dependency B^{deg f} v = sum_j c_j B^j v,
-    so its basis is v, Bv, ..., B^{deg f - 1} v and f = x^{deg f} - sum_j
-    c_j x^j."""
-    F = B.field
-    echelon = Echelon(F)
+    With step = B.matvec this is the annihilator of v under a matrix B;
+    with step(a) = a c over an extension field, the basis is 1, c, ...,
+    c^(k-1) of the subfield F_p(c), and f is c's minimal polynomial."""
+    echelon = Echelon(field)
     while (dep := echelon.add(v)) is None:
-        v = B.matvec(v)
-    return Poly(F, [F.neg(c) for c in dep] + [F.one]), echelon
+        v = step(v)
+    return Poly(field, [field.neg(c) for c in dep] + [field.one]), echelon
 
 
 def _poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -413,29 +411,3 @@ def _poly_lcm(a: Poly, b: Poly) -> Poly:
         return Poly(a.field, [])
     g = a.gcd(b)
     return (a * b).divmod(g)[0].monic()
-
-
-class PowerBasis:
-    """The subfield F_p(c) of an ExtField in the basis 1, c, ..., c^(k-1),
-    k = deg minpoly(c); an element is the k-tuple of its coordinates.
-
-    An `Echelon` over F_p is fed 1, c, c^2, ... until c^k depends on the
-    lower powers: that dependency is the minimal polynomial's tail `tail`,
-    c^k = sum_j tail_j c^j, and the echelon is the change of basis. It
-    costs k - 1 field products and no irreducibility test (minpoly(c) is
-    irreducible). `coords` moves an element in, or returns None when it
-    lies outside F_p(c). BSGS over F_{p^e}^* walks in the windows of the
-    linear recurrence that the tail defines (`oracles._window_bsgs`).
-    """
-
-    def __init__(self, fld, c):
-        self._echelon = echelon = Echelon(fld.base)
-        power = fld.one
-        while (w := echelon.add(power)) is None:
-            power = fld.mul(power, c) if len(echelon.basis) > 1 else c
-        self.degree = len(echelon.basis)
-        self.tail = w
-
-    def coords(self, a):
-        """The coordinates of a field element, or None outside F_p(c)."""
-        return self._echelon.coords(a)

@@ -7,6 +7,7 @@ the defining equation before it leaves this module.
 
 import math
 import operator
+import random
 import struct
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .groups import (
     rho_apply,
     rho_pow,
 )
-from .linalg import Echelon, Matrix, PowerBasis, min_poly
+from .linalg import Echelon, Matrix, krylov, min_poly
 
 
 @dataclass(frozen=True)
@@ -465,7 +466,10 @@ def _window_bsgs(fld, c, m):
     coordinates (Shoup, "Efficient computation of minimal polynomials in
     algebraic extensions of finite fields", ISSAC 1999).
 
-    Let k = deg minpoly(c), phi the coordinate 0 in c's `PowerBasis`, and
+    F_p(c) is the Krylov space of 1 under a -> a c (`krylov`): its basis
+    is the power basis 1, c, ..., c^(k-1), k = deg minpoly(c), and its
+    annihilator is minpoly(c), whose tail w gives c^k = sum_j w_j c^j. Let
+    phi be the coordinate 0 in the power basis, and
     window(a) = (phi(a c^l))_{l<k}. This is a bijection from F_p(c) to
     F_p^k: phi != 0 and (a, b) -> phi(ab) is nondegenerate on a field. The
     windows of c^0, c^1, ... are the overlapping k-windows of one sequence
@@ -485,12 +489,14 @@ def _window_bsgs(fld, c, m):
     A target is moved in by `coords` once; one outside F_p(c) is no power
     of c and takes no giant step.
     """
-    basis = PowerBasis(fld, c)
-    k, p, F = basis.degree, fld.p, fld.base
-    rows = [list(basis.tail)]  # c^k, c^(k+1), ...: shift up, fold the top back
+    F, p = fld.base, fld.p
+    minpoly, basis = krylov(F, lambda a: fld.mul(a, c), fld.one)
+    k = minpoly.degree()
+    tail = [F.neg(a) for a in minpoly.coeffs[:k]]
+    rows = [tail]  # c^k, c^(k+1), ...: shift up, fold the top back
     while len(rows) < min(_BABY_BLOCK, math.isqrt(m)):
         top = rows[-1][-1]
-        rows.append([(a + top * t) % p for a, t in zip([0, *rows[-1][:-1]], basis.tail)])
+        rows.append([(a + top * t) % p for a, t in zip([0, *rows[-1][:-1]], tail)])
     baby = _PackedRows(p, rows)
     terms = [1] + [0] * (k - 1)
     while len(terms) < m + 2 * k - 1:
@@ -577,8 +583,6 @@ def _prime_order_log(group, base, p, config: SolverConfig):
 
 def _rho_with_order(group, base, target, n, config: SolverConfig):
     """Pollard rho with Floyd cycle-finding, for a base of prime order n."""
-    import random
-
     rng = random.Random(config.seed)
     for _ in range(24):
         t = _rho_round(group, base, target, n, rng)

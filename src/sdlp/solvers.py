@@ -4,6 +4,8 @@ subgroups. Each public solver is `solve` under its name, and `solve` checks
 every answer against the defining equation once, on its way out.
 """
 
+import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -11,13 +13,14 @@ from functools import reduce
 from . import integers
 from .config import SolverConfig
 from .errors import InternalAssertionError, NotApplicableError, SdlpError
-from .ff import ExtField, Poly, PrimeField, factor_poly
+from .ff import ExtField, Poly, PrimeField, canonical_irreducible, factor_poly
 from .groups import (
     ConjugationEndo,
     CyclicGroup,
     GroupHandle,
     HeisenbergGroup,
     Hom,
+    InducedPairEndo,
     LinearMapEndo,
     MatrixGroup,
     PairImageGroup,
@@ -301,8 +304,6 @@ def _solve_solvable(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
         return _solve_pair_over_vector(inst, config)
     if isinstance(grp, PairImageGroup) and grp.hom.is_identity:
         # labels coincide with inner elements; solve the inner instance
-        from .groups import InducedPairEndo
-
         if isinstance(sigma, InducedPairEndo):
             base = grp.inner
             while isinstance(base, Subgroup):
@@ -384,8 +385,6 @@ def _find_conjugator_lifted(generators, images, d: int, fld, config: SolverConfi
         e = 1
         while fld.size**e < 2 * d:
             e += 1
-        from .ff import canonical_irreducible
-
         lifted = ExtField(fld, canonical_irreducible(fld, e))
 
         def embed(M, lifted=lifted):
@@ -416,7 +415,7 @@ def _conjugator_by_enumeration(generators, images, d, fld, config):
         raise NotApplicableError("no invertible intertwiner found")
     if fld.size ** len(basis) > 1 << 18:
         raise NotApplicableError("intertwiner space too large to enumerate over a tiny field")
-    for coeffs in _tuples(fld, len(basis)):
+    for coeffs in itertools.product(fld.elements(), repeat=len(basis)):
         y = Matrix.zeros(fld, d, d)
         for c, Y in zip(coeffs, basis):
             y = y + Y.scale(c)
@@ -428,15 +427,6 @@ def _conjugator_by_enumeration(generators, images, d, fld, config):
             _assert_conjugation_matches(generators, images, a, y)
             return a, y, fld, (lambda M: M)
     raise NotApplicableError("no invertible intertwiner found")
-
-
-def _tuples(fld, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(fld, n - 1):
-        for v in fld.elements():
-            yield rest + (v,)
 
 
 def _intertwiner_basis(gens, imgs, d, fld):
@@ -523,22 +513,13 @@ def _orbit_problem_set(opi: OrbitProblemInstance, config: SolverConfig) -> Solut
         return SolutionSet.empty()
     if not opi.phi.is_invertible():
         raise SdlpError("orbit problem needs an invertible map")
-    f, coords = _krylov_coordinates(opi.phi, opi.a)
-    c_b = coords(opi.b)
+    f, echelon = krylov(F, opi.phi.matvec, opi.a)
+    c_b = echelon.coords(opi.b)
     if c_b is None:
         return SolutionSet.empty()
     if not isinstance(F, PrimeField):
         return _ring_power_solutions(F, f, 1, c_b, config)
     return _intersect_solutions(_ring_power_solutions(F, u, k, c_b, config) for u, k in factor_poly(f, seed=config.seed))
-
-
-def _krylov_coordinates(phi: Matrix, a):
-    """(f, coords): f is the annihilator of a under Phi, and coords(w) reads
-    w = c(Phi) a off the Krylov basis a, Phi a, ..., Phi^{deg f - 1} a as the
-    coefficients of c (None when w is outside it). In these coordinates a is
-    1 and Phi is multiplication by x in F[x]/(f)."""
-    f, echelon = krylov(phi, a)
-    return f, echelon.coords
 
 
 def _ring_power_solutions(F, u: Poly, k: int, c, config: SolverConfig) -> SolutionSet:
@@ -780,8 +761,6 @@ def _intersect_two(a: SolutionSet, b: SolutionSet) -> SolutionSet:
     if b.kind == "singleton":
         return b if a.contains(b.t0) else SolutionSet.empty()
     # both progressions: solve t = a.t0 (mod a.period), t = b.t0 (mod b.period)
-    import math
-
     g = math.gcd(a.period, b.period)
     if (a.t0 - b.t0) % g != 0:
         return SolutionSet.empty()

@@ -23,7 +23,7 @@ from sdlp.groups import (
     mulclose,
     rho_pow,
 )
-from sdlp.linalg import Echelon, Matrix, _rref, nullspace
+from sdlp.linalg import Echelon, Matrix, nullspace
 from sdlp.oracles import ensure_endo_order
 
 
@@ -77,13 +77,71 @@ def extract_basis(field, vectors) -> list:
     return echelon.basis
 
 
+def rref(rows, F):
+    """Reference reduced row echelon form of a list of row lists, in place;
+    returns (rows, pivot column list)."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if rows[i][c] != F.zero), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, a) for a in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != F.zero:
+                f = rows[i][c]
+                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows, pivots
+
+
+def rref_rank(M):
+    """Reference `Matrix.rank`: the number of pivots of M's RREF."""
+    return len(rref([list(r) for r in M.rows], M.field)[1])
+
+
 def rref_inverse(M):
     """Reference `Matrix.inverse`: row reduction of [M | I], for every
     square M; None when M is singular."""
     F, n = M.field, M.nrows
     aug = [list(r) + [F.one if i == j else F.zero for j in range(n)] for i, r in enumerate(M.rows)]
-    rows, pivots = _rref(aug, F)
+    rows, pivots = rref(aug, F)
     return Matrix(F, [r[n:] for r in rows]) if pivots == list(range(n)) else None
+
+
+def rref_nullspace(M):
+    """Reference `nullspace`: one vector per free column f of M's RREF, 1
+    at f and minus the RREF's column f at the pivots."""
+    F = M.field
+    rows, pivots = rref([list(r) for r in M.rows], F)
+    basis = []
+    for f in (c for c in range(M.ncols) if c not in pivots):
+        v = [F.zero] * M.ncols
+        v[f] = F.one
+        for i, p in enumerate(pivots):
+            v[p] = F.neg(rows[i][f])
+        basis.append(tuple(v))
+    return basis
+
+
+def rref_solve(M, b):
+    """Reference `solve_linear`: the RREF of [M | b] gives the solution
+    that is 0 off the pivot columns; None when b is a pivot."""
+    F = M.field
+    rows, pivots = rref([list(r) + [bb] for r, bb in zip(M.rows, b)], F)
+    if M.ncols in pivots:
+        return None
+    x = [F.zero] * M.ncols
+    for i, p in enumerate(pivots):
+        x[p] = rows[i][M.ncols]
+    return tuple(x)
 
 
 def fold_dot(fld, a, b):

@@ -39,7 +39,7 @@ from sdlp.groups import (
     mulclose,
     rho_pow,
 )
-from sdlp.linalg import Matrix
+from sdlp.linalg import Matrix, krylov
 from sdlp.oracles import orbit_walk
 from sdlp.protocol import (
     draw_secrets,
@@ -49,7 +49,7 @@ from sdlp.protocol import (
     spdke_exchange,
 )
 from sdlp.reductions import reduce_to_automorphism_case
-from sdlp.solvers import _intertwiner_basis, _krylov_coordinates, brute_solve, solve
+from sdlp.solvers import _intertwiner_basis, brute_solve, solve
 
 ORBIT_CAP = 1 << 12
 
@@ -369,11 +369,11 @@ def test_criterion_7_numerical_exactness():
     # ring isomorphism F_5[B] -> F_25, checked on u(B) and w(B)
     B = Matrix(F5, [[0, 4], [1, 4]])
     v = (1, 0)
-    f, coords = _krylov_coordinates(B, v)
+    f, echelon = krylov(F5, B.matvec, v)
     fld = ExtField(F5, f)
 
     def to_field(w):
-        return fld.from_coeffs(coords(w))
+        return fld.from_coeffs(echelon.coords(w))
 
     iso_ok = fld.size == 25
     for _ in range(100):

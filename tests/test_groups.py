@@ -118,6 +118,21 @@ class TestHeisenberg:
             assert H.to_matrix(H.inv(x)) == H.to_matrix(x).inverse()
 
 
+class TestEnumerationOrder:
+    """Enumeration runs in lexicographic order, the last coordinate fastest:
+    brute-force search returns the first hit in this order."""
+
+    @pytest.mark.parametrize("p, d", [(3, 0), (3, 1), (3, 2), (5, 3), (2, 4)])
+    def test_vector_elements(self, p, d):
+        want = [tuple(n // p ** (d - 1 - i) % p for i in range(d)) for n in range(p**d)]
+        assert list(VectorGroup(p, d).elements()) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_heisenberg_elements(self, p):
+        want = [(n // (p * p), n // p % p, n % p) for n in range(p**3)]
+        assert list(HeisenbergGroup(p).elements()) == want
+
+
 class TestSigmaPowApply:
     def test_power_zero_is_identity(self):
         C = CyclicGroup(8)

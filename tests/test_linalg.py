@@ -14,6 +14,9 @@ from conftest import (
     rand_upper_triangular,
     reduced_exponent,
     rref_inverse,
+    rref_nullspace,
+    rref_rank,
+    rref_solve,
 )
 from sdlp.errors import SdlpError
 from sdlp.ff import ExtField, Poly, PrimeField, field_of_size
@@ -23,13 +26,12 @@ from sdlp.linalg import (
     Echelon,
     Matrix,
     _triangular_power,
-    annihilator,
     coordinates_in_basis,
+    krylov,
     min_poly,
     nullspace,
     solve_linear,
 )
-from sdlp.solvers import _krylov_coordinates
 
 F5 = PrimeField(5)
 B_SPEC = Matrix(F5, [[0, 4], [1, 4]])  # minimal polynomial x^2 + x + 1
@@ -271,6 +273,88 @@ class TestNullspace:
                 assert M.matvec(v) == (F.zero,) * r
 
 
+# two prime fields (the inline row operations), a small and a large odd
+# extension and a carry-less binary field
+ELIMINATION_FIELDS = {
+    "F_7": PrimeField(7),
+    "F_65521": PrimeField(65521),
+    "F_9": field_of_size(9),
+    "F_2^4": field_of_size(16),
+    "F_3^10": field_of_size(3**10),
+}
+
+
+def _product_of_rank(F, r, c, k, rng):
+    """A random r x c matrix of rank at most k >= 1: an r x k times a k x c."""
+    A = Matrix(F, [[F.rand(rng) for _ in range(k)] for _ in range(r)])
+    B = Matrix(F, [[F.rand(rng) for _ in range(c)] for _ in range(k)])
+    return A * B
+
+
+def _shaped(F, shape, rng):
+    if shape == "invertible":
+        n = rng.randint(1, 5)
+        while True:
+            M = Matrix(F, [[F.rand(rng) for _ in range(n)] for _ in range(n)])
+            if rref_rank(M) == n:
+                return M
+    if shape == "singular":
+        n = rng.randint(1, 5)
+        return _product_of_rank(F, n, n, n - 1, rng) if n > 1 else Matrix.zeros(F, 1, 1)
+    if shape in ("wide", "tall"):
+        r = rng.randint(1, 4)
+        c = rng.randint(r + 1, 5)
+        M = _product_of_rank(F, r, c, rng.randint(1, r), rng)
+        return M if shape == "wide" else M.transpose()
+    # zero lines: some rows, some columns or both are zero
+    r, c = rng.randint(1, 5), rng.randint(1, 5)
+    zero_rows = set(rng.sample(range(r), rng.randint(0, r)))
+    zero_cols = set(rng.sample(range(c), rng.randint(0 if zero_rows else 1, c)))
+    return Matrix(F, [[F.zero if i in zero_rows or j in zero_cols else F.rand(rng) for j in range(c)] for i in range(r)])
+
+
+class TestEliminationMatchesRref:
+    """`rank`, `is_invertible`, `inverse`, `nullspace` and `solve_linear`
+    run on `Echelon`; the reference is reduced row echelon form, whose
+    pivot columns the echelon picks too, so even the nullspace vectors and
+    particular solutions are the same."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        name=st.sampled_from(sorted(ELIMINATION_FIELDS)),
+        shape=st.sampled_from(["invertible", "singular", "wide", "tall", "zero lines"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_rref(self, name, shape, seed):
+        F = ELIMINATION_FIELDS[name]
+        rng = random.Random(seed)
+        M = _shaped(F, shape, rng)
+        rank = rref_rank(M)
+        assert {
+            "invertible": rank == M.nrows == M.ncols,
+            "singular": rank < M.nrows == M.ncols,
+            "wide": M.nrows < M.ncols,
+            "tall": M.nrows > M.ncols,
+            "zero lines": (F.zero,) * M.ncols in M.rows or (F.zero,) * M.nrows in M.transpose().rows,
+        }[shape]
+        assert M.rank() == rank
+        assert M.is_invertible() == (M.is_square() and rank == M.nrows)
+        if not M.is_square():
+            with pytest.raises(SdlpError, match="non-square"):
+                M.inverse()
+        elif rank < M.nrows:
+            with pytest.raises(SdlpError, match="singular matrix"):
+                M.inverse()
+        else:
+            assert M.inverse() == rref_inverse(M)
+        assert nullspace(M) == rref_nullspace(M)
+        inside = M.matvec(tuple(F.rand(rng) for _ in range(M.ncols)))
+        want = rref_solve(M, inside)
+        assert want is not None and solve_linear(M, inside) == want
+        b = tuple(F.rand(rng) for _ in range(M.nrows))
+        assert solve_linear(M, b) == rref_solve(M, b)
+
+
 class TestMinPoly:
     def test_identity(self):
         assert min_poly(Matrix.identity(F5, 3)) == Poly(F5, [4, 1])
@@ -302,14 +386,14 @@ class TestMinPoly:
             n = rng.randrange(1, 5)
             B = Matrix(F, [[F.rand(rng) for _ in range(n)] for _ in range(n)])
             v = tuple(F.rand(rng) for _ in range(n))
-            f = annihilator(B, v)
+            f = krylov(F, B.matvec, v)[0]
             assert f.is_monic()
             assert eval_poly_at_matrix(f, B).matvec(v) == (F.zero,) * n
-            krylov = [v]
+            powers = [v]
             for _ in range(f.degree() - 1):
-                krylov.append(B.matvec(krylov[-1]))
+                powers.append(B.matvec(powers[-1]))
             # v, Bv, ..., B^{deg f - 1} v are independent, so no lower degree annihilates v
-            assert f.degree() == 0 or Matrix.from_columns(F, krylov).rank() == f.degree()
+            assert f.degree() == 0 or Matrix.from_columns(F, powers).rank() == f.degree()
             assert min_poly(B).divmod(f)[1].is_zero()
 
 
@@ -353,16 +437,17 @@ class TestEchelon:
             P = rand_invertible(F, n, rng)
             B = P * Matrix(F, blocks) * P.inverse()
             v = P.matvec(tuple(F.rand(rng) if i < k else F.zero for i in range(n)))
-            f, coords = _krylov_coordinates(B, v)
-            krylov, cur = [], v
+            f, echelon = krylov(F, B.matvec, v)
+            powers, cur = [], v
             for _ in range(f.degree()):
-                krylov.append(cur)
+                powers.append(cur)
                 cur = B.matvec(cur)
-            assert f == annihilator(B, v)
-            inside = _combine(F, [F.rand(rng) for _ in krylov], krylov, n)
+            assert echelon.basis == powers
+            assert eval_poly_at_matrix(f, B).matvec(v) == (F.zero,) * n
+            inside = _combine(F, [F.rand(rng) for _ in powers], powers, n)
             for w in (inside, tuple(F.rand(rng) for _ in range(n))):
-                want = coordinates_in_basis(F, krylov, w)
-                assert coords(w) == want
+                want = coordinates_in_basis(F, powers, w)
+                assert echelon.coords(w) == want
                 seen.add(want is None)
         assert seen == {True, False}
 
@@ -408,11 +493,11 @@ class TestFieldFromMatrix:
 
     def test_iso_is_ring_homomorphism(self):
         v = (1, 0)
-        f, coords = _krylov_coordinates(B_SPEC, v)
+        f, echelon = krylov(F5, B_SPEC.matvec, v)
         fld = ExtField(F5, f)
 
         def to_field(w):
-            return fld.from_coeffs(coords(w))
+            return fld.from_coeffs(echelon.coords(w))
 
         def from_field(u):
             return eval_poly_at_matrix(Poly(F5, list(u)), B_SPEC)

@@ -37,7 +37,7 @@ from sdlp.groups import (
     mulclose,
     rho_pow,
 )
-from sdlp.linalg import Matrix, annihilator
+from sdlp.linalg import Matrix, krylov
 from sdlp.oracles import element_order, ensure_endo_order, orbit_walk
 from sdlp.protocol import heisenberg_chain, heisenberg_instance
 from sdlp.solvers import (
@@ -45,8 +45,8 @@ from sdlp.solvers import (
     ChainLevel,
     NormalChain,
     OrbitProblemInstance,
+    _conjugator_by_enumeration,
     _intertwiner_basis,
-    _krylov_coordinates,
     _orbit_problem_set,
     brute_solve,
     find_conjugator,
@@ -254,21 +254,21 @@ class TestCyclicField:
 
     def test_spec_matrix_gives_f25(self):
         B = Matrix(F5, [[0, 4], [1, 4]])  # minimal polynomial x^2 + x + 1
-        f, coords = _krylov_coordinates(B, (1, 0))
+        f, echelon = krylov(F5, B.matvec, (1, 0))
         fld = ExtField(F5, f)
         assert fld.size == 25 and f == Poly(F5, [1, 1, 1])
 
         def to_field(w):
-            return fld.from_coeffs(coords(w))
+            return fld.from_coeffs(echelon.coords(w))
 
         assert to_field((1, 0)) == fld.one
         assert to_field(B.matvec((3, 2))) == fld.mul(fld.gen(), to_field((3, 2)))
 
     def test_scalar_gives_prime_field(self):
         B = Matrix(F5, [[2]])
-        f, coords = _krylov_coordinates(B, (3,))
+        f, echelon = krylov(F5, B.matvec, (3,))
         assert f == Poly(F5, [3, 1])  # x - 2: the orbit problem runs in F_5 with x -> 2
-        assert coords((1,)) == (2,)  # 1 = 2 * 3 in F_5
+        assert echelon.coords((1,)) == (2,)  # 1 = 2 * 3 in F_5
         assert solve_orbit_problem(OrbitProblemInstance(F5, B, (3,), (1,)), CFG) == 1
 
 
@@ -462,6 +462,33 @@ class TestConjugatorDraw:
         assert max(_reference_draw(basis, 2, F5, seed)[1] for seed in range(12)) > 1
 
 
+class TestConjugatorEnumeration:
+    """Over a field too small to draw from, the conjugator is the first
+    invertible combination of the intertwiner basis, the coefficient tuples
+    taken in lexicographic order with the last one fastest."""
+
+    def test_combinations_are_tried_in_lexicographic_order(self, monkeypatch):
+        F3 = PrimeField(3)
+        x = Matrix.identity(F3, 2)  # every matrix intertwines: the basis spans M_2
+        basis = _intertwiner_basis([x], [x], 2, F3)
+        k = len(basis)
+        assert k == 4
+        tried = []
+
+        def singular(self):
+            tried.append(self)
+            raise SdlpError("singular matrix")
+
+        monkeypatch.setattr(Matrix, "inverse", singular)
+        with pytest.raises(NotApplicableError, match="no invertible intertwiner"):
+            _conjugator_by_enumeration([x], [x], 2, F3, CFG)
+        want = []
+        for n in range(1, 3**k):  # the zero tuple is skipped
+            coeffs = [n // 3 ** (k - 1 - i) % 3 for i in range(k)]
+            want.append(Matrix(F3, [[sum(c * Y.rows[i][j] for c, Y in zip(coeffs, basis)) % 3 for j in range(2)] for i in range(2)]))
+        assert tried == want
+
+
 class TestIntertwinerBasis:
     """The generator-at-a-time intertwiner basis equals the stacked
     system's `nullspace`, so the seeded conjugator draw is unchanged."""
@@ -592,7 +619,7 @@ class TestSolveOrbitProblem:
             at += blk.nrows
         phi = Matrix(F5, rows)
         a = (0, 0, 1, 1, 1, 0, 1, 0, 0, 0)
-        factors = factor_poly(annihilator(phi, a))
+        factors = factor_poly(krylov(F5, phi.matvec, a)[0])
         assert sorted((u.degree(), k) for u, k in factors) == [(1, 1), (1, 3), (2, 1), (2, 2)]
         orbit = [a]
         while phi.matvec(orbit[-1]) != a:
