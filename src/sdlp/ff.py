@@ -143,6 +143,7 @@ class ExtField:
         self._tail = [(j, -c % self.p) for j, c in enumerate(mod.coeffs[:-1]) if c]
         self._slots = _slot_widths(self.p, self.degree, self._tail)
         self._packs_dots = self.degree >= PACK_MIN_DEGREE and bool(self._slots)
+        self._ring = None
 
     def gen(self):
         """The class of x (a root of the modulus)."""
@@ -169,6 +170,14 @@ class ExtField:
 
     def mul(self, a, b):
         return self.dot((a,), (b,))
+
+    def pow(self, a, n: int):
+        """a^n for n >= 0, as the power of a in F_p[x]/(modulus), on the
+        packed prime ring (`_PrimeRing`): the field builds that ring once,
+        on first use, and a power lifts and reduces once."""
+        if self._ring is None:
+            self._ring = self.base.ring(self.modulus)
+        return self._ring.pow(a, n)
 
     def mul_by(self, c):
         """The map a -> a * c, as the F_p-linear map it is: the e x e matrix
@@ -437,17 +446,13 @@ class BinaryField:
         return a
 
     def mul(self, a, b):
-        mod = self.modulus_int
-        top = 1 << self.degree
-        r = 0
+        """a b: `dot`'s carry-less loop for one pair, over the set bits of a."""
+        acc = 0
         while a:
-            if a & 1:
-                r ^= b
-            a >>= 1
-            b <<= 1
-            if b & top:
-                b ^= mod
-        return r
+            low = a & -a
+            acc ^= b << (low.bit_length() - 1)
+            a ^= low
+        return self._mod_bits(acc)
 
     def mul_by(self, c):
         """The map a -> a * c. Plain `mul`: no walk runs over a binary-field
@@ -745,9 +750,10 @@ class PolyRing:
 
     This is the one product of polynomials mod f: each field kind has its
     kernel, which `fld.ring(f)` picks, and `Poly.pow_mod`, the factoring
-    routines and `oracles.PolyUnitGroup` all run on it. A kernel keeps
-    elements in its own working form between products (`_lift`, `_drop`),
-    so a power converts once.
+    routines, `oracles.PolyUnitGroup` and `ExtField.pow` (on the prime ring
+    of its modulus) all run on it. A kernel keeps elements in its own
+    working form between products (`_lift`, `_drop`), where coefficients
+    may be packed and only partly reduced, so a power converts once.
     """
 
     def __init__(self, fld, f):
@@ -783,37 +789,95 @@ class PolyRing:
 
 
 class _PrimeRing(PolyRing):
-    """F_p[x]/(f): the int products are summed unreduced, each top
-    coefficient is reduced once as it is folded by the tail of f, and the
-    n survivors once at the end."""
+    """F_p[x]/(f) with a whole polynomial in one int (Kronecker
+    substitution), every slot reduced at once by Barrett's method.
+
+    An element's n coefficients sit in slots of W bits, constant term
+    lowest. Between products a coefficient is kept below 3p, not below p,
+    so a power lifts once and reduces mod p once, in `_drop`. A product is
+    one int product, which sums in slot i the coefficient products whose
+    indices add to i; one Barrett pass over its 2n - 1 slots; a fold of
+    the top n - 1 slots, read out by shift and mask, against the packed
+    x^(n+j) mod f, j < n - 1; and a second pass. x^n mod f has its
+    coefficients below p, and each later x^(n+j) mod f is x times the one
+    before, folded and passed once, so its coefficients are below 3p.
+
+    Barrett (Barrett, CRYPTO '86), with b = bitlen p and mu = floor(2^V /
+    p): for 0 <= z < 2^V, q = floor(floor(z / 2^(b-1)) mu / 2^(V-b+1))
+    has z/p - 3 < q <= z/p, so 0 <= z - q p < 3p. The upper bound holds
+    as both floors only lower q. For the lower one, z < 2^(b-1) <= p is
+    trivial, and otherwise floor(z / 2^(b-1)) > z / 2^(b-1) - 1 and mu >
+    2^V / p - 1, both positive, so their product over 2^(V-b+1) exceeds
+    z/p - z/2^V - 2^(b-1)/p > z/p - 2, and its floor q exceeds z/p - 3.
+
+    Bounds. A slot of a product sums at most n products of coefficients
+    below 3p: it is at most n (3p - 1)^2. After the first pass a slot is
+    below 3p, and the fold adds at most n - 1 products of two such
+    coefficients to it: at most 3p - 1 + (n - 1)(3p - 1)^2 <= n (3p -
+    1)^2. A step of the x^(n+j) mod f adds one product (3p - 1)(p - 1) to
+    a slot below 3p. So with V = bitlen(n (3p - 1)^2) every pass sees
+    slots below 2^V.
+
+    Slot width. One pass is q = ((z >> b-1) & m) mu >> (V-b+1) & m, then z
+    - q p, with m the low V - b + 1 bits of every slot. After the shift a
+    slot's low bits hold its z1 = floor(z / 2^(b-1)) < 2^(V-b+1), and the
+    low b - 1 bits of the slot above land at bit W - b + 1 and up, above m
+    while W >= V. Since p >= 2^(b-1), mu <= 2^(V-b+1), so z1 mu <
+    2^(2V-2b+2) stays in its slot while W >= 2V - 2b + 2; its low V - b + 1
+    bits then land, after the second shift, at bit W - V + b - 1 >= V - b
+    + 1 of the slot below, above m again. Each q p <= z slot by slot, so
+    the subtraction borrows nothing. W = 2V - 2b + 2 meets both, as
+    (3p - 1)^2 >= 2^(2b) makes V >= 2b + 1.
+    """
 
     def __init__(self, fld, f):
         super().__init__(fld, f)
-        # x^n = sum_k t_k x^k mod f: the nonzero (k, t_k)
-        self._tail = [(k, -c % fld.p) for k, c in enumerate(f.coeffs[:-1]) if c]
+        p, n = fld.p, self.degree
+        b = p.bit_length()
+        v = (n * (3 * p - 1) ** 2).bit_length()
+        k = v - b + 1  # the bits of z1 and of q
+        w = 2 * k
+        self._p, self._w, self._b1, self._k = p, w, b - 1, k
+        self._mu = (1 << v) // p
+        self._slot = (1 << w) - 1
+        self._m = ((1 << k) - 1) * (((1 << (2 * n - 1) * w) - 1) // self._slot)
+        self._offsets = range(0, n * w, w)
+        self._top_shift = n * w
+        self._low = (1 << n * w) - 1
+        # x^(n+j) mod f for j < n - 1: x times the previous, folded by x^n
+        first = self._lift([-c % p for c in f.coeffs[:-1]])
+        folds, low, reduce = [first], self._low, self._reduce
+        for _ in range(n - 2):
+            z = folds[-1] << w
+            folds.append(reduce((z & low) + (z >> n * w) * first))
+        self._folds = folds
+
+    def _lift(self, x):
+        w = self._w
+        v = 0
+        for c in reversed(x):
+            v = v << w | c
+        return v
+
+    def _drop(self, v):
+        p, slot = self._p, self._slot
+        return tuple([(v >> s & slot) % p for s in self._offsets])
+
+    def _reduce(self, z):
+        """Every slot of z below 3p, for slots below 2^V."""
+        m = self._m
+        return z - ((z >> self._b1 & m) * self._mu >> self._k & m) * self._p
 
     def _mul(self, x, y):
-        p = self.fld.p
-        e = self.degree
-        xs = [(i, a) for i, a in enumerate(x) if a]
-        raw = [0] * (2 * e - 1)
-        if x is y:  # squaring: each cross product once, doubled
-            for s, (i, a) in enumerate(xs):
-                raw[2 * i] += a * a
-                a += a
-                for k, b in xs[s + 1 :]:
-                    raw[i + k] += a * b
-        else:
-            ys = [(k, b) for k, b in enumerate(y) if b]
-            for i, a in xs:
-                for k, b in ys:
-                    raw[i + k] += a * b
-        for i in range(2 * e - 2, e - 1, -1):
-            c = raw[i] % p
-            if c:
-                for k, t in self._tail:
-                    raw[i - e + k] += c * t
-        return tuple([c % p for c in raw[:e]])
+        z = self._reduce(x * y)
+        top = z >> self._top_shift
+        if not top:
+            return z
+        slot = self._slot
+        z &= self._low
+        for s, fold in zip(self._offsets, self._folds):  # the top n - 1 slots
+            z += (top >> s & slot) * fold
+        return self._reduce(z)
 
 
 class _PackedRing(PolyRing):
@@ -1081,14 +1145,17 @@ def _factor_squarefree(f: Poly, rng: random.Random):
     h = x
     rest = f
     d = 0
+    ring = None  # F[x]/(rest), built once per rest
     while rest.degree() > 2 * (d + 1) - 1 and rest.degree() > 0:
         d += 1
-        h = h.pow_mod(q, rest)
+        ring = ring or F.ring(rest)
+        h = Poly(F, list(ring.pow(ring.element(h.coeffs), q)))
         g = (h - x).gcd(rest)
         if g.degree() > 0:
             out.extend(_equal_degree_split(g, d, rng))
             rest = rest.divmod(g)[0]
             h = h.mod(rest)
+            ring = None
     if rest.degree() > 0:
         out.append(rest.monic())
     return out
@@ -1152,12 +1219,14 @@ def _distinct_degrees(f: Poly):
     x = Poly.x(F)
     h = x
     e = 0
+    ring = None  # F[x]/(rest), built once per rest
     while rest.degree() > 0:
         e += 1
         if 2 * e > rest.degree():
             yield rest.degree()
             return
-        h = h.pow_mod(q, rest)
+        ring = ring or F.ring(rest)
+        h = Poly(F, list(ring.pow(ring.element(h.coeffs), q)))
         g = (h - x).gcd(rest)
         if g.degree() > 0:
             yield e
@@ -1167,3 +1236,4 @@ def _distinct_degrees(f: Poly):
                     break
                 rest = rest.divmod(g)[0]
             h = h.mod(rest)
+            ring = None

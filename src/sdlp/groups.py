@@ -695,9 +695,11 @@ class ConjugationEndo(Endo):
     """x -> a^-1 x a by a fixed invertible matrix (possibly outside G)."""
 
     def __init__(self, group, a: Matrix):
-        if not a.is_invertible():
-            raise SdlpError("conjugating matrix must be invertible")
-        self._setup(group, a, a.inverse())
+        try:
+            a_inv = a.inverse()
+        except SdlpError as exc:
+            raise SdlpError("conjugating matrix must be invertible") from exc
+        self._setup(group, a, a_inv)
 
     @classmethod
     def _trusted(cls, group, a: Matrix, a_inv: Matrix | None) -> "ConjugationEndo":

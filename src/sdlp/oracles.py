@@ -64,6 +64,13 @@ class UnitGroup(GroupHandle):
     def stepper(self, c):
         return self.fld.mul_by(c)
 
+    def pow(self, x, n: int):
+        """x^n; over F_{p^e} with n >= 0 by `ExtField.pow`, on the field's
+        packed prime ring."""
+        if n >= 0 and isinstance(self.fld, ExtField):
+            return self.fld.pow(x, n)
+        return GroupHandle.pow(self, x, n)
+
     def inv(self, x):
         return self.fld.inv(x)
 

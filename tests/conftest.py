@@ -4,7 +4,9 @@ Everything is seeded; matrix-group instances close their generator sets
 under sigma so that sigma really is an endomorphism of the group.
 """
 
+import importlib.util
 import math
+import pathlib
 import random
 
 from sdlp.config import SolverConfig
@@ -25,6 +27,16 @@ from sdlp.groups import (
 )
 from sdlp.linalg import Echelon, Matrix, nullspace
 from sdlp.oracles import ensure_endo_order
+
+
+def bench_module(name):
+    """perfbench/<name>.py, loaded from its file: perfbench is a directory
+    of scripts, not a package."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rho_pow_naive(g, sigma, t: int):

@@ -7,23 +7,11 @@ benchmark run; solving the first ten items of each workload makes a
 regression on its shapes fail here too.
 """
 
-import importlib.util
-import pathlib
-
 import pytest
+from conftest import bench_module
 
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracer = _load("tracer")
-workloads = _load("workloads")
+tracer = bench_module("tracer")
+workloads = bench_module("workloads")
 
 
 def test_tracer_installs_and_uninstalls():

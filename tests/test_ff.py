@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdlp.ff as ff
-from conftest import fold_dot, schoolbook_dot, schoolbook_poly_divmod, schoolbook_poly_mul, schoolbook_pow_mod
+from conftest import (
+    bench_module,
+    fold_dot,
+    schoolbook_dot,
+    schoolbook_poly_divmod,
+    schoolbook_poly_mul,
+    schoolbook_pow_mod,
+)
 from sdlp.errors import SdlpError
 from sdlp.ff import (
     PACK_MIN_DEGREE,
@@ -22,7 +29,9 @@ from sdlp.ff import (
     field_of_size,
     is_irreducible,
 )
+from sdlp.integers import _pow
 from sdlp.linalg import Matrix, krylov
+from sdlp.oracles import UnitGroup
 
 F5 = PrimeField(5)
 
@@ -121,6 +130,37 @@ class TestExtField:
         assert b == _power(F, a, F.size - 2)
         with pytest.raises(ZeroDivisionError, match="inverse of zero"):
             F.inv(F.zero)
+
+    @pytest.mark.parametrize(
+        "p,e,canonical",
+        [(p, e, False) for p, e in bench_module("workloads").ELEM_SHAPES] + [(3, 2, True), (3, 10, True)],
+    )
+    def test_pow_matches_square_and_multiply(self, p, e, canonical):
+        # the benchmark's shapes under random moduli drawn as it draws them
+        # (every coefficient random, so the tail is dense), and F_9, F_3^10
+        rng = random.Random(f"pow-{p}-{e}")
+        base = PrimeField(p)
+        if canonical:
+            F = field_of_size(p**e)
+        else:
+            while not is_irreducible(f := Poly(base, [base.rand(rng) for _ in range(e)] + [1])):
+                pass
+            F = ExtField(base, f)
+        G = UnitGroup(F)
+        q = F.size
+        exponents = (0, 1, p - 1, p, q - 2, q - 1, q, 3 * (q - 1) + 5, rng.getrandbits(60) | 1 << 59)
+        assert F._ring is None and F.pow(F.one, 0) == F.one
+        ring = F._ring  # built on the first power, kept by the field
+        for a in (F.gen(), F.rand_nonzero(rng), F.from_int(q - 1)):
+            for n in exponents:
+                want = _pow(a, n, F.mul, F.one)
+                assert F.pow(a, n) == want and G.pow(a, n) == want
+        assert F._ring is ring
+        assert G.pow(a, -5) == F.inv(_pow(a, 5, F.mul, F.one))
+        for n in (0, 1, 2, q - 1, rng.getrandbits(60) | 1 << 59):
+            want = _pow(F.zero, n, F.mul, F.one)
+            assert want == (F.one if n == 0 else F.zero)
+            assert F.pow(F.zero, n) == want and G.pow(F.zero, n) == want
 
     def test_rejects_reducible_modulus(self):
         with pytest.raises(SdlpError):
@@ -455,6 +495,13 @@ RING_FIELDS = {
 }
 
 
+# primes at the prime ring's slot-width edges: 2, where mu = 2^(V - 1) is
+# largest against p, primes on both sides of 2^8, 2^16 and 2^32, and the
+# largest 31-, 61- and 64-bit primes; degrees on both sides of 8
+EDGE_PRIMES = (2, 3, 251, 257, 65521, 65537, 2**31 - 1, 4294967311, 2**61 - 1, 18446744073709551557)
+EDGE_DEGREES = (1, 2, 7, 9, 12, 24)
+
+
 class TestPolyRing:
     @staticmethod
     def check_products(F, f, x, y):
@@ -491,6 +538,52 @@ class TestPolyRing:
         for deg in range(1, 13):
             f = Poly(F, [F.neg(top)] * deg + [F.one])
             self.check_products(F, f, (top,) * deg, (F.one,) + (top,) * (deg - 1))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        p=st.sampled_from(EDGE_PRIMES),
+        deg=st.sampled_from(EDGE_DEGREES),
+        operands=st.sampled_from(["random", "square", "top"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prime_kernel_at_the_slot_width_edges(self, p, deg, operands, seed):
+        F = PrimeField(p)
+        rng = random.Random(seed)
+        if operands == "top":  # every coefficient p - 1, as is every one of x^deg mod f
+            f = Poly(F, [1] * (deg + 1))
+            x, y = (p - 1,) * deg, tuple([p - 1] * deg)
+        else:
+            f = Poly(F, [F.rand(rng) for _ in range(deg)] + [1])
+            x = tuple(F.rand(rng) for _ in range(deg))
+            y = x if operands == "square" else tuple(F.rand(rng) for _ in range(deg))
+        ring = F.ring(f)
+        a = ring._lift(x)
+        want = schoolbook_poly_divmod(schoolbook_poly_mul(Poly(F, list(x)), Poly(F, list(y))), f)[1]
+        assert ring._drop(ring._mul(a, a if x is y else ring._lift(y))) == ring.element(want.coeffs)
+        n = rng.getrandbits(24)
+        assert Poly(F, list(ring.pow(x, n))) == schoolbook_pow_mod(Poly(F, list(x)), n, f)
+
+    def test_prime_kernel_keeps_every_slot_below_3p(self):
+        # white-box: operands whose every slot holds 3p - 1, the most a
+        # coefficient holds between products, so the middle slot of the
+        # int product reaches the bound deg (3p - 1)^2, and the folded
+        # x^(deg+j) mod f stay below 3p too; one modulus has x^deg = (p -
+        # 1)(1 + ... + x^(deg-1)), the other is random
+        rng = random.Random(3)
+        for p in EDGE_PRIMES:
+            F = PrimeField(p)
+            for deg in EDGE_DEGREES:
+                top = Poly(F, [p - 1] * deg)
+                for f in (Poly(F, [1] * (deg + 1)), Poly(F, [F.rand(rng) for _ in range(deg)] + [1])):
+                    ring = F.ring(f)
+                    w = ring._w
+                    assert all(fold >> i * w & (1 << w) - 1 < 3 * p for fold in ring._folds for i in range(deg))
+                    want = ring.element(schoolbook_poly_divmod(schoolbook_poly_mul(top, top), f)[1].coeffs)
+                    a, b = (sum((3 * p - 1) << i * w for i in range(deg)) for _ in range(2))
+                    for z in (ring._mul(a, a), ring._mul(a, b)):
+                        slots = [z >> i * w & (1 << w) - 1 for i in range(deg)]
+                        assert z >> deg * w == 0 and max(slots) < 3 * p, (p, deg)
+                        assert tuple(c % p for c in slots) == want
 
     def test_kernel_per_field_kind(self):
         kinds = {name: type(F.ring(Poly(F, [F.one] * 10))).__name__ for name, F in RING_FIELDS.items()}

@@ -40,7 +40,7 @@ from sdlp.groups import (
     semidirect_power,
     sigma_pow_apply,
 )
-from sdlp.linalg import _TRIANGULAR_POWER_MIN_BITS, Matrix
+from sdlp.linalg import _TRIANGULAR_POWER_MIN_BITS, Echelon, Matrix
 from sdlp.oracles import orbit_index_period
 
 F3 = PrimeField(3)
@@ -738,3 +738,31 @@ class TestConjugationCarriesInverse:
         assert inverses[0] == 2  # one each, on the first read
         self._check(group, E, xs)
         self._check(group, sk, xs)
+
+    def test_a_singular_matrix_is_rejected_by_name(self):
+        group = MatrixGroup(F5, 2, [])
+        singular = (
+            Matrix(F5, [[1, 2], [2, 4]]),  # dependent rows
+            Matrix(F5, [[1, 1], [0, 0]]),  # upper triangular, zero on the diagonal
+            Matrix(F5, [[1, 0, 0], [0, 1, 0]]),  # not square
+        )
+        for a in singular:
+            with pytest.raises(SdlpError, match="^conjugating matrix must be invertible$"):
+                ConjugationEndo(group, a)
+
+    def test_construction_runs_one_elimination(self, monkeypatch):
+        # the inverse is the validation: a general matrix is eliminated
+        # once, an upper-triangular one (as every Heisenberg conjugation
+        # is) inverted by back substitution, with no elimination
+        eliminations = [0]
+        init = Echelon.__init__
+
+        def counted(self, *args):
+            eliminations[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Echelon, "__init__", counted)
+        E = ConjugationEndo(MatrixGroup(F5, 2, []), Matrix(F5, [[1, 2], [3, 4]]))
+        assert eliminations[0] == 1 and (E.a * E.a_inv).is_identity()
+        E = ConjugationEndo(HeisenbergGroup(7), Matrix(F7, [[2, 1, 0], [0, 3, 1], [0, 0, 1]]))
+        assert eliminations[0] == 1 and (E.a * E.a_inv).is_identity()
