@@ -17,14 +17,12 @@ from .errors import SdlpError
 from .integers import _pow, _reduce_exponent, factorize, is_prime
 
 
-# Single products (`ExtField.dot`, `mul`) pack from this degree on; below
-# it the schoolbook convolution is faster (timed table in CHANGES.md).
-# Products that pack each operand once for many products (matrices,
-# polynomials over the field) pack at every degree.
+# Single products (`ExtField.dot`, `mul`) pack from this degree on, in
+# slots of at most 8 bytes; below it, or in wider slots, the schoolbook
+# convolution is as fast or faster (timed in CHANGES.md). Products that
+# pack each operand once for many products (matrices, polynomials over
+# the field) pack at every degree and width.
 PACK_MIN_DEGREE = 3
-# Slot widths in bits, narrowest first, with their struct codes; a field
-# whose products would overflow the widest slot keeps the schoolbook form.
-_SLOT_CODES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
 
 
 class PrimeField:
@@ -122,7 +120,8 @@ class ExtField:
     @classmethod
     def _trusted(cls, base: PrimeField, modulus: Poly) -> ExtField:
         """F_p[x]/(modulus) for a monic modulus already known to be
-        irreducible (a factor from `factor_poly`); skips the test. The field
+        irreducible (a factor from `factor_poly`, or the answer of
+        `canonical_irreducible`'s search); skips the test. The field
         equals, and hashes as, the one `ExtField(base, modulus)` builds."""
         out = cls.__new__(cls)
         out._setup(base, Poly(base, list(modulus.coeffs)))
@@ -141,8 +140,17 @@ class ExtField:
         self.one = tuple([1] + [0] * (self.degree - 1))
         # x^e = sum_j t_j x^j mod the modulus: the nonzero (j, t_j)
         self._tail = [(j, -c % self.p) for j, c in enumerate(mod.coeffs[:-1]) if c]
-        self._slots = _slot_widths(self.p, self.degree, self._tail)
-        self._packs_dots = self.degree >= PACK_MIN_DEGREE and bool(self._slots)
+        # every slot of a sum of n products is at most n e (p - 1)^2, and a
+        # fold by x^e = T(x) multiplies that bound by at most 1 + |T| (p - 1),
+        # |T| the number of T's nonzero terms; with deg T = t a fold lowers
+        # the top slot by e - t, so ceil((e - 1) / (e - t)) folds bring slot
+        # 2e - 2 below e. This is the bound per product after the folds; it
+        # is at least p - 1, so the tail's coefficients fit any width too.
+        e, p = self.degree, self.p
+        top = max((j for j, _ in self._tail), default=0)
+        self._term_bound = e * (p - 1) ** 2 * (1 + len(self._tail) * (p - 1)) ** -(-(e - 1) // (e - top))
+        self._packs_dots = e >= PACK_MIN_DEGREE and self._term_bound < 1 << 64
+        self._slots = {}  # terms -> Slots, one per width, built on first use
         self._ring = None
 
     def gen(self):
@@ -196,12 +204,12 @@ class ExtField:
 
     def dot(self, a, b):
         """sum_i a_i b_i: the unreduced products are summed, then reduced
-        once. A field of degree >= PACK_MIN_DEGREE whose slots hold the sum
-        forms it as packed ints (`Slots.dot`); others convolve the
-        coefficient lists."""
+        once. A field of degree >= PACK_MIN_DEGREE forms the sum as packed
+        ints (`Slots.dot`) when slots of at most 8 bytes hold it; otherwise
+        the coefficient lists are convolved."""
         if self._packs_dots:
             s = self.slots(len(a))
-            if s is not None:
+            if s.size <= 8:
                 return s.dot(a, b)
         raw = [0] * (2 * self.degree - 1)
         for u, v in zip(a, b):
@@ -227,32 +235,35 @@ class ExtField:
         return tuple(x % p for x in raw[:e])
 
     def slots(self, terms):
-        """The narrowest `Slots` in which a sum of `terms` products of
-        elements cannot carry between slots, or None when none can."""
-        for s in self._slots:
-            if terms <= s.terms:
-                return s
-        return None
+        """The narrowest `Slots` of this field in which a sum of `terms`
+        products of elements (at least one) cannot carry between slots,
+        built on first use: its slots hold the per-product bound times
+        `terms`, and the folds by the modulus tail are already counted."""
+        s = self._slots.get(terms)
+        if s is None:
+            size = _slot_size(max(terms, 1) * self._term_bound)
+            s = next((t for t in self._slots.values() if t.size == size), None)
+            s = self._slots[terms] = s or Slots(self.p, self.degree, size, self._tail)
+        return s
 
     def products(self, rows, cols):
         """The table [[dot(r, c) for c in cols] for r in rows]. A table of
-        more than one dot packs at every degree when slots hold its sums:
-        each entry is packed once and serves a whole row or column."""
-        s = self.slots(len(rows[0])) if rows and len(rows) + len(cols) > 2 else None
-        if s is None:
+        more than one dot packs at every degree: each entry is packed once
+        and serves a whole row or column."""
+        if not rows or len(rows) + len(cols) <= 2:
             dot = self.dot
             return [[dot(r, c) for c in cols] for r in rows]
+        s = self.slots(len(rows[0]))
         pack, unpack, mul = s.pack, s.unpack, operator.mul
         rows = [[pack(a) for a in r] for r in rows]
         cols = [[pack(a) for a in c] for c in cols]
         return [[unpack(sum(map(mul, r, c))) for c in cols] for r in rows]
 
     def ring(self, f):
-        """F_{p^e}[x]/(f) for a monic f of degree n >= 1: packed when slots
-        hold a sum of 2n - 1 products (n from the product, n - 1 from the
-        folds), on int coefficient lists otherwise."""
-        s = self.slots(2 * f.degree() - 1)
-        return _ExtRing(self, f) if s is None else _PackedRing(self, f, s)
+        """F_{p^e}[x]/(f) for a monic f of degree n >= 1, packed in slots
+        that hold a sum of 2n - 1 products (n from the product, n - 1 from
+        the folds)."""
+        return _PackedRing(self, f, self.slots(2 * f.degree() - 1))
 
     def inv(self, a):
         """a^-1 by the extended Euclidean algorithm over F_p on int
@@ -339,38 +350,44 @@ class ExtField:
 
 
 class Slots:
-    """Packed F_{p^e} arithmetic at one slot width (Kronecker substitution).
+    """F_p vectors of `count` values, each packed into one int (Kronecker
+    substitution): value i sits in slot i, `size` bytes wide, first value
+    lowest.
 
-    `pack` puts an element's e coefficients into fixed `bits`-wide slots of
-    one int, constant term lowest, so an int product is the unreduced
-    polynomial product and an int sum adds coefficientwise. `unpack` takes
-    a sum of at most `terms` such products, folds the slots at and above e
-    down by x^e = T(x) (one int product by the packed tail T per fold) and
-    reduces the e survivors mod p once.
-
-    `terms` comes from a bound: every slot of a sum of n products is at
-    most n e (p - 1)^2, and a fold multiplies that bound by at most
-    1 + |T| (p - 1), where |T| counts T's nonzero terms. With deg T = t a
-    fold lowers the top slot by e - t, so ceil((e - 1) / (e - t)) folds
-    bring slot 2e - 2 below e. `terms` is the largest n for which the
-    final bound still fits a slot; T's coefficients, below p, fit too.
+    An int product of two packed vectors is the unreduced product of the
+    polynomials with those coefficients, and an int sum adds slotwise, so
+    a sum of such products holds in each slot a sum of value products.
+    `unpack` reads such an int back mod p while no slot of it overflows.
+    With a `tail`, the nonzero (j, t_j) of x^count = sum_j t_j x^j (an
+    element of F_{p^e} = F_p[x]/(modulus) for count = e), `unpack` first
+    folds the slots at and above `count` down by that identity, one int
+    product by the packed tail per fold; with none, an int to unpack has
+    no slot there. Widths of 1, 2, 4 and 8 bytes (`_slot_size`) read back
+    with one `struct` unpack, wider ones by one `int.from_bytes` a slot.
     """
 
-    __slots__ = ("bits", "terms", "p", "_pack", "_unpack", "_nbytes", "_shift", "_mask", "_tail")
+    __slots__ = ("p", "size", "_pack", "_read", "_nbytes", "_shift", "_mask", "_tail")
 
-    def __init__(self, p, e, tail, bits, code, terms):
-        self.bits = bits
-        self.terms = terms
+    def __init__(self, p, count, size, tail=()):
         self.p = p
-        fmt = struct.Struct(f"<{e}{code}")
-        self._pack, self._unpack = fmt.pack, fmt.unpack
-        self._nbytes = fmt.size
-        self._shift = bits * e
-        self._mask = (1 << bits * e) - 1
-        coeffs = [0] * e
+        self.size = size
+        self._nbytes = count * size
+        self._shift = 8 * self._nbytes
+        self._mask = (1 << self._shift) - 1
+        if size in (1, 2, 4, 8):  # struct codes B, H, I and Q
+            fmt = struct.Struct(f"<{count}{'BHIQ'[size.bit_length() - 1]}")
+            self._pack, self._read = fmt.pack, fmt.unpack
+        else:
+            self._pack = lambda *a: b"".join([x.to_bytes(size, "little") for x in a])
+            self._read = lambda raw: [int.from_bytes(raw[at : at + size], "little") for at in range(0, len(raw), size)]
+        coeffs = [0] * count
         for j, t in tail:
             coeffs[j] = t
         self._tail = self.pack(coeffs)
+
+    def to_bytes(self, a):
+        """The `count` slots of a as bytes, first value lowest."""
+        return self._pack(*a)
 
     def pack(self, a):
         return int.from_bytes(self._pack(*a), "little")
@@ -380,25 +397,19 @@ class Slots:
         while h := c >> shift:
             c = (c & mask) + h * tail
         p = self.p
-        return tuple([x % p for x in self._unpack(c.to_bytes(self._nbytes, "little"))])
+        return tuple([x % p for x in self._read(c.to_bytes(self._nbytes, "little"))])
 
     def dot(self, a, b):
         pack = self.pack
         return self.unpack(sum([pack(u) * pack(v) for u, v in zip(a, b)]))
 
 
-def _slot_widths(p, e, tail):
-    """The `Slots` of F_{p^e} with this modulus tail, narrowest first; empty
-    when even one product overflows the widest slot."""
-    top = max((j for j, _ in tail), default=0)
-    folds = -(-(e - 1) // (e - top))
-    bound = e * (p - 1) ** 2 * (1 + len(tail) * (p - 1)) ** folds
-    out = []
-    for bits, code in _SLOT_CODES:
-        terms = ((1 << bits) - 1) // bound
-        if terms:
-            out.append(Slots(p, e, tail, bits, code, terms))
-    return out
+def _slot_size(bound):
+    """The narrowest slot width, in bytes, that holds every int up to
+    `bound`: 1, 2, 4 or 8 bytes, which `struct` reads a vector at a time,
+    and past 64 bits just enough bytes."""
+    size = max(1, -(-bound.bit_length() // 8))
+    return size if size > 8 else 1 << (size - 1).bit_length()
 
 
 class BinaryField:
@@ -417,13 +428,15 @@ class BinaryField:
         if k < 1 or k >= 128:
             raise SdlpError("binary field size out of range")
         base = PrimeField(2)
-        if modulus_int is None:
-            modulus_int = _bits(canonical_irreducible(base, k).coeffs)
-        if modulus_int.bit_length() != k + 1:
-            raise SdlpError("modulus must have degree k")
-        mod_poly = Poly(base, [(modulus_int >> i) & 1 for i in range(k + 1)])
-        if k >= 2 and not is_irreducible(mod_poly):
-            raise SdlpError("modulus polynomial is reducible")
+        if modulus_int is None:  # the canonical modulus, irreducible by its search
+            mod_poly = canonical_irreducible(base, k)
+            modulus_int = _bits(mod_poly.coeffs)
+        else:
+            if modulus_int.bit_length() != k + 1:
+                raise SdlpError("modulus must have degree k")
+            mod_poly = Poly(base, [(modulus_int >> i) & 1 for i in range(k + 1)])
+            if k >= 2 and not is_irreducible(mod_poly):
+                raise SdlpError("modulus polynomial is reducible")
         self.base = base
         self.modulus = mod_poly
         self.modulus_int = modulus_int
@@ -556,17 +569,26 @@ def field_of_size(q: int) -> "PrimeField | ExtField | BinaryField":
         return PrimeField(p)
     if p == 2:
         return BinaryField(e)
-    return ExtField(PrimeField(p), canonical_irreducible(PrimeField(p), e))
+    base = PrimeField(p)
+    return ExtField._trusted(base, canonical_irreducible(base, e))
+
+
+# (p, e) -> canonical_irreducible's answer: each search runs once
+_CANONICAL = {}
 
 
 def canonical_irreducible(base: PrimeField, e: int) -> "Poly":
-    """First monic irreducible of degree e over F_p in lex coefficient order.
+    """First monic irreducible of degree e over F_p in lex coefficient order,
+    searched once per (p, e).
 
     The first p candidates are the binomials x^e + c. When gcd(e, p - 1) = 1
     every element of F_p is an e-th power, so for e >= 2 each binomial has a
     root and the search starts after them.
     """
     p = base.p
+    f = _CANONICAL.get((p, e))
+    if f is not None:
+        return f
     start = p if e >= 2 and math.gcd(e, p - 1) == 1 else 0
     for n in range(start, p**e):
         coeffs = []
@@ -576,6 +598,7 @@ def canonical_irreducible(base: PrimeField, e: int) -> "Poly":
             coeffs.append(r)
         f = Poly(base, coeffs + [1])
         if is_irreducible(f):
+            _CANONICAL[p, e] = f
             return f
     raise SdlpError("no irreducible polynomial found")  # unreachable
 
@@ -884,7 +907,8 @@ class _PackedRing(PolyRing):
     """F_{p^e}[x]/(f) on packed coefficients (`Slots`): the products and
     the folds by the tail of f are summed unreduced, and a coefficient is
     unpacked only when it is folded or leaves a product. The slots hold
-    the 2n - 1 products that meet in one coefficient."""
+    the 2n - 1 products that meet in one coefficient, at whatever width
+    that takes."""
 
     def __init__(self, fld, f, slots):
         super().__init__(fld, f)
@@ -919,40 +943,6 @@ class _PackedRing(PolyRing):
                     for k, t in self._tail:
                         raw[i - e + k] += c * t
         return tuple([pack(unpack(c)) for c in raw[:e]])
-
-
-class _ExtRing(PolyRing):
-    """F_{p^e}[x]/(f) for fields whose slots cannot hold a product: each
-    coefficient's products are convolved into one int list, each top list
-    is reduced once as it is folded by the tail of f, and the n survivors
-    once at the end, as `ExtField.dot` does for one sum."""
-
-    def __init__(self, fld, f):
-        super().__init__(fld, f)
-        self._tail = [(k, fld.neg(c)) for k, c in enumerate(f.coeffs[:-1]) if c != fld.zero]
-
-    def _mul(self, x, y):
-        F = self.fld
-        e = self.degree
-        raw = [[0] * (2 * F.degree - 1) for _ in range(2 * e - 1)]
-        ys = [(k, b) for k, b in enumerate(y) if any(b)]
-        for i, a in enumerate(x):
-            for k, b in ys:
-                _convolve(raw[i + k], a, b)
-        for i in range(2 * e - 2, e - 1, -1):
-            c = F._reduce(raw[i])
-            if any(c):
-                for k, t in self._tail:
-                    _convolve(raw[i - e + k], c, t)
-        return tuple([F._reduce(r) for r in raw[:e]])
-
-
-def _convolve(out, u, v):
-    """out[i + j] += u[i] v[j] for every pair, on ints."""
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v, i):
-                out[j] += a * b
 
 
 class _BinaryRing(PolyRing):

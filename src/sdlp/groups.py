@@ -60,10 +60,6 @@ class GroupHandle:
         """Factored positive integer m with x^m = 1 for every element."""
         raise NotImplementedError
 
-    def order(self):
-        """|G| when cheaply known, else None."""
-        return None
-
     def rand_element(self, rng: random.Random):
         word = self.identity
         gens = self.generators()
@@ -116,9 +112,6 @@ class CyclicGroup(GroupHandle):
     def exponent_multiple(self):
         return integers.factorize(self.n)
 
-    def order(self):
-        return self.n
-
     def elements(self):
         return range(self.n)
 
@@ -166,9 +159,6 @@ class VectorGroup(GroupHandle):
 
     def exponent_multiple(self):
         return {self.p: 1}
-
-    def order(self):
-        return self.p**self.d
 
     def elements(self):
         return itertools.product(range(self.p), repeat=self.d)
@@ -271,9 +261,6 @@ class HeisenbergGroup(GroupHandle):
 
     def exponent_multiple(self):
         return {self.p: 1} if self.p != 2 else {2: 2}
-
-    def order(self):
-        return self.p**3
 
     def elements(self):
         return itertools.product(range(self.p), repeat=3)
@@ -416,15 +403,6 @@ class ProductGroup(GroupHandle):
         for f in self.factors:
             out = integers.merge_lcm(out, f.exponent_multiple())
         return out
-
-    def order(self):
-        total = 1
-        for f in self.factors:
-            n = f.order()
-            if n is None:
-                return None
-            total *= n
-        return total
 
     def rand_element(self, rng):
         return tuple(f.rand_element(rng) for f in self.factors)

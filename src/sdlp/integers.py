@@ -201,24 +201,14 @@ def divisors_ascending(factors: dict) -> list:
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int):
-    """Solve x = r1 mod m1, x = r2 mod m2 for coprime moduli."""
-    g, s, _ = _ext_gcd(m1, m2)
-    if g != 1:
-        raise ValueError("crt_pair expects coprime moduli")
-    m = m1 * m2
-    return (r1 + (r2 - r1) * s % m2 * m1) % m, m
-
-
-def _ext_gcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    """(x, lcm(m1, m2)) with x = r1 mod m1, x = r2 mod m2 and 0 <= x < lcm,
+    for any positive moduli; None when r1 != r2 mod gcd(m1, m2)."""
+    g = math.gcd(m1, m2)
+    if (r2 - r1) % g:
+        return None
+    n = m2 // g
+    m = m1 * n
+    return (r1 + (r2 - r1) // g * pow(m1 // g, -1, n) % n * m1) % m, m
 
 
 def _cyclotomic_value(m: int, x: int) -> int:

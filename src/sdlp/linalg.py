@@ -143,12 +143,6 @@ class Matrix:
         units = ([F.one if i == j else F.zero for j in range(n)] for i in range(n))
         return Matrix(F, [echelon.coords(e) for e in units])
 
-    def rank(self):
-        echelon = Echelon(self.field)
-        for row in self.rows:
-            echelon.add(row)
-        return len(echelon.basis)
-
     def is_invertible(self):
         return self.is_square() and self._row_echelon() is not None
 

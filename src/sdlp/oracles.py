@@ -8,13 +8,12 @@ the defining equation before it leaves this module.
 import math
 import operator
 import random
-import struct
 from dataclasses import dataclass
 
 from . import integers
 from .config import SolverConfig
 from .errors import NotApplicableError, SdlpError
-from .ff import ExtField, Poly, _poly_half_ext_gcd, factor_degrees
+from .ff import ExtField, Poly, Slots, _poly_half_ext_gcd, _slot_size, factor_degrees
 from .groups import (
     ConjugationEndo,
     Endo,
@@ -485,14 +484,14 @@ def _window_bsgs(fld, c, m):
 
     Baby steps: s_{n+i} = sum_l r_l s_{n+l} for r the power-basis
     coordinates of c^i, so the next terms after a window are one
-    `_PackedRows` product by the rows for c^k, c^(k+1), .... The keys are
-    k-term byte windows of the sequence.
+    `_rows_product` by the rows for c^k, c^(k+1), .... The keys are k-term
+    byte windows of the sequence, each term in the narrowest slot.
 
     Giant steps: with the Hankel matrices H_n = (s_{n+l+i})_{l,i}, the
     element with power-basis coordinates u has window H_0 u, and times c^m
     the window H_m u, so window(a c^-m) = M window(a) for M = H_0 H_m^-1:
     row r of M is the coordinates of row r of H_0 over the rows of H_m. M,
-    M^2, ..., M^G stacked are one `_PackedRows` product, G steps at a time.
+    M^2, ..., M^G stacked are one `_rows_product`, G steps at a time.
     A target is moved in by `coords` once; one outside F_p(c) is no power
     of c and takes no giant step.
     """
@@ -504,14 +503,13 @@ def _window_bsgs(fld, c, m):
     while len(rows) < min(_BABY_BLOCK, math.isqrt(m)):
         top = rows[-1][-1]
         rows.append([(a + top * t) % p for a, t in zip([0, *rows[-1][:-1]], tail)])
-    baby = _PackedRows(p, rows)
+    baby = _rows_product(p, rows)
     terms = [1] + [0] * (k - 1)
     while len(terms) < m + 2 * k - 1:
         terms += baby(terms[-k:])
-    # a key is the k-term window as bytes, each term in the narrowest slot
-    code, size = next((code, size) for code, size in (("B", 1), ("H", 2), ("I", 4), ("Q", 8)) if p <= 1 << 8 * size)
+    size = _slot_size(p - 1)
     width = k * size
-    buf = struct.pack(f"<{m + k - 1}{code}", *terms[: m + k - 1])
+    buf = Slots(p, m + k - 1, size).to_bytes(terms[: m + k - 1])
     # reversed, so that the smallest j of a repeated key is written last
     keys = [buf[at : at + width] for at in range((m - 1) * size, -1, -size)]
     table = dict(zip(keys, range(m - 1, -1, -1)))
@@ -520,12 +518,12 @@ def _window_bsgs(fld, c, m):
     for r in range(k):
         hm.add(terms[m + r : m + r + k])
     powers = [[hm.coords(row) for row in h0]]  # the rows of M
-    times_m = _PackedRows(p, list(zip(*powers[0])))  # row -> row M
+    times_m = _rows_product(p, list(zip(*powers[0])))  # row -> row M
     G = min(_GIANT_BLOCK, math.isqrt(m))
     while len(powers) < G:
         powers.append([times_m(row) for row in powers[-1]])
-    jump = _PackedRows(p, [row for power in powers for row in power])
-    pack = struct.Struct(f"<{G * k}{code}").pack
+    jump = _rows_product(p, [row for power in powers for row in power])
+    key, block_keys = Slots(p, k, size).to_bytes, Slots(p, G * k, size).to_bytes
     cuts = [slice(at, at + width) for at in range(0, G * width, width)]
 
     def find(target):
@@ -533,12 +531,12 @@ def _window_bsgs(fld, c, m):
         if u is None:
             return None
         window = [F.dot(row, u) for row in h0]
-        j = table.get(struct.pack(f"<{k}{code}", *window))
+        j = table.get(key(window))
         if j is not None:
             return j
         for i in range(0, m, G):  # the windows of target c^(-m (i + g)), g = 1 .. G
             block = jump(window)
-            keys = list(map(pack(*block).__getitem__, cuts[: m - i]))
+            keys = list(map(block_keys(block).__getitem__, cuts[: m - i]))
             if not table.keys().isdisjoint(keys):
                 for g, j in enumerate(map(table.get, keys), i + 1):
                     if j is not None:
@@ -549,36 +547,16 @@ def _window_bsgs(fld, c, m):
     return find
 
 
-class _PackedRows:
+def _rows_product(p, rows):
     """v -> [dot(row, v) mod p for row in rows] for a fixed matrix over F_p,
-    as one packed product (Kronecker substitution).
-
-    Column l is one int whose slot i holds rows[i][l], so sum_l v_l col_l
-    holds row i's dot product in slot i. A dot product of k terms below p
-    is at most k (p - 1)^2, so the slots are 64 bits wide, read back by
-    one `struct` unpack, while that fits, and otherwise just wide enough
-    for it, read back by `int.from_bytes`."""
-
-    def __init__(self, p, rows):
-        self.p = p
-        size = max(8, -(-(len(rows[0]) * (p - 1) ** 2).bit_length() // 8))
-        self._size = size
-        self._nbytes = size * len(rows)
-        if size == 8:
-            fmt = struct.Struct(f"<{len(rows)}Q")
-            self._cols = [int.from_bytes(fmt.pack(*col), "little") for col in zip(*rows)]
-            self._unpack = fmt.unpack
-        else:
-            self._cols = [int.from_bytes(b"".join(x.to_bytes(size, "little") for x in col), "little") for col in zip(*rows)]
-            self._unpack = None
-
-    def __call__(self, v):
-        raw = sum(map(operator.mul, v, self._cols)).to_bytes(self._nbytes, "little")
-        p = self.p
-        if self._unpack is not None:
-            return [x % p for x in self._unpack(raw)]
-        size = self._size
-        return [int.from_bytes(raw[at : at + size], "little") % p for at in range(0, len(raw), size)]
+    as one packed product (`Slots`, no tail): column l is one int whose
+    slot i holds rows[i][l], so sum_l v_l col_l holds row i's dot product
+    in slot i. A dot product of k terms below p is at most k (p - 1)^2,
+    which sets the slot width."""
+    s = Slots(p, len(rows), _slot_size(len(rows[0]) * (p - 1) ** 2))
+    cols = [s.pack(col) for col in zip(*rows)]
+    unpack, mul = s.unpack, operator.mul
+    return lambda v: unpack(sum(map(mul, v, cols)))
 
 
 def _prime_order_log(group, base, p, config: SolverConfig):

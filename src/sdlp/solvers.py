@@ -5,7 +5,6 @@ every answer against the defining equation once, on its way out.
 """
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -385,7 +384,7 @@ def _find_conjugator_lifted(generators, images, d: int, fld, config: SolverConfi
         e = 1
         while fld.size**e < 2 * d:
             e += 1
-        lifted = ExtField(fld, canonical_irreducible(fld, e))
+        lifted = ExtField._trusted(fld, canonical_irreducible(fld, e))
 
         def embed(M, lifted=lifted):
             return Matrix(lifted, [[lifted.from_int(v) for v in row] for row in M.rows])
@@ -760,19 +759,14 @@ def _intersect_two(a: SolutionSet, b: SolutionSet) -> SolutionSet:
         return a if b.contains(a.t0) else SolutionSet.empty()
     if b.kind == "singleton":
         return b if a.contains(b.t0) else SolutionSet.empty()
-    # both progressions: solve t = a.t0 (mod a.period), t = b.t0 (mod b.period)
-    g = math.gcd(a.period, b.period)
-    if (a.t0 - b.t0) % g != 0:
+    # both progressions: t = a.t0 (mod a.period), t = b.t0 (mod b.period),
+    # lifted to the first such t that both progressions reach
+    both = integers.crt_pair(a.t0, a.period, b.t0, b.period)
+    if both is None:
         return SolutionSet.empty()
-    lcm = a.period // g * b.period
-    # CRT for non-coprime moduli
-    diff = (b.t0 - a.t0) // g
-    inv = pow(a.period // g, -1, b.period // g) if b.period // g > 1 else 0
-    t = (a.t0 + a.period * (diff * inv % (b.period // g))) % lcm
+    t, lcm = both
     start = max(a.t0, b.t0)
-    while t < start:
-        t += lcm
-    return SolutionSet.progression(t, lcm)
+    return SolutionSet.progression(start + (t - start) % lcm, lcm)
 
 
 # The one name -> core table. `solve` takes the names in SOLVER_NAMES and

@@ -19,6 +19,7 @@ from sdlp.groups import (
     LinearMapEndo,
     MatrixGroup,
     PowerMapEndo,
+    ProductGroup,
     SdlpInstance,
     TableEndo,
     VectorGroup,
@@ -49,6 +50,21 @@ def rho_pow_naive(g, sigma, t: int):
         out = grp.mul(out, cur)
         cur = sigma.apply(cur)
     return out
+
+
+def group_order(group):
+    """|G| for the groups whose order has a closed form: Z_n, F_p^d, the
+    Heisenberg group mod p and products of them; None for any other."""
+    if isinstance(group, CyclicGroup):
+        return group.n
+    if isinstance(group, VectorGroup):
+        return group.p**group.d
+    if isinstance(group, HeisenbergGroup):
+        return group.p**3
+    if isinstance(group, ProductGroup):
+        orders = [group_order(f) for f in group.factors]
+        return None if None in orders else math.prod(orders)
+    return None
 
 
 def monoid_exponent(q: int, d: int) -> int:
@@ -115,7 +131,7 @@ def rref(rows, F):
 
 
 def rref_rank(M):
-    """Reference `Matrix.rank`: the number of pivots of M's RREF."""
+    """Reference rank: the number of pivots of M's RREF."""
     return len(rref([list(r) for r in M.rows], M.field)[1])
 
 

@@ -11,6 +11,7 @@ import time
 from conftest import (
     borel_group,
     eval_poly_at_matrix,
+    group_order,
     rand_invertible,
     rand_upper_triangular,
     random_cyclic_instance,
@@ -308,7 +309,7 @@ def test_criterion_6_endomorphism_reduction():
         assert got == want, (inst, got, want)
         if not got.is_empty():
             values, index, period = orbit_walk(inst.g, inst.sigma, ORBIT_CAP)
-            order = inst.group.order()
+            order = group_order(inst.group)
             bound = math.ceil(math.log2(order)) if order > 1 else 1
             if got.kind == "singleton":
                 assert got.t0 <= index

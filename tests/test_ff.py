@@ -23,6 +23,7 @@ from sdlp.ff import (
     Poly,
     PrimeField,
     Slots,
+    _slot_size,
     canonical_irreducible,
     factor_degrees,
     factor_poly,
@@ -184,7 +185,7 @@ class TestExtField:
         trusted = ExtField._trusted(base, mod)
         assert trusted == checked and hash(trusted) == hash(checked)
         assert (trusted.modulus, trusted.size, trusted._tail) == (checked.modulus, checked.size, checked._tail)
-        assert [s.bits for s in trusted._slots] == [s.bits for s in checked._slots]
+        assert trusted._term_bound == checked._term_bound and trusted._packs_dots == checked._packs_dots
         rng = random.Random(p)
         for _ in range(20):
             a, b = checked.rand(rng), checked.rand_nonzero(rng)
@@ -375,16 +376,17 @@ def _dense_field(p, e):
     """F_{p^e} by the first irreducible whose coefficients are all nonzero:
     every tail constant is nonzero, and most are near p."""
     F = PrimeField(p)
-    for tail in itertools.product(range(1, p), repeat=e):
-        f = Poly(F, list(tail) + [1])
+    for n in itertools.count():  # the tails in itertools.product order, drawn lazily
+        tail = [n // (p - 1) ** (e - 1 - i) % (p - 1) + 1 for i in range(e)]
+        f = Poly(F, tail + [1])
         if is_irreducible(f):
             return ExtField(F, f)
 
 
-# extension fields at every slot width: 8 bits (F_9, a degree-1 extension),
-# 16 (F_3^10), 32 (F_41^3, dense tail) and 64 only (F_65521^2, F_65537^3,
-# F_257^5 dense); F_127^6 with a dense tail overflows 64 bits and keeps
-# the schoolbook products
+# extension fields whose one product fits each slot width: 1 byte (F_9, a
+# degree-1 extension), 2 (F_3^10), 4 (F_41^3, dense tail), 8 (F_65521^2,
+# F_65537^3, F_257^5 dense), and dense-modulus fields with no slot of at
+# most 8 bytes (F_127^6, F_4093^6, F_1048573^3, F_(2^61-1)^2)
 PACKED_FIELDS = {
     "F_9": field_of_size(9),
     "F_7^1": ExtField(PrimeField(7), [3, 1]),
@@ -394,19 +396,33 @@ PACKED_FIELDS = {
     "F_65537^3": field_of_size(65537**3),
     "F_257^5": _dense_field(257, 5),
     "F_127^6": _dense_field(127, 6),
+    "F_4093^6": _dense_field(4093, 6),
+    "F_1048573^3": _dense_field(1048573, 3),
+    "F_2^61-1^2": _dense_field(2**61 - 1, 2),
 }
+# the fields whose single products (`dot`, `mul`) pack: degree at least
+# PACK_MIN_DEGREE, and one product fits 8 bytes
+PACKS_SINGLE_PRODUCTS = {"F_3^10", "F_41^3", "F_65537^3", "F_257^5"}
 
 
 class TestPackedProducts:
     """Kronecker-packed F_{p^e} products against the schoolbook reference,
     up to each slot width's proven limit."""
 
+    def test_slot_size_at_each_boundary(self):
+        # 1, 2, 4 and 8 bytes, then just enough bytes past 64 bits
+        for bits, size, wider in ((8, 1, 2), (16, 2, 4), (32, 4, 8), (64, 8, 9)):
+            assert _slot_size((1 << bits) - 1) == size and _slot_size(1 << bits) == wider
+        assert _slot_size(0) == 1 and _slot_size((1 << 72) - 1) == 9 and _slot_size(1 << 72) == 10
+
     def test_slot_widths(self):
-        bits = {name: [s.bits for s in F._slots] for name, F in PACKED_FIELDS.items()}
-        assert bits["F_9"] == bits["F_7^1"] == [8, 16, 32, 64]
-        assert bits["F_3^10"] == [16, 32, 64] and bits["F_41^3"] == [32, 64]
-        assert bits["F_65521^2"] == bits["F_65537^3"] == bits["F_257^5"] == [64]
-        assert bits["F_127^6"] == []
+        sizes = {name: F.slots(1).size for name, F in PACKED_FIELDS.items()}
+        assert sizes["F_9"] == sizes["F_7^1"] == 1
+        assert sizes["F_3^10"] == 2 and sizes["F_41^3"] == 4
+        assert sizes["F_65521^2"] == sizes["F_65537^3"] == sizes["F_257^5"] == 8
+        assert (sizes["F_127^6"], sizes["F_4093^6"], sizes["F_1048573^3"], sizes["F_2^61-1^2"]) == (9, 13, 11, 24)
+        for F in PACKED_FIELDS.values():  # each width is built once
+            assert F.slots(0) is F.slots(1) is F.slots((256 ** F.slots(1).size - 1) // F._term_bound)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
@@ -422,17 +438,20 @@ class TestPackedProducts:
         b = [F.rand(rng) for _ in range(length)]
         want = schoolbook_dot(F, a, b)
         assert F.dot(a, b) == want
-        if (s := F.slots(length)) is not None:  # also below PACK_MIN_DEGREE
-            assert s.dot(a, b) == want
+        assert F.slots(length).dot(a, b) == want  # at every degree and width
 
     @pytest.mark.parametrize("name", sorted(PACKED_FIELDS))
     def test_every_coefficient_top_at_each_slot_limit(self, name):
+        # at each width from the one a single product takes, the most
+        # products of all-top elements the width is chosen for
         F = PACKED_FIELDS[name]
         top = F.from_int(F.size - 1)  # every coefficient p - 1
         square = schoolbook_dot(F, [top], [top])
-        for s in F._slots:
-            assert F.slots(s.terms) is s and F.slots(s.terms + 1) is not s
-            n = s.terms
+        first = F.slots(1).size
+        for size in [first] + [w for w in (2, 4, 8) if w > first]:
+            n = (256**size - 1) // F._term_bound
+            s = F.slots(n)
+            assert s.size == size and F.slots(n + 1).size > size
             want = tuple(n * c % F.p for c in square)
             assert s.unpack(n * (s.pack(top) * s.pack(top))) == want
             if n <= 4096:
@@ -445,10 +464,7 @@ class TestPackedProducts:
         F = PACKED_FIELDS[name]
         assert F.dot([], []) == F.zero
         s = F.slots(0)
-        if s is None:
-            assert F._slots == []
-            return
-        assert s is F._slots[0] and s.bits >= (F.p - 1).bit_length()
+        assert s is F.slots(1) and 8 * s.size >= (F.p - 1).bit_length()
         top = F.from_int(F.size - 1)
         assert s.unpack(s.pack(top)) == top and s.unpack(0) == F.zero
 
@@ -458,9 +474,10 @@ class TestPackedProducts:
 
         monkeypatch.setattr(Slots, "dot", forbidden)
         rng = random.Random(5)
-        for F in PACKED_FIELDS.values():
+        for name, F in PACKED_FIELDS.items():
             a, b = F.rand(rng), F.rand(rng)
-            if F.degree >= PACK_MIN_DEGREE and F._slots:
+            if name in PACKS_SINGLE_PRODUCTS:
+                assert F.degree >= PACK_MIN_DEGREE and F.slots(1).size <= 8
                 with pytest.raises(AssertionError, match="packed"):
                     F.mul(a, b)
             else:
@@ -483,14 +500,14 @@ class TestPackedProducts:
 
 
 # one ring kernel per field kind: prime fields (small, word-size, 61-bit),
-# an extension field with slots (F_3^10) and one whose dense tail leaves
-# none (F_4093^6), carry-less F_2^k
+# packed extension fields, in word slots (F_3^10) and in wider ones for
+# dense moduli (F_4093^6, F_1048573^3, F_(2^61-1)^2), carry-less F_2^k
 RING_FIELDS = {
     "F_2": PrimeField(2),
     "F_65521": PrimeField(65521),
     "F_2^61-1": PrimeField(2**61 - 1),
     "F_3^10": field_of_size(3**10),
-    "F_4093^6": _dense_field(4093, 6),
+    **{name: PACKED_FIELDS[name] for name in ("F_4093^6", "F_1048573^3", "F_2^61-1^2")},
     **{f"F_2^{k}": BinaryField(k) for k in (1, 2, 8, 16, 17, 64)},
 }
 
@@ -588,7 +605,7 @@ class TestPolyRing:
     def test_kernel_per_field_kind(self):
         kinds = {name: type(F.ring(Poly(F, [F.one] * 10))).__name__ for name, F in RING_FIELDS.items()}
         assert kinds["F_2^61-1"] == "_PrimeRing" and kinds["F_2^64"] == "_BinaryRing"
-        assert kinds["F_3^10"] == "_PackedRing" and kinds["F_4093^6"] == "_ExtRing"
+        assert kinds["F_3^10"] == kinds["F_4093^6"] == "_PackedRing"
 
     def test_pow_mod_by_a_constant_is_zero(self):
         # F[x]/(c) is the zero ring for a nonzero constant c
@@ -669,12 +686,26 @@ def test_canonical_irreducible_equals_unskipped_lex_search(p, e):
     assert canonical_irreducible(F, e) == first
 
 
-def test_field_of_size_skips_reducible_binomials_quickly():
-    # 65537 = 2 (mod 3) makes every x^3 + c reducible
+def test_field_of_size_skips_reducible_binomials_quickly(monkeypatch):
+    # 65537 = 2 (mod 3) makes every x^3 + c reducible; the search runs
+    # afresh, not from an earlier answer
+    monkeypatch.setattr(ff, "_CANONICAL", {})
     start = time.perf_counter()
     F = field_of_size(65537**3)
     assert F.modulus.coeffs == (4, 1, 0, 1)
     assert time.perf_counter() - start < 0.5
+
+
+def test_canonical_modulus_is_searched_and_proved_once(monkeypatch):
+    # the first field of each size runs the search, which proves the
+    # modulus irreducible once; a second field of that size runs no test
+    calls, test = [], ff.is_irreducible
+    monkeypatch.setattr(ff, "_CANONICAL", {})
+    monkeypatch.setattr(ff, "is_irreducible", lambda f: calls.append(f) or test(f))
+    first = field_of_size(3**10), BinaryField(16)
+    assert [calls.count(F.modulus) for F in first] == [1, 1]
+    calls.clear()
+    assert (field_of_size(3**10), BinaryField(16)) == first and calls == []
 
 
 @pytest.mark.parametrize("p, max_degree", [(2, 8), (3, 5)])

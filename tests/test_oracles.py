@@ -21,7 +21,7 @@ from conftest import (
 )
 from sdlp.config import SolverConfig
 from sdlp.errors import NotApplicableError, SdlpError
-from sdlp.ff import ExtField, Poly, PrimeField, _PackedRing, field_of_size
+from sdlp.ff import ExtField, Poly, PrimeField, Slots, _PackedRing, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -40,9 +40,9 @@ from sdlp.oracles import (
     OrbitShape,
     PolyUnitGroup,
     UnitGroup,
-    _PackedRows,
     _bsgs,
     _endo_order_by_walk,
+    _rows_product,
     dlog,
     dlog_many,
     element_order,
@@ -288,7 +288,7 @@ class TestPowerBasisWalk:
         base = _element_of_order(F, l, random.Random(0))
         find = _bsgs(UnitGroup(F), base, l, SolverConfig())
         blocks = []
-        monkeypatch.setattr(_PackedRows, "__call__", lambda self, v: blocks.append(v))
+        monkeypatch.setattr(Slots, "unpack", lambda self, c: blocks.append(c))
         assert find(F.gen()) is None and blocks == []
 
     def test_windows_are_injective_on_the_subfield(self):
@@ -465,12 +465,12 @@ class TestWindowWalk:
         k=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_packed_rows_match_plain_dot_products(self, p, r, k, seed):
+    def test_rows_product_matches_plain_dot_products(self, p, r, k, seed):
         rng = random.Random(seed)
         top = rng.choice([p - 1, rng.randrange(p)])
         rows = [[rng.choice([0, top, rng.randrange(p)]) for _ in range(k)] for _ in range(r)]
         v = [rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(k)]
-        assert _PackedRows(p, rows)(v) == [sum(a * b for a, b in zip(row, v)) % p for row in rows]
+        assert list(_rows_product(p, rows)(v)) == [sum(a * b for a, b in zip(row, v)) % p for row in rows]
 
 
 # (65537, 3) takes its modulus directly: field_of_size would scan 65541

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import (
+    group_order,
     random_heisenberg_instance,
     random_matrix_instance,
     random_vector_instance,
@@ -101,7 +102,7 @@ class TestAttack:
 class TestHeisenbergInstance:
     def test_p3_order_and_exponent(self):
         G, sigma, g = heisenberg_instance(3, seed=0)
-        assert G.order() == 27
+        assert group_order(G) == 27
         for x in G.elements():
             assert G.is_identity(G.pow(x, 3))
 

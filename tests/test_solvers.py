@@ -18,6 +18,7 @@ from conftest import (
 )
 import sdlp.oracles as oracles
 import sdlp.solvers as solvers
+from sdlp import integers
 from sdlp.config import SolverConfig
 from sdlp.errors import InternalAssertionError, NotApplicableError, SdlpError
 from sdlp.ff import ExtField, Poly, PrimeField, factor_poly, field_of_size
@@ -994,3 +995,30 @@ class TestCheckOnce:
         chain, inst.chain = inst.chain, None
         assert solve_master(inst, chain, CFG).contains(123456)
         assert inst.chain is None
+
+
+class TestCrtPair:
+    """`integers.crt_pair` for any moduli, and the intersection of two
+    progressions built on it, against a brute-force search."""
+
+    def test_non_coprime_and_inconsistent_pairs(self):
+        assert integers.crt_pair(1, 4, 3, 6) == (9, 12)
+        assert integers.crt_pair(1, 4, 2, 6) is None  # 1 and 2 differ mod gcd 2
+        assert integers.crt_pair(5, 7, 5, 7) == (5, 7) and integers.crt_pair(3, 1, 0, 1) == (0, 1)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(m1=st.integers(1, 60), m2=st.integers(1, 60), r1=st.integers(0, 119), r2=st.integers(0, 119))
+    def test_matches_a_brute_force_search(self, m1, m2, r1, r2):
+        lcm = m1 * m2 // math.gcd(m1, m2)
+        hits = [x for x in range(lcm) if (x - r1) % m1 == 0 and (x - r2) % m2 == 0]
+        assert integers.crt_pair(r1, m1, r2, m2) == ((hits[0], lcm) if hits else None)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(m1=st.integers(1, 60), m2=st.integers(1, 60), t1=st.integers(0, 119), t2=st.integers(0, 119))
+    def test_progressions_meet_from_the_later_start(self, m1, m2, t1, t2):
+        a, b = SolutionSet.progression(t1, m1), SolutionSet.progression(t2, m2)
+        lcm = m1 * m2 // math.gcd(m1, m2)
+        start = max(t1, t2)
+        both = [t for t in range(start, start + lcm) if a.contains(t) and b.contains(t)]
+        want = SolutionSet.progression(both[0], lcm) if both else SolutionSet.empty()
+        assert solvers._intersect_two(a, b) == want
