@@ -34,6 +34,7 @@ from .groups import (
     rho_pow,
     rho_pow_inverse_apply,
     semidirect_power,
+    semidirect_powers,
     sigma_pow_apply,
 )
 from .oracles import (

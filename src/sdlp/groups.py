@@ -519,6 +519,13 @@ class Endo:
 
         return integers._pow((g, self), t, mul, None)
 
+    def semidirect_powers(self, g, ts):
+        """[self.semidirect_power(g, t) for t in ts]. A representation that
+        can share work between the exponents of one (g, sigma) overrides
+        it: `LinearMapEndo` (one Krylov annihilator and one min_poly(B)),
+        and `ProductEndo`, which passes it on to each component."""
+        return [self.semidirect_power(g, t) for t in ts]
+
 
 class PowerMapEndo(Endo):
     """x -> e*x on an additive abelian backend (Cyclic or Vector)."""
@@ -580,14 +587,16 @@ class LinearMapEndo(Endo):
         self._power = None
 
     @classmethod
-    def _power_of(cls, group, B: Matrix, t: int, hint=None) -> "LinearMapEndo":
+    def _power_of(cls, group, B: Matrix, t: int, hint=None, shared=None) -> "LinearMapEndo":
         """B^t held as a polynomial in B. A hint (h, x^t mod h), h the
         annihilator of (0, ..., 0, 1) under B.affine(g), saves a second
-        x^t when min_poly(B) divides h."""
+        x^t when min_poly(B) divides h. Powers of one B and one hint's h
+        given the same `shared` list find min_poly(B) once: the first to
+        need it puts it there."""
         out = cls.__new__(cls)
         Endo.__init__(out, group)
         out._matrix = None
-        out._power = (B, t, hint)
+        out._power = (B, t, hint, [] if shared is None else shared)
         out._coeffs = None
         return out
 
@@ -602,13 +611,15 @@ class LinearMapEndo(Endo):
     def _poly(self):
         """The coefficients of r with B^t = r(B), constant term first."""
         if self._coeffs is None:
-            B, t, hint = self._power
+            B, t, hint, shared = self._power
             F = B.field
-            if hint is not None and hint[0].degree() == B.nrows + 1:
-                # h = (x - 1) ann_B(g), and ann_B(g) is min_poly(B) at degree d
-                m = hint[0].divmod(Poly(F, [F.neg(F.one), F.one]))[0]
-            else:
-                m = min_poly(B)
+            if not shared:
+                if hint is not None and hint[0].degree() == B.nrows + 1:
+                    # h = (x - 1) ann_B(g), and ann_B(g) is min_poly(B) at degree d
+                    shared.append(hint[0].divmod(Poly(F, [F.neg(F.one), F.one]))[0])
+                else:
+                    shared.append(min_poly(B))
+            m = shared[0]
             if hint is not None and hint[0].mod(m).is_zero():
                 self._coeffs = Poly(F, list(hint[1])).mod(m).coeffs
             else:
@@ -642,20 +653,32 @@ class LinearMapEndo(Endo):
         return (self.matrix if self._power is None else self._power[0]).is_invertible()
 
     def semidirect_power(self, g, t):
+        return self.semidirect_powers(g, (t,))[0]
+
+    def semidirect_powers(self, g, ts):
         # rho^t(1) is the t-th iterate from 0 of v -> Bv + g, so with
         # A = [[B, g], [0, 1]] and h the annihilator of e = (0, ..., 0, 1)
         # under A, (rho^t(1), 1) = A^t e = r(A) e for r = x^t mod h: the sum
-        # of r_i A^i e over the Krylov vectors (Fiduccia)
+        # of r_i A^i e over the Krylov vectors (Fiduccia). h, the Krylov
+        # vectors and min_poly(B) do not depend on t and are found once.
         d = self.group.d
-        if d == 0 or t.bit_length() < _POLY_POWER_MIN_BITS:
-            return Endo.semidirect_power(self, g, t)
+        if d == 0 or all(t.bit_length() < _POLY_POWER_MIN_BITS for t in ts):
+            return [Endo.semidirect_power(self, g, t) for t in ts]
         B = self.matrix
         F = B.field
         h, echelon = krylov(F, B.affine(g).matvec, (F.zero,) * d + (F.one,))
-        r = _x_power_mod(h, t)
+        cols = list(zip(*echelon.basis))[:d]
         dot = F.dot
-        rho = tuple([dot(r, col) for col in list(zip(*echelon.basis))[:d]])
-        return rho, LinearMapEndo._power_of(self.group, B, t, (h, r))
+        shared = []
+        out = []
+        for t in ts:
+            if t.bit_length() < _POLY_POWER_MIN_BITS:
+                out.append(Endo.semidirect_power(self, g, t))
+                continue
+            r = _x_power_mod(h, t)
+            rho = tuple([dot(r, col) for col in cols])
+            out.append((rho, LinearMapEndo._power_of(self.group, B, t, (h, r), shared)))
+        return out
 
     def __repr__(self):
         return f"LinearMap({self.matrix!r})"
@@ -864,9 +887,14 @@ class ProductEndo(Endo):
         return all(e.is_automorphism() for e in self.components)
 
     def semidirect_power(self, g, t):
+        return self.semidirect_powers(g, (t,))[0]
+
+    def semidirect_powers(self, g, ts):
         # (g, sigma)^t is componentwise on a direct product
-        parts = [e.semidirect_power(x, t) for e, x in zip(self.components, g)]
-        return tuple(P for P, _ in parts), ProductEndo(self.group, [E for _, E in parts])
+        per_component = [e.semidirect_powers(x, ts) for e, x in zip(self.components, g)]
+        return [
+            (tuple(P for P, _ in parts), ProductEndo(self.group, [E for _, E in parts])) for parts in zip(*per_component)
+        ]
 
     def __repr__(self):
         return "ProductEndo(" + ", ".join(repr(e) for e in self.components) + ")"
@@ -987,6 +1015,15 @@ def semidirect_power(g, sigma: Endo, t: int):
     if t < 1:
         raise SdlpError("semidirect_power needs t >= 1")
     return sigma.semidirect_power(g, t)
+
+
+def semidirect_powers(g, sigma: Endo, ts):
+    """[semidirect_power(g, sigma, t) for t in ts], from
+    `sigma.semidirect_powers`, which finds once what does not depend on t:
+    an exchange takes both sides' powers from here."""
+    if any(t < 1 for t in ts):
+        raise SdlpError("semidirect_power needs t >= 1")
+    return sigma.semidirect_powers(g, ts)
 
 
 def rho_pow(g, sigma: Endo, t: int):

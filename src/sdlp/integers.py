@@ -233,15 +233,24 @@ def _moebius(n: int) -> int:
     return out
 
 
+# (p, k) -> the factorization of p^k - 1: each is found once
+_PRIME_POWER_MINUS_ONE = {}
+
+
 def factor_prime_power_minus_one(p: int, k: int, seed: int = 0) -> dict:
-    """Factorization of p^k - 1, split into cyclotomic parts first.
+    """Factorization of p^k - 1, split into cyclotomic parts first, found
+    once per (p, k) (the seed only steers Pollard rho); each call returns
+    a fresh dict.
 
     Each Phi_m(p) for m | k is at most p^phi(m), which keeps the pieces
     small enough for Pollard rho even when p^k - 1 itself is huge.
     """
-    factors: dict = {}
-    for m in divisors_ascending(factorize(k)):
-        part = _cyclotomic_value(m, p)
-        for q, e in factorize(part, seed=seed).items():
-            factors[q] = factors.get(q, 0) + e
-    return dict(sorted(factors.items()))
+    factors = _PRIME_POWER_MINUS_ONE.get((p, k))
+    if factors is None:
+        factors = {}
+        for m in divisors_ascending(factorize(k)):
+            part = _cyclotomic_value(m, p)
+            for q, e in factorize(part, seed=seed).items():
+                factors[q] = factors.get(q, 0) + e
+        factors = _PRIME_POWER_MINUS_ONE[p, k] = dict(sorted(factors.items()))
+    return dict(factors)

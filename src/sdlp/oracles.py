@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import integers
 from .config import SolverConfig
 from .errors import NotApplicableError, SdlpError
-from .ff import ExtField, Poly, Slots, _poly_half_ext_gcd, _slot_size, factor_degrees
+from .ff import ExtField, Poly, PrimeField, Slots, _poly_half_ext_gcd, _slot_size, factor_degrees
 from .groups import (
     ConjugationEndo,
     Endo,
@@ -64,10 +64,13 @@ class UnitGroup(GroupHandle):
         return self.fld.mul_by(c)
 
     def pow(self, x, n: int):
-        """x^n; over F_{p^e} with n >= 0 by `ExtField.pow`, on the field's
-        packed prime ring."""
-        if n >= 0 and isinstance(self.fld, ExtField):
-            return self.fld.pow(x, n)
+        """x^n; for n >= 0 the builtin `pow(x, n, p)` over F_p, and
+        `ExtField.pow`, on the field's packed prime ring, over F_{p^e}."""
+        if n >= 0:
+            if isinstance(self.fld, PrimeField):
+                return pow(x, n, self.fld.p)
+            if isinstance(self.fld, ExtField):
+                return self.fld.pow(x, n)
         return GroupHandle.pow(self, x, n)
 
     def inv(self, x):

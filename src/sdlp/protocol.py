@@ -12,7 +12,7 @@ from .groups import (
     GroupHandle,
     HeisenbergGroup,
     SdlpInstance,
-    semidirect_power,
+    semidirect_powers,
     sigma_pow_apply,
 )
 from .linalg import Matrix
@@ -43,12 +43,13 @@ def spdke_exchange(group: GroupHandle, sigma: Endo, g, x: int, y: int) -> Exchan
 
     Alice sends A = rho^x(1), Bob sends B = rho^y(1); the common key is
     K = A sigma^x(B) = B sigma^y(A) = rho^{x+y}(1). Each side takes its
-    sigma^x from the same semidirect power that gives its public element.
+    sigma^x from the same semidirect power that gives its public element,
+    and both powers come from one `semidirect_powers` call, which finds
+    what they share (a linear map's minimal polynomial) once.
     """
     if x < 1 or y < 1:
         raise SdlpError("secrets must be positive")
-    A, sigma_x = semidirect_power(g, sigma, x)
-    B, sigma_y = semidirect_power(g, sigma, y)
+    (A, sigma_x), (B, sigma_y) = semidirect_powers(g, sigma, (x, y))
     K_A = group.mul(A, sigma_x.apply(B))
     K_B = group.mul(B, sigma_y.apply(A))
     if group.label(K_A) != group.label(K_B):

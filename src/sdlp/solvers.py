@@ -490,8 +490,11 @@ def solve_orbit_problem(opi: OrbitProblemInstance, config: SolverConfig | None =
     multiplication by x. Once b is in W with coordinates c_b, Phi^t a = b
     becomes x^t = c_b(x) mod f. Over a prime field the ring splits by the
     factors u^k of f: a dlog in F or F[x]/(u) for each simple factor, in
-    (F[x]/(u^k))^* for each repeated one, recombined by CRT. Over an
-    extension field it is one dlog in (F[x]/(f))^*.
+    (F[x]/(u^k))^* for each repeated one, recombined by CRT. The factors
+    are read off the diagonal when Phi is upper triangular, as every layer
+    map of a conjugation by an upper-triangular matrix is, and found by
+    Cantor-Zassenhaus otherwise. Over an extension field it is one dlog in
+    (F[x]/(f))^*.
     """
     sol = _orbit_problem_set(opi, config or SolverConfig())
     if sol.is_empty():
@@ -504,7 +507,9 @@ def solve_orbit_problem(opi: OrbitProblemInstance, config: SolverConfig | None =
 
 def _orbit_problem_set(opi: OrbitProblemInstance, config: SolverConfig) -> SolutionSet:
     """{t : Phi^t a = b} as {t0 + ord(x) k}: x^t = c_b(x) in F[x]/(f), one
-    ring per factor of f over a prime field."""
+    ring per factor of f over a prime field. For an upper-triangular Phi
+    the factors are x - lambda for the diagonal entries lambda
+    (`_diagonal_factors`), with no Cantor-Zassenhaus."""
     F = opi.field
     if all(a == F.zero for a in opi.a):
         if all(b == F.zero for b in opi.b):
@@ -518,7 +523,35 @@ def _orbit_problem_set(opi: OrbitProblemInstance, config: SolverConfig) -> Solut
         return SolutionSet.empty()
     if not isinstance(F, PrimeField):
         return _ring_power_solutions(F, f, 1, c_b, config)
-    return _intersect_solutions(_ring_power_solutions(F, u, k, c_b, config) for u, k in factor_poly(f, seed=config.seed))
+    if opi.phi.is_upper_triangular():
+        factors = _diagonal_factors(f, opi.phi)
+    else:
+        factors = factor_poly(f, seed=config.seed)
+    return _intersect_solutions(_ring_power_solutions(F, u, k, c_b, config) for u, k in factors)
+
+
+def _diagonal_factors(f: Poly, phi: Matrix) -> list:
+    """`factor_poly(f)` for an upper-triangular Phi over a prime field: f
+    divides the characteristic polynomial prod (x - phi_ii), so it is the
+    product of the x - lambda, lambda on the diagonal, that divide it,
+    each divided out while the remainder is zero. The list is in
+    `factor_poly`'s order, by (degree, coefficients)."""
+    F = f.field
+    factors = []
+    for lam in {row[i] for i, row in enumerate(phi.rows)}:
+        u = Poly(F, [F.neg(lam), F.one])
+        k = 0
+        while True:
+            q, r = f.divmod(u)
+            if not r.is_zero():
+                break
+            f, k = q, k + 1
+        if k:
+            factors.append((u, k))
+    if f.degree() != 0:
+        raise InternalAssertionError("annihilator does not split over the diagonal of a triangular map")
+    factors.sort(key=lambda uk: uk[0].coeffs)
+    return factors
 
 
 def _ring_power_solutions(F, u: Poly, k: int, c, config: SolverConfig) -> SolutionSet:
@@ -587,24 +620,27 @@ def _solve_matrix_inner(inst: SdlpInstance, config: SolverConfig, order_fact: di
 
 
 def _solve_with_conjugator(inst, k, a, a_inv, fld, embed, to_mat, d, config) -> SolutionSet:
+    """Each residue instance as the orbit problem of Phi(Y) = u Y a on M_d,
+    u = g a^-1, with the basis E_ij ordered by i ascending, then j
+    descending. Phi(E_ij) lies in span{E_kl : k <= i, l >= j} when u and a
+    are upper triangular, so Phi is upper triangular in that order."""
     subs, recombine = shift_to_power(inst, k, config)
+    order = [(i, j) for i in range(d) for j in reversed(range(d))]
+
+    def coords(M):
+        return tuple(M.rows[i][j] for i, j in order)
+
     basis_mats = []
-    for i in range(d):
-        for j in range(d):
-            E = [[fld.zero] * d for _ in range(d)]
-            E[i][j] = fld.one
-            basis_mats.append(Matrix(fld, E))
+    for i, j in order:
+        E = [[fld.zero] * d for _ in range(d)]
+        E[i][j] = fld.one
+        basis_mats.append(Matrix(fld, E))
     sols = []
     for sub in subs:
         g_mat = embed(to_mat(sub.g))
-        cols = [(g_mat * (a_inv * E * a)).flatten() for E in basis_mats]
+        cols = [coords(g_mat * (a_inv * E * a)) for E in basis_mats]
         phi = Matrix.from_columns(fld, cols)
-        opi = OrbitProblemInstance(
-            fld,
-            phi,
-            Matrix.identity(fld, d).flatten(),
-            embed(to_mat(sub.h)).flatten(),
-        )
+        opi = OrbitProblemInstance(fld, phi, coords(Matrix.identity(fld, d)), coords(embed(to_mat(sub.h))))
         sols.append(_orbit_problem_set(opi, config))
     return recombine(sols)
 

@@ -79,6 +79,47 @@ class TestFactorInteger:
             assert prod == n
 
 
+class TestFactorPrimePowerMinusOne:
+    def test_second_call_factors_nothing(self, monkeypatch):
+        from sdlp import integers
+
+        monkeypatch.setattr(integers, "_PRIME_POWER_MINUS_ONE", {})
+        first = integers.factor_prime_power_minus_one(65521, 3)
+        assert math.prod(q**e for q, e in first.items()) == 65521**3 - 1
+        first[2] = 99  # each call returns its own dict
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("factored again")
+
+        monkeypatch.setattr(integers, "factorize", refuse)
+        again = integers.factor_prime_power_minus_one(65521, 3)
+        assert math.prod(q**e for q, e in again.items()) == 65521**3 - 1
+        with pytest.raises(AssertionError, match="factored again"):
+            integers.factor_prime_power_minus_one(65521, 4)
+
+
+class TestNativeUnitPowers:
+    """`UnitGroup.pow` over F_p is the builtin three-argument pow for n >= 0;
+    it must agree with the generic square-and-multiply, zero included."""
+
+    @pytest.mark.parametrize("p", [2, 65521, (1 << 61) - 1])
+    def test_matches_the_generic_power(self, p):
+        U = UnitGroup(PrimeField(p))
+        rng = random.Random(p)
+        exponents = [0, 1, p - 2, p - 1, p] + [rng.getrandbits(60) | 1 << 59 for _ in range(3)]
+        for x in {0, 1, p - 1, rng.randrange(p)}:
+            for n in exponents:
+                assert U.pow(x, n) == GroupHandle.pow(U, x, n), (x, n)
+
+    def test_negative_power_of_zero_raises_as_before(self):
+        U = UnitGroup(PrimeField(65521))
+        with pytest.raises(ZeroDivisionError):
+            GroupHandle.pow(U, 0, -1)
+        with pytest.raises(ZeroDivisionError):
+            U.pow(0, -1)
+        assert U.pow(3, -2) == GroupHandle.pow(U, 3, -2) == U.inv(9)
+
+
 class TestDlog:
     def test_identity_target(self):
         U = UnitGroup(PrimeField(101))

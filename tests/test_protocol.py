@@ -10,7 +10,19 @@ from conftest import (
 )
 from sdlp.config import SolverConfig
 from sdlp.errors import NoSolutionError, SdlpError
-from sdlp.groups import CyclicGroup, PowerMapEndo, SdlpInstance, rho_pow
+import sdlp.groups as groups
+from sdlp.ff import PrimeField
+from sdlp.groups import (
+    CyclicGroup,
+    LinearMapEndo,
+    PowerMapEndo,
+    ProductEndo,
+    ProductGroup,
+    SdlpInstance,
+    VectorGroup,
+    rho_pow,
+)
+from sdlp.linalg import Matrix, min_poly
 from sdlp.oracles import orbit_walk
 from sdlp.protocol import (
     draw_secrets,
@@ -48,6 +60,31 @@ class TestExchange:
             x, y = rng.randrange(1, 1 << 16), rng.randrange(1, 1 << 16)
             tr = spdke_exchange(inst.group, inst.sigma, inst.g, x, y)
             assert inst.group.label(tr.K_A) == inst.group.label(tr.K_B)
+
+    @pytest.mark.parametrize(
+        "rows, g",
+        [
+            ([[0, 0, 0], [0, 2, 0], [0, 0, 3]], (1, 1, 0)),  # singular B, g in a proper invariant subspace
+            ([[2, 1, 0], [0, 3, 4], [0, 0, 4]], (1, 0, 0)),  # g an eigenvector of B
+        ],
+    )
+    def test_one_min_poly_per_exchange(self, rows, g, monkeypatch):
+        # the Krylov annihilator of (0, ..., 0, 1) has degree below d + 1, so
+        # sigma^x and sigma^y each need min_poly(B): it is found once
+        V = VectorGroup(5, 3)
+        sigma = LinearMapEndo(V, Matrix(PrimeField(5), rows))
+        calls = []
+        monkeypatch.setattr(groups, "min_poly", lambda B: calls.append(B) or min_poly(B))
+        x, y = 40_000, 54_321
+        tr = spdke_exchange(V, sigma, g, x, y)
+        assert len(calls) == 1
+        assert tr.K_A == tr.K_B == rho_pow(g, sigma, x + y)
+        # a direct product passes the sharing on to each linear component
+        P = ProductGroup([V, CyclicGroup(16)])
+        calls.clear()
+        tr = spdke_exchange(P, ProductEndo(P, [sigma, PowerMapEndo(P.factors[1], 3)]), (g, 5), x, y)
+        assert len(calls) == 1
+        assert tr.K_A == tr.K_B
 
     def test_rejects_nonpositive_secrets(self):
         G, sigma, g = heisenberg_instance(5, seed=2)

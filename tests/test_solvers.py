@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    borel_group,
     rand_invertible,
     rand_upper_triangular,
     random_cyclic_instance,
@@ -679,6 +680,80 @@ class TestSolveOrbitProblem:
         assert solve_orbit_problem(OrbitProblemInstance(F, phi, a, b), CFG) == want
 
 
+class TestDiagonalSplit:
+    """An upper-triangular Phi over a prime field splits f over its diagonal
+    (`solvers._diagonal_factors`) in place of Cantor-Zassenhaus; the split
+    must be factor_poly's answer, and the orbit problem's answer must not
+    depend on the route."""
+
+    @staticmethod
+    def _triangular(F, diag, rng):
+        d = len(diag)
+        return Matrix(F, [[0] * i + [diag[i]] + [F.rand(rng) for _ in range(i + 1, d)] for i in range(d)])
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        p=st.sampled_from([2, 3, 5, 65521, 2**31 - 1]),
+        d=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        target=st.sampled_from(["orbit", "krylov", "random"]),
+    )
+    def test_split_matches_factor_poly_and_brute_force(self, p, d, seed, target):
+        rng = random.Random(seed)
+        F = PrimeField(p)
+        pool = [0, 1] + [rng.randrange(2, p) for _ in range(2) if p > 2]
+        phi = self._triangular(F, [rng.choice(pool) for _ in range(d)], rng)
+        a = tuple(F.rand(rng) for _ in range(d))
+        if any(a):
+            f = krylov(F, phi.matvec, a)[0]
+            assert solvers._diagonal_factors(f, phi) == factor_poly(f)
+        if not phi.is_invertible():
+            return
+        t_star = rng.randrange(1 << 40)
+        if target == "orbit":
+            b = (phi**t_star).matvec(a)
+        elif target == "krylov":  # in the Krylov space of a, in the orbit or not
+            b = tuple(map(F.add, (phi**t_star).matvec(a), phi.matvec(a)))
+        else:
+            b = tuple(F.rand(rng) for _ in range(d))
+        opi = OrbitProblemInstance(F, phi, a, b)
+        got = _orbit_problem_set(opi, CFG)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_diagonal_factors", lambda f, phi: factor_poly(f, seed=CFG.seed))
+            assert _orbit_problem_set(opi, CFG) == got
+        if target == "orbit":
+            assert got.contains(t_star)
+        if p <= 5:
+            # Phi is invertible, so the orbit of a is a pure cycle through a
+            orbit = [a]
+            while phi.matvec(orbit[-1]) != a:
+                orbit.append(phi.matvec(orbit[-1]))
+            want = SolutionSet.progression(orbit.index(b), len(orbit)) if b in orbit else SolutionSet.empty()
+            assert got == want
+
+    def test_leftover_raises_without_assert(self):
+        # (x^2 + 2) is irreducible over F_5, so it cannot come off the
+        # diagonal of the identity; the check holds under python -O too
+        f = Poly(F5, [2, 0, 1])
+        with pytest.raises(InternalAssertionError, match="diagonal"):
+            solvers._diagonal_factors(f, Matrix.identity(F5, 2))
+
+    def test_factor_poly_only_off_the_triangle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("factor_poly called on a triangular map")
+
+        rng = random.Random(3)
+        phi = rand_upper_triangular(F5, 4, rng)
+        a = (1, 2, 3, 4)
+        b = (phi**77).matvec(a)
+        want = _orbit_problem_set(OrbitProblemInstance(F5, phi, a, b), CFG)
+        monkeypatch.setattr(solvers, "factor_poly", refuse)
+        assert _orbit_problem_set(OrbitProblemInstance(F5, phi, a, b), CFG) == want
+        comp = Matrix.companion(Poly(F5, [1, 1, 1]))
+        with pytest.raises(AssertionError, match="triangular"):
+            _orbit_problem_set(OrbitProblemInstance(F5, comp, (1, 0), (0, 1)), CFG)
+
+
 class TestSolveMatrixInner:
     def test_inner_k1_forward(self):
         x = Matrix(F5, [[1, 1], [0, 1]])
@@ -734,6 +809,40 @@ class TestSolveMatrixInner:
             except NotApplicableError:
                 continue
             assert solve_matrix_inner(inst, CFG) == want
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_borel_layout_is_triangular(self, p, d, monkeypatch):
+        # Phi(Y) = u Y a with u = g a^-1 and a upper triangular: in the
+        # basis order (i ascending, j descending) Phi is upper triangular,
+        # and its answers are the row-major layout's
+        F = PrimeField(p)
+        rng = random.Random(f"borel-layout-{p}-{d}")
+        G = borel_group(F, d, rng)
+        sigma = ConjugationEndo(G, rand_upper_triangular(F, d, rng))
+        seen = []
+        orbit_problem_set = solvers._orbit_problem_set
+
+        def spy(opi, config):
+            seen.append((opi, orbit_problem_set(opi, config)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(solvers, "_orbit_problem_set", spy)
+        order = [(i, j) for i in range(d) for j in reversed(range(d))]
+        at = {ij: n for n, ij in enumerate(order)}
+        row_major = [at[i, j] for i in range(d) for j in range(d)]
+        for _ in range(3):
+            g = G.rand_element(rng)
+            inst = SdlpInstance(G, sigma, g, rho_pow(g, sigma, rng.randrange(1 << 12)))
+            assert solve_matrix_inner(inst, CFG) == brute_solve(inst, SolverConfig(max_walk=1 << 16))
+        assert seen
+        for opi, got in seen:
+            fld = opi.field  # F, or an extension the conjugator was found in
+            assert opi.phi.is_upper_triangular()
+            phi = Matrix(fld, [[opi.phi.rows[r][c] for c in row_major] for r in row_major])
+            a, b = (tuple(v[n] for n in row_major) for v in (opi.a, opi.b))
+            assert a == Matrix.identity(fld, d).flatten()
+            assert orbit_problem_set(OrbitProblemInstance(fld, phi, a, b), CFG) == got
 
 
 class TestSolveMaster:
