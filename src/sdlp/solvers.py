@@ -363,11 +363,16 @@ def _solve_pair_over_vector(inst: SdlpInstance, config: SolverConfig) -> Solutio
 def find_conjugator(generators, images, d: int, fld, config: SolverConfig | None = None) -> Matrix:
     """A matrix a with a^-1 x a = sigma(x) for every generator x.
 
-    Computes the intertwiner space {y : y x_i = sigma(x_i) y} and draws
-    seeded-random elements until one is invertible; by Schwartz-Zippel a
-    draw succeeds with probability >= 1 - d/q once any invertible
-    intertwiner exists. Fields with q < 2d are lifted to an extension
-    (prime q) or searched exhaustively (small prime-power q).
+    Computes the intertwiner space {y : y x_i = sigma(x_i) y} over the
+    platform's own field F_q, draws up to 32 seeded-random elements y of it
+    and returns a = y^-1 for the first invertible one. For q >= 2d,
+    Schwartz-Zippel gives each draw a success probability of at least
+    1 - d/q >= 1/2 once any invertible intertwiner exists. Below that there
+    is no such bound, but by Noether-Deuring an invertible intertwiner over
+    an extension F_(q^e) means one over F_q, so the draws over F_q still
+    come first. Only when all 32 are singular does a prime q < 2d lift to
+    F_(q^e) with q^e >= 2d and draw there, and a prime-power q < 2d search
+    the space exhaustively.
     """
     a, _, _, _ = _find_conjugator_lifted(generators, images, d, fld, config or SolverConfig())
     return a
@@ -375,43 +380,59 @@ def find_conjugator(generators, images, d: int, fld, config: SolverConfig | None
 
 def _find_conjugator_lifted(generators, images, d: int, fld, config: SolverConfig):
     """(a, a^-1, field, embed) where embed maps input matrices into a's
-    field; a^-1 is the intertwiner drawn."""
-    if fld.size >= 2 * d or not isinstance(fld, PrimeField):
-        lifted, embed = fld, lambda M: M
-        if fld.size < 2 * d:
-            return _conjugator_by_enumeration(generators, images, d, fld, config)
-    else:
-        e = 1
-        while fld.size**e < 2 * d:
-            e += 1
-        lifted = ExtField._trusted(fld, canonical_irreducible(fld, e))
+    field; a^-1 is the intertwiner drawn. The intertwiner basis is computed
+    once, over fld. A lifted draw takes that basis embedded entrywise,
+    which is the basis the lifted field's own nullspace gives: the reduced
+    echelon basis of a system over F_q is the same over F_(q^e)."""
+    basis = _intertwiner_basis(generators, images, d, fld)
+    if not basis:
+        raise NotApplicableError("no invertible intertwiner found")
+    drawn = _draw_conjugator(generators, images, basis, d, fld, config)
+    if drawn is not None:
+        return (*drawn, fld, _same_matrix)
+    if fld.size >= 2 * d:
+        raise NotApplicableError("no invertible intertwiner found")
+    if not isinstance(fld, PrimeField):
+        return _conjugator_by_enumeration(generators, images, basis, d, fld)
+    e = 1
+    while fld.size**e < 2 * d:
+        e += 1
+    lifted = ExtField._trusted(fld, canonical_irreducible(fld, e))
 
-        def embed(M, lifted=lifted):
-            return Matrix(lifted, [[lifted.from_int(v) for v in row] for row in M.rows])
+    def embed(M):
+        return Matrix(lifted, [[lifted.from_int(v) for v in row] for row in M.rows])
 
     gens = [embed(x) for x in generators]
     imgs = [embed(x) for x in images]
-    basis = _intertwiner_basis(gens, imgs, d, lifted)
-    if not basis:
+    drawn = _draw_conjugator(gens, imgs, [embed(Y) for Y in basis], d, lifted, config)
+    if drawn is None:
         raise NotApplicableError("no invertible intertwiner found")
+    return (*drawn, lifted, embed)
+
+
+def _same_matrix(M):
+    return M
+
+
+def _draw_conjugator(gens, imgs, basis, d, fld, config):
+    """(a, a^-1) from the first of 32 seeded draws y in span(basis) that is
+    invertible, or None when all are singular; each draw is eliminated
+    once, by `inverse`."""
     rng = random.Random(f"conjugator-{config.seed}")
     for _ in range(32):
-        y = Matrix.zeros(lifted, d, d)
+        y = Matrix.zeros(fld, d, d)
         for Y in basis:
-            y = y + Y.scale(lifted.rand(rng))
+            y = y + Y.scale(fld.rand(rng))
         try:
             a = y.inverse()
         except SdlpError:  # a singular draw
             continue
         _assert_conjugation_matches(gens, imgs, a, y)
-        return a, y, lifted, embed
-    raise NotApplicableError("no invertible intertwiner found")
+        return a, y
+    return None
 
 
-def _conjugator_by_enumeration(generators, images, d, fld, config):
-    basis = _intertwiner_basis(generators, images, d, fld)
-    if not basis:
-        raise NotApplicableError("no invertible intertwiner found")
+def _conjugator_by_enumeration(generators, images, basis, d, fld):
     if fld.size ** len(basis) > 1 << 18:
         raise NotApplicableError("intertwiner space too large to enumerate over a tiny field")
     for coeffs in itertools.product(fld.elements(), repeat=len(basis)):
@@ -424,7 +445,7 @@ def _conjugator_by_enumeration(generators, images, d, fld, config):
             except SdlpError:  # a singular combination
                 continue
             _assert_conjugation_matches(generators, images, a, y)
-            return a, y, fld, (lambda M: M)
+            return a, y, fld, _same_matrix
     raise NotApplicableError("no invertible intertwiner found")
 
 

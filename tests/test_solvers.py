@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bench_module,
     borel_group,
     rand_invertible,
     rand_upper_triangular,
@@ -22,7 +23,7 @@ import sdlp.solvers as solvers
 from sdlp import integers
 from sdlp.config import SolverConfig
 from sdlp.errors import InternalAssertionError, NotApplicableError, SdlpError
-from sdlp.ff import ExtField, Poly, PrimeField, factor_poly, field_of_size
+from sdlp.ff import ExtField, Poly, PrimeField, canonical_irreducible, factor_poly, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
@@ -64,6 +65,7 @@ from sdlp.solvers import (
 
 F5 = PrimeField(5)
 CFG = SolverConfig()
+workloads = bench_module("workloads")  # the benchmark's platform recipes
 
 
 class TestSolveSmallOrder:
@@ -464,6 +466,106 @@ class TestConjugatorDraw:
         assert max(_reference_draw(basis, 2, F5, seed)[1] for seed in range(12)) > 1
 
 
+def _embedded(lifted, M):
+    return Matrix(lifted, [[lifted.from_int(v) for v in row] for row in M.rows])
+
+
+def _closed_generator_set(q, d, rng):
+    """Generators and images of a sigma-closed matrix group over F_q, built
+    as the matrix-inner benchmark builds its small platforms."""
+    G, sigma = workloads.small_matrix_group(rng, q, d)
+    gens = G.generators()
+    return gens, [sigma.apply(x) for x in gens]
+
+
+class TestConjugatorFallback:
+    """The draws run over the platform's own field first. Only when all 32
+    are singular does a prime q < 2d lift, drawing from the F_q basis
+    embedded, and a prime-power q < 2d enumerate."""
+
+    @pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 3)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lifted_draw_when_every_prime_field_draw_is_singular(self, q, d, seed, monkeypatch):
+        F = PrimeField(q)
+        gens, imgs = _closed_generator_set(q, d, random.Random(f"fallback-{q}-{d}-{seed}"))
+        cfg = SolverConfig(seed=seed)
+        assert solvers._find_conjugator_lifted(gens, imgs, d, F, cfg)[2] is F
+        inverse = Matrix.inverse
+
+        def no_prime_field_inverse(self):
+            if isinstance(self.field, PrimeField):
+                raise SdlpError("singular matrix")
+            return inverse(self)
+
+        monkeypatch.setattr(Matrix, "inverse", no_prime_field_inverse)
+        a, a_inv, lifted, embed = solvers._find_conjugator_lifted(gens, imgs, d, F, cfg)
+        assert isinstance(lifted, ExtField) and lifted.base is F and lifted.size >= 2 * d > q
+        for x, s in zip(gens, imgs):
+            assert embed(x) == _embedded(lifted, x)
+            assert (a.inverse() * embed(x) * a).entries_key() == embed(s).entries_key()
+        # the draw from the basis computed over the lifted field itself
+        lifted_gens = [_embedded(lifted, x) for x in gens]
+        lifted_imgs = [_embedded(lifted, x) for x in imgs]
+        want, _ = _reference_draw(_intertwiner_basis(lifted_gens, lifted_imgs, d, lifted), d, lifted, seed)
+        assert want is not None and a == want and a_inv == want.inverse()
+
+    def test_wide_field_declines_instead_of_lifting(self, monkeypatch):
+        x = Matrix(F5, [[1, 1], [0, 1]])
+        c = Matrix(F5, [[2, 1], [0, 1]])
+        image = c.inverse() * x * c
+
+        def singular(self):
+            raise SdlpError("singular matrix")
+
+        monkeypatch.setattr(Matrix, "inverse", singular)
+        with pytest.raises(NotApplicableError, match="no invertible intertwiner"):
+            solvers._find_conjugator_lifted([x], [image], 2, F5, CFG)
+
+    def test_small_prime_power_field_enumerates_after_the_draws(self, monkeypatch):
+        F4 = field_of_size(4)
+        gens, imgs = _closed_generator_set(4, 3, random.Random("fallback-enumeration"))
+        basis = _intertwiner_basis(gens, imgs, 3, F4)
+        want = _conjugator_by_enumeration(gens, imgs, basis, 3, F4)
+        inverse = Matrix.inverse
+        calls = [0]
+
+        def draws_singular(self):
+            calls[0] += 1
+            if calls[0] <= 32:
+                raise SdlpError("singular matrix")
+            return inverse(self)
+
+        monkeypatch.setattr(Matrix, "inverse", draws_singular)
+        got = solvers._find_conjugator_lifted(gens, imgs, 3, F4, CFG)
+        assert got[:3] == want[:3] and calls[0] > 32
+
+
+class TestLiftedIntertwinerBasis:
+    """The F_q intertwiner basis, embedded entrywise, is the basis computed
+    over an extension F_(q^e): the lifted fallback draws from it."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        q=st.sampled_from([2, 3, 5]),
+        d=st.sampled_from([2, 3]),
+        e=st.sampled_from([2, 3]),
+        k=st.sampled_from([1, 2]),
+        inner=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_embedded_basis_is_the_lifted_basis(self, q, d, e, k, inner, seed):
+        F = PrimeField(q)
+        rng = random.Random(seed)
+        G, sigma = workloads.small_matrix_group(rng, q, d)
+        gens = G.generators()
+        imgs = [sigma.pow(k).apply(x) if inner else rand_invertible(F, d, rng) for x in gens]
+        lifted = ExtField._trusted(F, canonical_irreducible(F, e))
+        basis = _intertwiner_basis(gens, imgs, d, F)
+        lifted_basis = _intertwiner_basis([_embedded(lifted, x) for x in gens], [_embedded(lifted, x) for x in imgs], d, lifted)
+        assert [_embedded(lifted, Y) for Y in basis] == lifted_basis
+        assert basis or not inner
+
+
 class TestConjugatorEnumeration:
     """Over a field too small to draw from, the conjugator is the first
     invertible combination of the intertwiner basis, the coefficient tuples
@@ -483,7 +585,7 @@ class TestConjugatorEnumeration:
 
         monkeypatch.setattr(Matrix, "inverse", singular)
         with pytest.raises(NotApplicableError, match="no invertible intertwiner"):
-            _conjugator_by_enumeration([x], [x], 2, F3, CFG)
+            _conjugator_by_enumeration([x], [x], basis, 2, F3)
         want = []
         for n in range(1, 3**k):  # the zero tuple is skipped
             coeffs = [n // 3 ** (k - 1 - i) % 3 for i in range(k)]
@@ -843,6 +945,37 @@ class TestSolveMatrixInner:
             a, b = (tuple(v[n] for n in row_major) for v in (opi.a, opi.b))
             assert a == Matrix.identity(fld, d).flatten()
             assert orbit_problem_set(OrbitProblemInstance(fld, phi, a, b), CFG) == got
+
+
+    @pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 3)])
+    def test_small_prime_fields_stay_unlifted(self, q, d):
+        # q < 2d: no Schwartz-Zippel bound, but the draws over F_q find the
+        # conjugator, so the orbit problems run over F_q
+        rng = random.Random(f"unlifted-{q}-{d}")
+        for _ in range(4):
+            G, sigma = workloads.small_matrix_group(rng, q, d)
+            g = G.rand_element(rng)
+            for h in (rho_pow(g, sigma, rng.randrange(1 << 12)), G.rand_element(rng)):
+                inst = SdlpInstance(G, sigma, g, h)
+                cfg = SolverConfig()
+                assert solve(inst, cfg, "matrix-inner") == brute_solve(inst, SolverConfig(max_walk=1 << 16))
+                hits = [r for r in cfg.trace if r["kind"] == "matrix-inner"]
+                assert len(hits) == 1 and hits[0]["lifted"] is None
+
+    def test_no_benchmark_platform_lifts(self):
+        workload = workloads.WORKLOADS["matrix-inner"]
+        small = set()
+        for part in range(3):
+            for item in workloads.make_items(workload, 1, part, 3):
+                inst = SdlpInstance(item.group, item.sigma, item.g, rho_pow(item.g, item.sigma, item.x))
+                cfg = SolverConfig()
+                assert solve(inst, cfg, "matrix-inner").contains(item.x)
+                hits = [r for r in cfg.trace if r["kind"] == "matrix-inner"]
+                assert len(hits) == 1 and hits[0]["lifted"] is None
+                fld = item.group.field
+                if isinstance(fld, PrimeField) and fld.size < 2 * item.group.d:
+                    small.add((fld.size, item.group.d))
+        assert small == {(2, 2), (2, 3), (3, 2), (3, 3), (5, 3)}
 
 
 class TestSolveMaster:
