@@ -61,6 +61,7 @@ from .solvers import (
     NormalChain,
     OrbitProblemInstance,
     brute_solve,
+    cyclic_chain,
     find_conjugator,
     heisenberg_chain,
     solve,

@@ -792,6 +792,10 @@ class TableEndo(Endo):
         if check:
             if group.label(group.identity) not in self.mapping:
                 raise SdlpError("table does not cover the identity")
+            # sigma(x g) = sigma(x) sigma(g) for every x and generator g makes sigma a homomorphism
+            for x, g in itertools.product(_enumerate_handle(group), group.generators()):
+                if group.label(self.apply(group.mul(x, g))) != group.label(group.mul(self.apply(x), self.apply(g))):
+                    raise SdlpError("table is not a homomorphism")
 
     def apply(self, x):
         try:

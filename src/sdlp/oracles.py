@@ -264,24 +264,24 @@ def endo_order(sigma: Endo) -> list:
     A representation-specific multiple (the minimal-polynomial multiple of
     the matrix for linear maps and conjugations) is reduced on the
     generators by `_order_from_multiple`; table endomorphisms read the order
-    off their cycle structure. Nothing is stored on sigma.
+    off their cycle structure. A representation with no such multiple
+    raises NotApplicableError. Nothing is stored on sigma.
     """
     if not sigma.is_automorphism():
         raise SdlpError("endo_order expects an automorphism")
-    gens = sigma.group.generators()
     mult = _endo_order_multiple(sigma)
     if mult is None:
-        n, fact = _endo_order_by_walk(sigma, gens)
-    else:
-        grp = sigma.group
+        raise NotApplicableError("no order multiple for this endomorphism representation")
+    grp = sigma.group
+    gens = grp.generators()
 
-        def trivial(k):
-            pw = sigma.pow(k)
-            return all(grp.label(pw.apply(x)) == grp.label(x) for x in gens)
+    def trivial(k):
+        pw = sigma.pow(k)
+        return all(grp.label(pw.apply(x)) == grp.label(x) for x in gens)
 
-        if not trivial(integers.factorization_product(mult)):
-            raise SdlpError("representation multiple does not annihilate the generators")
-        n, fact = _order_from_multiple(trivial, mult)
+    if not trivial(integers.factorization_product(mult)):
+        raise SdlpError("representation multiple does not annihilate the generators")
+    _, fact = _order_from_multiple(trivial, mult)
     return sorted(fact.items())
 
 
@@ -334,23 +334,6 @@ def _table_order_factored(sigma) -> dict:
         if length:
             out = integers.merge_lcm(out, integers.factorize(length))
     return out
-
-
-def _endo_order_by_walk(sigma: Endo, gens, cap: int = 1 << 20):
-    """Per-generator period by plain iteration; lcm of the periods."""
-    grp = sigma.group
-    n = 1
-    for x in gens:
-        target = grp.label(x)
-        cur = sigma.apply(x)
-        period = 1
-        while grp.label(cur) != target:
-            cur = sigma.apply(cur)
-            period += 1
-            if period > cap:
-                raise NotApplicableError("endomorphism order walk cap exceeded")
-        n = n * period // math.gcd(n, period)
-    return n, integers.factorize(n)
 
 
 def ensure_endo_order(sigma: Endo) -> int:

@@ -265,6 +265,29 @@ def unitriangular_chain(group: MatrixGroup) -> NormalChain:
     return NormalChain(levels=levels)
 
 
+def cyclic_chain(group: CyclicGroup) -> NormalChain:
+    """The chain 1 < (n/m_1)Z_n < ... < (n/m_k)Z_n = Z_n, m_j = p_1...p_j,
+    over the prime factors p_j of n counted with multiplicity.
+
+    Level j is cyclic of order m_j, generated by n/m_j; reading off
+    x/(n/m_j) mod p_j maps it onto Z_{p_j} with kernel level j-1.
+    """
+    n, m = group.n, 1
+    levels = []
+    for p, e in sorted(integers.factorize(n).items()):
+        for _ in range(e):
+            m *= p
+            psi = Hom(
+                group,
+                VectorGroup(p, 1),
+                lambda x, step=n // m, p=p: (x % n // step % p,),
+                kernel_generators=levels[-1].generators if levels else [],
+                description=f"coordinate mod {p}",
+            )
+            levels.append(ChainLevel(generators=[n // m], psi=psi, tag="solvable"))
+    return NormalChain(levels=levels)
+
+
 def _is_unitriangular(M: Matrix) -> bool:
     F = M.field
     for i in range(M.nrows):
@@ -278,10 +301,10 @@ def _is_unitriangular(M: Matrix) -> bool:
 def solve_solvable(inst: SdlpInstance, config: SolverConfig | None = None) -> SolutionSet:
     """SDLP on a solvable group with built-in composition structure.
 
-    Supported: elementary abelian groups (delegated), cyclic groups of
-    prime order, Heisenberg groups, groups generated by upper-unitriangular
-    matrices under conjugation, and pair-image groups with a vector-group
-    labeling. The Heisenberg and unitriangular filtrations are folded down
+    Supported: elementary abelian groups (delegated), cyclic groups,
+    Heisenberg groups, groups generated by upper-unitriangular matrices
+    under conjugation, and pair-image groups with a vector-group labeling.
+    The cyclic, Heisenberg and unitriangular filtrations are folded down
     like a master chain, with every layer Z_p^r solved as an orbit problem,
     as in solve_elementary_abelian. Anything else needs an explicit chain
     (solve_master) and raises "composition series required".
@@ -295,10 +318,6 @@ def _solve_solvable(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
         raise SdlpError("not an automorphism")
     if isinstance(grp, VectorGroup):
         return _solve_elementary_abelian(inst, config)
-    if isinstance(grp, CyclicGroup):
-        if not integers.is_prime(grp.n):
-            raise NotApplicableError("composition series required")
-        return _solve_prime_cyclic(inst, config)
     if isinstance(grp, PairImageGroup) and isinstance(grp.target, VectorGroup):
         return _solve_pair_over_vector(inst, config)
     if isinstance(grp, PairImageGroup) and grp.hom.is_identity:
@@ -311,23 +330,13 @@ def _solve_solvable(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
             return _solve_solvable(inner, config)
     if isinstance(grp, HeisenbergGroup):
         chain = heisenberg_chain(grp)
+    elif isinstance(grp, CyclicGroup):
+        chain = cyclic_chain(grp)
     elif isinstance(grp, MatrixGroup) and isinstance(sigma, ConjugationEndo):
         chain = unitriangular_chain(grp)
     else:
         raise NotApplicableError("composition series required")
     return _descend(inst, chain, lambda q_inst, level, config: _solve_layer_as_orbit(q_inst, config), config)
-
-
-def _solve_prime_cyclic(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
-    grp: CyclicGroup = inst.group
-    F = PrimeField(grp.n)
-    V = VectorGroup(grp.n, 1)
-    e = inst.sigma.e if isinstance(inst.sigma, PowerMapEndo) else None
-    if e is None:
-        # generic automorphism of Z_p is multiplication by sigma(1)
-        e = inst.sigma.apply(1 % grp.n)
-    sub = SdlpInstance(V, LinearMapEndo(V, Matrix(F, [[e]])), (inst.g,), (inst.h,))
-    return _solve_layer_as_orbit(sub, config)
 
 
 def _solve_pair_over_vector(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
@@ -785,7 +794,9 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
         return _solve_small_order(inst, config)
     except SdlpError as err:
         config.record("declined", solver="small-order", reason=str(err))
-        return _solve_brute(inst, config)
+    if isinstance(grp, CyclicGroup):
+        return _solve_solvable(inst, config)
+    return _solve_brute(inst, config)
 
 
 def _solve_product(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:

@@ -7,7 +7,6 @@ under sigma so that sigma really is an endomorphism of the group.
 import importlib.util
 import math
 import pathlib
-import random
 
 from sdlp.config import SolverConfig
 from sdlp.errors import InternalAssertionError
@@ -254,27 +253,30 @@ def stacked_intertwiner_basis(gens, imgs, d, fld):
     return [Matrix.unflatten(fld, v, d, d) for v in nullspace(Matrix(fld, rows))]
 
 
-def spot_check_morphism(endo, rng, samples=16):
-    """Check sigma(xy) = sigma(x) sigma(y) on random pairs, and that sigma
-    fixes the identity."""
-    g = endo.group
-    for _ in range(samples):
-        x = g.rand_element(rng)
-        y = g.rand_element(rng)
-        if g.label(endo.apply(g.mul(x, y))) != g.label(g.mul(endo.apply(x), endo.apply(y))):
-            raise InternalAssertionError("endomorphism fails sigma(xy) = sigma(x)sigma(y)")
-    if not g.is_identity(endo.apply(g.identity)):
-        raise InternalAssertionError("endomorphism moves the identity")
+def endo_order_by_walk(sigma, gens, cap: int = 1 << 20) -> int:
+    """ord(sigma) as the lcm of the generators' periods under plain
+    iteration of sigma: the reference for `oracles.endo_order`."""
+    grp = sigma.group
+    n = 1
+    for x in gens:
+        target = grp.label(x)
+        cur = sigma.apply(x)
+        period = 1
+        while grp.label(cur) != target:
+            cur = sigma.apply(cur)
+            period += 1
+            if period > cap:
+                raise InternalAssertionError("endomorphism order walk cap exceeded")
+        n = n * period // math.gcd(n, period)
+    return n
 
 
 def table_endo(group, func):
-    """The TableEndo x -> func(x) over every element of group, spot-checked
-    as a morphism on 64 seeded samples. The TableEndo constructor rejects
-    a group above TableEndo.MAX_SIZE."""
+    """The TableEndo x -> func(x) over every element of group. The TableEndo
+    constructor checks it as a morphism and rejects a group above
+    TableEndo.MAX_SIZE."""
     elements = group.elements() if hasattr(group, "elements") else mulclose(group, cap=TableEndo.MAX_SIZE)
-    endo = TableEndo(group, {group.label(x): func(x) for x in elements})
-    spot_check_morphism(endo, random.Random(0), samples=64)
-    return endo
+    return TableEndo(group, {group.label(x): func(x) for x in elements})
 
 
 def rand_invertible(fld, d, rng):

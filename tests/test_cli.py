@@ -110,12 +110,16 @@ class TestSolve:
         assert out == '{"kind": "empty", "trace": ["quotient-recursion: image=Vector(7,2)"], "verified": true}\n'
 
     def test_explain_records_declined_solvers(self, tmp_path, capsys):
-        # sigma has order 2048 > 1024, so auto falls back from small-order to brute
+        # sigma has order 2048 > 1024, so auto falls back from small-order to
+        # the cyclic chain, which descends its 13 layers Z_2
         doc = {"group": {"family": "cyclic", "n": 8192}, "sigma": {"kind": "power", "e": 3}, "g": 1, "h": 5}
         path = write(tmp_path, doc)
         code, out, _ = run(capsys, "solve", "--instance", path, "--explain")
         assert code == 0
-        assert json.loads(out)["trace"] == ["declined: solver=small-order, reason=automorphism order too large"]
+        trace = json.loads(out)["trace"]
+        assert trace[0] == "declined: solver=small-order, reason=automorphism order too large"
+        assert trace[1::2] == ["quotient-recursion: image=Vector(2,1)"] * 13
+        assert all(line.startswith("quotient-recursion-descend: ") for line in trace[2::2])
 
     def test_matrix_group_with_modulus(self, tmp_path, capsys):
         doc = {
@@ -145,6 +149,21 @@ class TestSolve:
         _, out1, _ = run(capsys, "solve", "--instance", path, "--seed", "5")
         _, out2, _ = run(capsys, "solve", "--instance", path, "--seed", "5")
         assert out1 == out2
+
+
+# swaps 1 and 2 on Z_6: sigma(1 + 1) = 1, but sigma(1) + sigma(1) = 4
+NON_MORPHISM_TABLE_INSTANCE = {
+    "group": {"family": "cyclic", "n": 6},
+    "sigma": {"kind": "table", "map": [0, 2, 1, 3, 4, 5]},
+    "g": 1,
+    "h": 3,
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "orbit"])
+def test_table_sigma_must_be_a_homomorphism(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, "--instance", write(tmp_path, NON_MORPHISM_TABLE_INSTANCE))
+    assert code == 1 and out == "" and err == "error: sigma: table is not a homomorphism\n"
 
 
 class TestOrbit:

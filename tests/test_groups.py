@@ -16,7 +16,7 @@ from conftest import (
     sigma_closed_matrix_group,
     table_endo,
 )
-from sdlp.errors import InternalAssertionError, SdlpError
+from sdlp.errors import SdlpError
 from sdlp.ff import Poly, PrimeField, field_of_size
 from sdlp.groups import (
     ConjugationEndo,
@@ -33,6 +33,7 @@ from sdlp.groups import (
     ProductGroup,
     SolutionSet,
     Subgroup,
+    TableEndo,
     VectorGroup,
     induced_automorphism,
     restrict_endo,
@@ -593,9 +594,14 @@ class TestTableEndo:
         with pytest.raises(SdlpError, match="too large"):
             table_endo(CyclicGroup(1 << 13), lambda x: x)
 
-    def test_helper_spot_checks_the_morphism(self):
-        with pytest.raises(InternalAssertionError):
+    def test_constructor_rejects_a_non_morphism(self):
+        with pytest.raises(SdlpError, match="not a homomorphism"):
             table_endo(CyclicGroup(6), lambda x: (x + 1) % 6)
+        # swaps 1 and 2 and fixes the rest: sigma(1 + 1) = 1, but sigma(1) + sigma(1) = 4
+        with pytest.raises(SdlpError, match="not a homomorphism"):
+            TableEndo(CyclicGroup(6), dict(enumerate([0, 2, 1, 3, 4, 5])))
+        # x -> 3x on Z_8 is one
+        assert TableEndo(CyclicGroup(8), dict(enumerate([0, 3, 6, 1, 4, 7, 2, 5]))).is_automorphism()
 
     def test_negative_power_inverts_the_table(self):
         t = table_endo(CyclicGroup(6), lambda x: 5 * x % 6)

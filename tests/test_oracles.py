@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import sdlp.linalg as linalg
 from conftest import (
+    endo_order_by_walk,
     rand_invertible,
     rand_upper_triangular,
     random_cyclic_instance,
@@ -25,6 +26,7 @@ from sdlp.ff import ExtField, Poly, PrimeField, Slots, _PackedRing, field_of_siz
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
+    Endo,
     GroupHandle,
     HeisenbergGroup,
     LinearMapEndo,
@@ -41,7 +43,6 @@ from sdlp.oracles import (
     PolyUnitGroup,
     UnitGroup,
     _bsgs,
-    _endo_order_by_walk,
     _rows_product,
     dlog,
     dlog_many,
@@ -831,11 +832,31 @@ class TestEndoOrder:
         while len(sigmas) < 22:
             raw = [rand_invertible(F9, 2, rng) for _ in range(2)]
             cm = rand_invertible(F9, 2, rng)
-            if _endo_order_by_walk(ConjugationEndo(MatrixGroup(F9, 2, raw), cm), raw)[0] <= 16:
+            if endo_order_by_walk(ConjugationEndo(MatrixGroup(F9, 2, raw), cm), raw) <= 16:
                 sigmas.append(sigma_closed_matrix_group(F9, 2, raw, cm)[1])
         for sigma in sigmas:
-            want, _ = _endo_order_by_walk(sigma, sigma.group.generators())
+            want = endo_order_by_walk(sigma, sigma.group.generators())
             assert math.prod(p**k for p, k in endo_order(sigma)) == want
+
+
+class _Negation(Endo):
+    """x -> -x on Z_n in a representation with no order multiple."""
+
+    def apply(self, x):
+        return -x % self.group.n
+
+    def is_automorphism(self):
+        return True
+
+
+class TestEndoOrderWithoutMultiple:
+    def test_declines(self):
+        with pytest.raises(NotApplicableError, match="no order multiple"):
+            endo_order(_Negation(CyclicGroup(10)))
+
+    def test_orbit_falls_back_to_brent(self):
+        # g, then g - g = 0: a pure 2-cycle, found by cycle detection
+        assert orbit_index_period(3, _Negation(CyclicGroup(10))) == OrbitShape(0, 2)
 
 
 class TestOrbitIndexPeriod:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -354,8 +355,9 @@ class TestSolveSolvable:
             solve_solvable(SdlpInstance(G, sigma, g, G.identity), CFG)
 
     def test_composition_series_required(self):
-        C = CyclicGroup(12)  # composite: no built-in series
-        inst = SdlpInstance(C, PowerMapEndo(C, 5), 1, 5)
+        P = ProductGroup([CyclicGroup(12), CyclicGroup(5)])  # a product: no built-in series
+        sigma = ProductEndo(P, [PowerMapEndo(P.factors[0], 5), PowerMapEndo(P.factors[1], 2)])
+        inst = SdlpInstance(P, sigma, (1, 1), (5, 3))
         with pytest.raises(NotApplicableError, match="composition series required"):
             solve_solvable(inst, CFG)
 
@@ -384,6 +386,96 @@ class TestSolveSolvable:
         for _ in range(50):
             inst = random_heisenberg_instance(rng, p_choices=(3, 5, 7))
             assert solve_solvable(inst, CFG) == brute_solve(inst, CFG)
+
+
+def _omega(n: int) -> int:
+    """Number of prime factors of n counted with multiplicity, by trial division."""
+    count, p = 0, 2
+    while p * p <= n:
+        while n % p == 0:
+            n, count = n // p, count + 1
+        p += 1
+    return count + (n > 1)
+
+
+@st.composite
+def composite_cyclic_instances(draw):
+    """(Z_n, x -> e x, g, t*) with n < 2^64 a product of two to four
+    powers of factors below 2^32 (small ones included), e a unit."""
+    n = 1
+    for _ in range(draw(st.integers(2, 4))):
+        base = draw(st.one_of(st.integers(2, 30), st.integers(2, (1 << 32) - 1)))
+        k = draw(st.integers(1, 6))
+        while k > 1 and n * base**k >= 1 << 64:
+            k -= 1
+        if n * base**k < 1 << 64:
+            n *= base**k
+    e = draw(st.integers(1, n - 1))
+    while math.gcd(e, n) != 1:
+        e += 1
+    return CyclicGroup(n), e, draw(st.integers(0, n - 1)), draw(st.integers(0, (1 << 64) - 1))
+
+
+class TestCyclicChain:
+    @pytest.mark.parametrize("n", [1, 2, 12, 13, 360, 1024, 3**5 * 7**2, 2**40, (2**31 - 1) * (2**19 - 1)])
+    def test_levels_follow_the_prime_factors(self, n):
+        C = CyclicGroup(n)
+        chain = solvers.cyclic_chain(C)
+        want = {2**40: 40, (2**31 - 1) * (2**19 - 1): 2}.get(n) or _omega(n)
+        assert len(chain.levels) == want
+        for i, level in enumerate(chain.levels):
+            p = level.psi.target.p
+            assert level.psi(level.generators[0]) == (1,)  # onto Z_p
+            below = chain.levels[i - 1].generators if i else [0]
+            assert all(level.psi(x) == (0,) for x in below)
+            assert C.label(p * level.generators[0]) == C.label(below[0])  # the level has order p over the one below
+        assert n == 1 or chain.levels[-1].generators == [1]  # the top level is Z_n
+        chain.validate(C, PowerMapEndo(C, 1))
+
+    @pytest.mark.parametrize("n, e", [(2**40, 3), ((2**31 - 1) * (2**19 - 1), 7)])
+    def test_at_scale_under_auto(self, n, e):
+        # the order of sigma is far above any walk: 2^38 and about 8.9 * 10^12
+        C = CyclicGroup(n)
+        sigma = PowerMapEndo(C, e)
+        assert ensure_endo_order(sigma) >= 1 << 38
+        t_star = 123456789123
+        inst = SdlpInstance(C, sigma, 5, rho_pow(5, sigma, t_star))
+        start = time.perf_counter()
+        got = solve(inst, SolverConfig())
+        assert time.perf_counter() - start < 1.0
+        assert got.contains(t_star)
+        assert solve_solvable(inst, CFG) == got
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(composite_cyclic_instances())
+    def test_composite_n_contains_the_exponent(self, drawn):
+        C, e, g, t_star = drawn
+        sigma = PowerMapEndo(C, e)
+        inst = SdlpInstance(C, sigma, g, rho_pow(g, sigma, t_star))
+        got = solve(inst, SolverConfig())
+        assert got.contains(t_star)
+        assert solve_solvable(inst, CFG) == got
+        if C.n < 512:
+            assert brute_solve(inst, CFG) == got
+
+    def test_small_instances_match_brute(self):
+        # endomorphisms and tables included; small_order_bound=1 sends every
+        # automorphism down the chain
+        rng = random.Random(26)
+        forced = SolverConfig(small_order_bound=1)
+        for i in range(300):
+            n = (rng.randrange(1, 400), 2 ** rng.randrange(10), rng.choice((3, 5, 7)) ** rng.randrange(1, 4))[i % 3]
+            C = CyclicGroup(n)
+            e = rng.randrange(n)
+            sigma = PowerMapEndo(C, e) if i % 5 else table_endo(C, lambda x, e=e, n=n: e * x % n)
+            g = C.rand_element(rng)
+            h = rho_pow(g, sigma, rng.randrange(1000)) if i % 2 else C.rand_element(rng)
+            inst = SdlpInstance(C, sigma, g, h)
+            want = brute_solve(inst, CFG)
+            assert solve(inst, forced) == want
+            assert solve(inst, CFG) == want
+            if sigma.is_automorphism():
+                assert solve_solvable(inst, forced) == want
 
 
 class TestFindConjugator:
@@ -1102,12 +1194,15 @@ class TestAutoDispatch:
             assert solve(inst, CFG) == want
 
     def test_declines_are_recorded(self):
-        # sigma has order 2048 > 1024: small-order declines, brute answers
+        # sigma has order 2048 > 1024: small-order declines, and the cyclic
+        # chain descends its 13 layers Z_2
         C = CyclicGroup(8192)
         cfg = SolverConfig()
         inst = SdlpInstance(C, PowerMapEndo(C, 3), 1, 5)
         assert solve(inst, cfg) == SolutionSet.progression(3623, 4096)
-        assert cfg.trace == [{"kind": "declined", "solver": "small-order", "reason": "automorphism order too large"}]
+        assert cfg.trace[0] == {"kind": "declined", "solver": "small-order", "reason": "automorphism order too large"}
+        assert [step["kind"] for step in cfg.trace[1:]] == ["quotient-recursion", "quotient-recursion-descend"] * 13
+        assert {step.get("image") for step in cfg.trace[1::2]} == {"Vector(2,1)"}
 
     def test_each_solve_starts_a_fresh_trace(self):
         H = HeisenbergGroup(7)
