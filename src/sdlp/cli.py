@@ -238,7 +238,7 @@ def build_chain(spec, group: GroupHandle, where: str = "chain") -> NormalChain:
     levels = []
     for i, lvl in enumerate(spec):
         w = f"{where}[{i}]"
-        _check_keys(lvl, w, ("psi", "tag"), ("generators", "kernel_generators", "n_hint"))
+        _check_keys(lvl, w, ("psi", "tag"), ("generators", "kernel_generators"))
         tag = lvl["tag"]
         if tag not in CHAIN_TAGS:
             _fail(f"{w}: unknown tag {tag!r}")
@@ -247,8 +247,7 @@ def build_chain(spec, group: GroupHandle, where: str = "chain") -> NormalChain:
             gens = group.generators()
         kernel = [parse_element(v, group, f"{w}.kernel_generators") for v in lvl.get("kernel_generators", [])]
         psi = _build_psi(lvl["psi"], group, kernel, f"{w}.psi")
-        n_hint = _int(lvl["n_hint"], f"{w}.n_hint") if "n_hint" in lvl else None
-        levels.append(ChainLevel(generators=gens, psi=psi, tag=tag, n_hint=n_hint))
+        levels.append(ChainLevel(generators=gens, psi=psi, tag=tag))
     return NormalChain(levels=levels)
 
 

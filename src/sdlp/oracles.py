@@ -257,32 +257,37 @@ def _order_from_multiple(is_trivial_power, factored_multiple: dict):
     return n, {p: e for p, e in sorted(fact.items()) if e > 0}
 
 
-def endo_order(sigma: Endo) -> list:
-    """Factored order of an automorphism: the lcm over generators of the
-    period of t -> sigma^t(x).
-
-    A representation-specific multiple (the minimal-polynomial multiple of
-    the matrix for linear maps and conjugations) is reduced on the
-    generators by `_order_from_multiple`; table endomorphisms read the order
-    off their cycle structure. A representation with no such multiple
-    raises NotApplicableError. Nothing is stored on sigma.
-    """
+def endo_order_multiple(sigma: Endo) -> dict:
+    """Factored multiple M of ord(sigma), read off the representation and
+    checked: sigma^M fixes every generator. A representation with no such
+    multiple raises NotApplicableError. Nothing is stored on sigma."""
     if not sigma.is_automorphism():
         raise SdlpError("endo_order expects an automorphism")
     mult = _endo_order_multiple(sigma)
     if mult is None:
         raise NotApplicableError("no order multiple for this endomorphism representation")
+    if not _trivial_power_test(sigma)(integers.factorization_product(mult)):
+        raise SdlpError("representation multiple does not annihilate the generators")
+    return mult
+
+
+def endo_order(sigma: Endo) -> list:
+    """Factored order of an automorphism: `endo_order_multiple` reduced on
+    the generators by `_order_from_multiple`."""
+    _, fact = _order_from_multiple(_trivial_power_test(sigma), endo_order_multiple(sigma))
+    return sorted(fact.items())
+
+
+def _trivial_power_test(sigma: Endo):
+    """k -> whether sigma^k fixes every generator."""
     grp = sigma.group
-    gens = grp.generators()
+    gens = [(x, grp.label(x)) for x in grp.generators()]
 
     def trivial(k):
         pw = sigma.pow(k)
-        return all(grp.label(pw.apply(x)) == grp.label(x) for x in gens)
+        return all(grp.label(pw.apply(x)) == lab for x, lab in gens)
 
-    if not trivial(integers.factorization_product(mult)):
-        raise SdlpError("representation multiple does not annihilate the generators")
-    _, fact = _order_from_multiple(trivial, mult)
-    return sorted(fact.items())
+    return trivial
 
 
 def _endo_order_multiple(sigma: Endo):
@@ -639,7 +644,8 @@ def orbit_index_period(g, sigma: Endo, config: SolverConfig | None = None) -> Or
     """Exact (index, period) of the orbit rho^t(1_G).
 
     Automorphisms short-circuit: the orbit is a pure cycle whose length is
-    recovered by reducing the factored multiple ord(sigma) * ord(rho^ord(1)).
+    recovered by reducing M * ord(rho^M(1)), where sigma^M = 1 for the
+    multiple M of `endo_order_multiple`, so rho^{jM}(1) = rho^M(1)^j.
     Endomorphisms fall back to Brent cycle detection on x -> g sigma(x).
     """
     config = config or SolverConfig()
@@ -655,9 +661,9 @@ def orbit_index_period(g, sigma: Endo, config: SolverConfig | None = None) -> Or
 
 def _automorphism_orbit_period(g, sigma: Endo) -> int:
     grp = sigma.group
-    mult = dict(endo_order(sigma))
+    mult = dict(endo_order_multiple(sigma))
     g_m = rho_pow(g, sigma, integers.factorization_product(mult))
-    ord_gm, gm_fact = element_order(grp, g_m)
+    _, gm_fact = element_order(grp, g_m)
     for p, e in gm_fact.items():
         mult[p] = mult.get(p, 0) + e
     period, _ = _order_from_multiple(lambda k: grp.is_identity(rho_pow(g, sigma, k)), mult)

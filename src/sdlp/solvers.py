@@ -39,7 +39,7 @@ from .oracles import (
     dlog,
     dlog_many,
     element_order,
-    endo_order,
+    endo_order_multiple,
     ensure_endo_order,
     orbit_walk,
 )
@@ -62,7 +62,6 @@ class ChainLevel:
     generators: list
     psi: Hom
     tag: str  # small | small-order | solvable | matrix-inner
-    n_hint: int | None = None
 
 
 @dataclass
@@ -114,18 +113,17 @@ def solve_small_order(inst: SdlpInstance, config: SolverConfig | None = None) ->
     return solve(inst, config, "small-order")
 
 
-def _solve_small_order(inst: SdlpInstance, config: SolverConfig, n: int | None = None) -> SolutionSet:
-    """Core of solve_small_order; n is ord(sigma) when the caller has it.
+def _solve_small_order(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
+    """Core of solve_small_order.
 
     Every residue instance of the shift has the same base g' = rho^n(1) and
     a trivial sigma^n, so one exact order of g' and one dlog set-up for it
     (each prime's baby-step table) serve all n targets. Both live only for
     this solve.
     """
-    if n is None:
-        if not inst.sigma.is_automorphism():
-            raise SdlpError("not an automorphism")
-        n = ensure_endo_order(inst.sigma)
+    if not inst.sigma.is_automorphism():
+        raise SdlpError("not an automorphism")
+    n = ensure_endo_order(inst.sigma)
     if n > config.small_order_bound:
         raise NotApplicableError("automorphism order too large")
     subs, recombine = shift_to_power(inst, n, config)
@@ -613,10 +611,12 @@ def _matrix_view(inst: SdlpInstance):
 
 
 def solve_matrix_inner(inst: SdlpInstance, config: SolverConfig | None = None) -> SolutionSet:
-    """SDLP on a matrix group when some power sigma^k (k | ord(sigma),
-    k <= the configured bound) is conjugation by a matrix.
+    """SDLP on a matrix group when some power sigma^k (k <= the configured
+    bound) is conjugation by a matrix.
 
-    Divisors are scanned in increasing order; on a hit, the instance is
+    k runs over the divisors of the representation's multiple of ord(sigma)
+    in increasing order. The k with sigma^k a conjugation form a subgroup of
+    Z containing ord(sigma), so the first hit is the least. The instance is
     shifted to sigma^k and each residue instance becomes an Orbit Problem
     for the linear extension Phi = (left multiplication by g') o sigma^k
     on the full matrix space.
@@ -624,18 +624,17 @@ def solve_matrix_inner(inst: SdlpInstance, config: SolverConfig | None = None) -
     return solve(inst, config, "matrix-inner")
 
 
-def _solve_matrix_inner(inst: SdlpInstance, config: SolverConfig, order_fact: dict | None = None) -> SolutionSet:
-    """Core of solve_matrix_inner; order_fact is ord(sigma), factored, if known."""
+def _solve_matrix_inner(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
+    """Core of solve_matrix_inner."""
     sigma = inst.sigma
-    if order_fact is None:
-        if not sigma.is_automorphism():
-            raise SdlpError("not an automorphism")
-        order_fact = dict(endo_order(sigma))
+    if not sigma.is_automorphism():
+        raise SdlpError("not an automorphism")
+    mult = endo_order_multiple(sigma)
     fld, d, to_mat = _matrix_view(inst)
     gens = inst.group.generators()
     gen_mats = [to_mat(x) for x in gens]
     max_k = config.matrix_inner_max_k
-    for k in integers.divisors_ascending(order_fact):
+    for k in integers.divisors_ascending(mult):
         if k > max_k:
             break
         sigma_k = sigma.pow(k)
@@ -745,8 +744,6 @@ def _rebind_level_hom(group, chain: NormalChain, level_index: int) -> Hom:
 def _dispatch_tag(q_inst: SdlpInstance, level: ChainLevel, config: SolverConfig) -> SolutionSet:
     if level.tag not in CHAIN_TAGS:
         raise SdlpError(f"unknown chain tag {level.tag!r}")
-    if level.tag == "matrix-inner" and level.n_hint:
-        config = replace(config, matrix_inner_max_k=level.n_hint)
     return _SOLVERS[level.tag](q_inst, config)
 
 
@@ -780,22 +777,14 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
         isinstance(grp, CyclicGroup) and integers.is_prime(grp.n)
     ) or (isinstance(grp, PairImageGroup) and isinstance(grp.target, VectorGroup)):
         return _solve_solvable(inst, config)
-    if isinstance(grp, MatrixGroup):
-        # one order computation serves both solvers
-        order_fact = dict(endo_order(sigma))
-        n = integers.factorization_product(order_fact)
-        if n <= config.small_order_bound:
-            try:
-                return _solve_small_order(inst, config, n)
-            except SdlpError as err:
-                config.record("declined", solver="small-order", reason=str(err))
-        return _solve_matrix_inner(inst, config, order_fact)
     try:
         return _solve_small_order(inst, config)
     except SdlpError as err:
         config.record("declined", solver="small-order", reason=str(err))
     if isinstance(grp, CyclicGroup):
         return _solve_solvable(inst, config)
+    if isinstance(grp, MatrixGroup):
+        return _solve_matrix_inner(inst, config)
     return _solve_brute(inst, config)
 
 

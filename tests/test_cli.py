@@ -23,6 +23,37 @@ CYCLIC_INSTANCE = {
     "h": 7,
 }
 
+# a product whose chain ends in a matrix-inner level
+PROJECT_CHAIN_INSTANCE = {
+    "group": {
+        "family": "product",
+        "factors": [
+            {"family": "vector", "p": 5, "d": 1},
+            {"family": "matrix", "q": 3, "d": 2, "generators": [[[1, 1], [0, 1]]]},
+        ],
+    },
+    "sigma": {
+        "kind": "product",
+        "components": [
+            {"kind": "linear", "matrix": [[2]]},
+            {"kind": "conjugation", "matrix": [[2, 1], [0, 1]]},
+        ],
+    },
+    "g": [[1], [[1, 1], [0, 1]]],
+    "h": [[1], [[1, 1], [0, 1]]],
+    "chain": [
+        {
+            "generators": [[[1], [[1, 0], [0, 1]]]],
+            "psi": {"kind": "linear-coords", "rows": [[1]], "p": 5, "factor": 0},
+            "tag": "solvable",
+        },
+        {
+            "psi": {"kind": "project", "factor": 1},
+            "tag": "matrix-inner",
+        },
+    ],
+}
+
 
 def write(tmp_path, doc, name="inst.json"):
     path = tmp_path / name
@@ -316,37 +347,15 @@ class TestExplicitChains:
         assert code == 0
         assert json.loads(out)["t0"] == 1
 
+    def test_n_hint_is_an_unknown_field(self, tmp_path, capsys):
+        # the matrix-inner scan has one bound, SolverConfig.matrix_inner_max_k
+        chain = [dict(PROJECT_CHAIN_INSTANCE["chain"][0], n_hint=4), PROJECT_CHAIN_INSTANCE["chain"][1]]
+        path = write(tmp_path, dict(PROJECT_CHAIN_INSTANCE, chain=chain))
+        code, out, err = run(capsys, "solve", "--instance", path, "--solver", "master")
+        assert code == 1 and out == "" and "error: chain[0]: unknown field 'n_hint'" in err
+
     def test_project_chain_on_product(self, tmp_path, capsys):
-        doc = {
-            "group": {
-                "family": "product",
-                "factors": [
-                    {"family": "vector", "p": 5, "d": 1},
-                    {"family": "matrix", "q": 3, "d": 2, "generators": [[[1, 1], [0, 1]]]},
-                ],
-            },
-            "sigma": {
-                "kind": "product",
-                "components": [
-                    {"kind": "linear", "matrix": [[2]]},
-                    {"kind": "conjugation", "matrix": [[2, 1], [0, 1]]},
-                ],
-            },
-            "g": [[1], [[1, 1], [0, 1]]],
-            "h": [[1], [[1, 1], [0, 1]]],
-            "chain": [
-                {
-                    "generators": [[[1], [[1, 0], [0, 1]]]],
-                    "psi": {"kind": "linear-coords", "rows": [[1]], "p": 5, "factor": 0},
-                    "tag": "solvable",
-                },
-                {
-                    "psi": {"kind": "project", "factor": 1},
-                    "tag": "matrix-inner",
-                },
-            ],
-        }
-        path = write(tmp_path, doc)
+        path = write(tmp_path, PROJECT_CHAIN_INSTANCE)
         code, out, _ = run(capsys, "solve", "--instance", path, "--solver", "master")
         assert code == 0
         assert json.loads(out)["t0"] == 1

@@ -19,6 +19,7 @@ from conftest import (
     schoolbook_poly_mul,
     schoolbook_pow_mod,
     sigma_closed_matrix_group,
+    table_endo,
 )
 from sdlp.config import SolverConfig
 from sdlp.errors import NotApplicableError, SdlpError
@@ -29,9 +30,14 @@ from sdlp.groups import (
     Endo,
     GroupHandle,
     HeisenbergGroup,
+    Hom,
+    InducedPairEndo,
     LinearMapEndo,
     MatrixGroup,
+    PairImageGroup,
     PowerMapEndo,
+    ProductEndo,
+    ProductGroup,
     VectorGroup,
     rho_pow,
 )
@@ -48,6 +54,7 @@ from sdlp.oracles import (
     dlog_many,
     element_order,
     endo_order,
+    endo_order_multiple,
     factor_integer,
     orbit_index_period,
     orbit_walk,
@@ -834,9 +841,20 @@ class TestEndoOrder:
             cm = rand_invertible(F9, 2, rng)
             if endo_order_by_walk(ConjugationEndo(MatrixGroup(F9, 2, raw), cm), raw) <= 16:
                 sigmas.append(sigma_closed_matrix_group(F9, 2, raw, cm)[1])
+        # the other kinds: a table, a pair image (whose order can be below
+        # its inner multiple's) and a product
+        sigmas.append(table_endo(MatrixGroup(F5, 2, [Matrix(F5, [[1, 1], [1, 3]])]), lambda m: m.inverse()))
+        P = PairImageGroup(Hom(H, VectorGroup(7, 2), lambda t: (t[0], t[1])))
+        for _ in range(3):
+            sigmas.append(InducedPairEndo(P, ConjugationEndo(H, rand_upper_triangular(H.field, 3, rng))))
+        C9, V52 = CyclicGroup(9), VectorGroup(5, 2)
+        sigmas.append(
+            ProductEndo(ProductGroup([C9, V52]), [PowerMapEndo(C9, 2), LinearMapEndo(V52, rand_invertible(F5, 2, rng))])
+        )
         for sigma in sigmas:
             want = endo_order_by_walk(sigma, sigma.group.generators())
             assert math.prod(p**k for p, k in endo_order(sigma)) == want
+            assert math.prod(p**k for p, k in endo_order_multiple(sigma).items()) % want == 0
 
 
 class _Negation(Endo):
@@ -849,14 +867,32 @@ class _Negation(Endo):
         return True
 
 
+class _StuckPower(PowerMapEndo):
+    """x -> e*x on Z_n whose powers are all itself: a representation fault
+    that the check of the multiple has to catch."""
+
+    def pow(self, k):
+        return self
+
+
 class TestEndoOrderWithoutMultiple:
     def test_declines(self):
-        with pytest.raises(NotApplicableError, match="no order multiple"):
-            endo_order(_Negation(CyclicGroup(10)))
+        for order_of in (endo_order, endo_order_multiple):
+            with pytest.raises(NotApplicableError, match="no order multiple"):
+                order_of(_Negation(CyclicGroup(10)))
+
+    def test_multiple_that_does_not_annihilate_raises(self):
+        # lambda(7) = 6, but the stuck sixth power is still x -> 3x
+        for order_of in (endo_order, endo_order_multiple):
+            with pytest.raises(SdlpError, match="does not annihilate"):
+                order_of(_StuckPower(CyclicGroup(7), 3))
 
     def test_orbit_falls_back_to_brent(self):
         # g, then g - g = 0: a pure 2-cycle, found by cycle detection
         assert orbit_index_period(3, _Negation(CyclicGroup(10))) == OrbitShape(0, 2)
+        # the stuck powers fail the check, and the walk uses apply alone
+        _, index, period = orbit_walk(1, _StuckPower(CyclicGroup(7), 3), 1 << 6)
+        assert orbit_index_period(1, _StuckPower(CyclicGroup(7), 3)) == OrbitShape(index, period) == OrbitShape(0, 6)
 
 
 class TestOrbitIndexPeriod:
@@ -879,7 +915,7 @@ class TestOrbitIndexPeriod:
             shape = orbit_index_period(inst.g, inst.sigma, cfg)
             values, index, period = orbit_walk(inst.g, inst.sigma, 1 << 14)
             assert (shape.index, shape.period) == (index, period)
-            assert index + period <= 1 << 12 or True
+            assert index + period <= 1 << 12
 
     def test_cap(self):
         # singular map with a long orbit forces the cycle-detection walk

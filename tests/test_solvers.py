@@ -42,7 +42,7 @@ from sdlp.groups import (
     rho_pow,
 )
 from sdlp.linalg import Matrix, krylov
-from sdlp.oracles import element_order, ensure_endo_order, orbit_walk
+from sdlp.oracles import element_order, endo_order, ensure_endo_order, orbit_walk
 from sdlp.protocol import heisenberg_chain, heisenberg_instance
 from sdlp.solvers import (
     SOLVER_NAMES,
@@ -948,6 +948,35 @@ class TestDiagonalSplit:
             _orbit_problem_set(OrbitProblemInstance(F5, comp, (1, 0), (0, 1)), CFG)
 
 
+def _least_inner_k_by_order(sigma, max_k):
+    """The least k | ord(sigma), k <= max_k, with sigma^k a conjugation, by
+    the scan over the exact order; None when there is none."""
+    G = sigma.group
+    gens = G.generators()
+    for k in integers.divisors_ascending(dict(endo_order(sigma))):
+        if k > max_k:
+            break
+        try:
+            find_conjugator(gens, [sigma.pow(k).apply(x) for x in gens], G.d, G.field)
+        except NotApplicableError:
+            continue
+        return k
+    return None
+
+
+def _matrix_inner_k(inst, cfg):
+    """The k that solve(..., "matrix-inner") traces, or None when it
+    declines for want of an inner power."""
+    try:
+        solve(inst, cfg, "matrix-inner")
+    except NotApplicableError as err:
+        assert "no inner power" in str(err)
+        return None
+    hits = [r for r in cfg.trace if r["kind"] == "matrix-inner"]
+    assert len(hits) == 1
+    return hits[0]["k"]
+
+
 class TestSolveMatrixInner:
     def test_inner_k1_forward(self):
         x = Matrix(F5, [[1, 1], [0, 1]])
@@ -972,6 +1001,38 @@ class TestSolveMatrixInner:
         assert got.contains(7) and got == brute_solve(inst, cfg)
         hits = [t for t in cfg.trace if t["kind"] == "matrix-inner"]
         assert hits and hits[-1]["k"] == 2
+        assert _matrix_inner_k(inst, cfg) == _least_inner_k_by_order(sigma, cfg.matrix_inner_max_k) == 2
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        q=st.sampled_from([2, 3, 5]),
+        d=st.sampled_from([2, 3]),
+        kind=st.sampled_from(["sigma", "sigma^2", "power-map"]),
+        max_k=st.sampled_from([1, 2, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_least_k_matches_the_scan_over_the_exact_order(self, q, d, kind, max_k, seed):
+        # the scan over the multiple's divisors stops at the least inner
+        # power, as the scan over ord(sigma)'s did. Conjugations on the
+        # benchmark's small platforms (and their squares) are inner at k = 1;
+        # x -> x^e on a cyclic matrix group <x> is inner at some k, or at
+        # none within the bound, and then both scans decline
+        rng = random.Random(seed)
+        if kind == "power-map":
+            F = PrimeField(q)
+            x = rand_invertible(F, d, rng)
+            G = MatrixGroup(F, d, [x])
+            n = element_order(G, x)[0]
+            e = rng.choice([e for e in range(1, n + 1) if math.gcd(e, n) == 1])
+            sigma = table_endo(G, lambda m: G.pow(m, e))
+        else:
+            G, sigma = workloads.small_matrix_group(rng, q, d)
+            sigma = sigma.pow(2) if kind == "sigma^2" else sigma
+        inst = SdlpInstance(G, sigma, G.rand_element(rng), G.rand_element(rng))
+        want = _least_inner_k_by_order(sigma, max_k)
+        assert _matrix_inner_k(inst, SolverConfig(matrix_inner_max_k=max_k)) == want
+        if kind != "power-map":
+            assert want == 1
 
     def test_outside_orbit_is_empty(self):
         F3 = PrimeField(3)
@@ -1064,6 +1125,7 @@ class TestSolveMatrixInner:
                 assert solve(inst, cfg, "matrix-inner").contains(item.x)
                 hits = [r for r in cfg.trace if r["kind"] == "matrix-inner"]
                 assert len(hits) == 1 and hits[0]["lifted"] is None
+                assert hits[0]["k"] == _least_inner_k_by_order(item.sigma, cfg.matrix_inner_max_k)
                 fld = item.group.field
                 if isinstance(fld, PrimeField) and fld.size < 2 * item.group.d:
                     small.add((fld.size, item.group.d))
@@ -1203,6 +1265,25 @@ class TestAutoDispatch:
         assert cfg.trace[0] == {"kind": "declined", "solver": "small-order", "reason": "automorphism order too large"}
         assert [step["kind"] for step in cfg.trace[1:]] == ["quotient-recursion", "quotient-recursion-descend"] * 13
         assert {step.get("image") for step in cfg.trace[1::2]} == {"Vector(2,1)"}
+
+    def test_matrix_group_tries_small_order_first(self):
+        # U_2(F_2053) under conjugation by diag(1, 2), of order 2052 > 1024:
+        # small-order declines, and the inner power is sigma itself
+        F = PrimeField(2053)
+        x = Matrix(F, [[1, 1], [0, 1]])
+        G = MatrixGroup(F, 2, [x])
+        sigma = ConjugationEndo(G, Matrix(F, [[1, 0], [0, 2]]))
+        assert ensure_endo_order(sigma) == 2052
+        t_star = 1_000_003
+        inst = SdlpInstance(G, sigma, x, rho_pow(x, sigma, t_star))
+        cfg = SolverConfig()
+        got = solve(inst, cfg, "auto")
+        assert cfg.trace[:3] == [
+            {"kind": "declined", "solver": "small-order", "reason": "automorphism order too large"},
+            {"kind": "matrix-inner", "k": 1, "lifted": None},
+            {"kind": "power-shift", "k": 1},
+        ]
+        assert got.contains(t_star) and got == solve(inst, SolverConfig(), "matrix-inner")
 
     def test_each_solve_starts_a_fresh_trace(self):
         H = HeisenbergGroup(7)
