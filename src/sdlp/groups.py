@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import integers
 from .errors import InternalAssertionError, SdlpError
@@ -109,8 +110,15 @@ class CyclicGroup(GroupHandle):
     def codeword_bits(self):
         return max(1, (self.n - 1).bit_length())
 
-    def exponent_multiple(self):
+    @cached_property
+    def factorization(self) -> dict:
+        """n's prime factorization {prime: exponent}, factored on first use
+        and kept: the order multiples of the group and of its power maps
+        and `cyclic_chain` all read it."""
         return integers.factorize(self.n)
+
+    def exponent_multiple(self):
+        return dict(self.factorization)
 
     def elements(self):
         return range(self.n)

@@ -16,6 +16,7 @@ from .errors import NotApplicableError, SdlpError
 from .ff import ExtField, Poly, PrimeField, Slots, _poly_half_ext_gcd, _slot_size, factor_degrees
 from .groups import (
     ConjugationEndo,
+    CyclicGroup,
     Endo,
     GroupHandle,
     InducedPairEndo,
@@ -293,9 +294,10 @@ def _trivial_power_test(sigma: Endo):
 def _endo_order_multiple(sigma: Endo):
     """A factored multiple of ord(sigma) read off the representation."""
     if isinstance(sigma, PowerMapEndo):
-        n = sigma.modulus
+        # a vector group's modulus is prime
+        fact = sigma.group.factorization if isinstance(sigma.group, CyclicGroup) else {sigma.modulus: 1}
         lam: dict = {}
-        for p, e in integers.factorize(n).items():
+        for p, e in fact.items():
             if p == 2:
                 part = {} if e == 1 else ({2: 1} if e == 2 else {2: e - 2})
             else:

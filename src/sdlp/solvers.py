@@ -272,7 +272,7 @@ def cyclic_chain(group: CyclicGroup) -> NormalChain:
     """
     n, m = group.n, 1
     levels = []
-    for p, e in sorted(integers.factorize(n).items()):
+    for p, e in sorted(group.factorization.items()):
         for _ in range(e):
             m *= p
             psi = Hom(
@@ -614,12 +614,16 @@ def solve_matrix_inner(inst: SdlpInstance, config: SolverConfig | None = None) -
     """SDLP on a matrix group when some power sigma^k (k <= the configured
     bound) is conjugation by a matrix.
 
-    k runs over the divisors of the representation's multiple of ord(sigma)
-    in increasing order. The k with sigma^k a conjugation form a subgroup of
-    Z containing ord(sigma), so the first hit is the least. The instance is
+    k = 1 is tried first. Only when sigma itself is not inner is the
+    representation's multiple of ord(sigma) computed, and its divisors
+    above 1 are tried in increasing order. The k with sigma^k a conjugation
+    form a subgroup of Z containing ord(sigma), and 1 divides every
+    multiple, so the first hit is the least. A conjugation over the
+    platform's field supplies its own matrix; any other sigma^k is solved
+    for one by `find_conjugator`'s intertwiner draws. The instance is
     shifted to sigma^k and each residue instance becomes an Orbit Problem
     for the linear extension Phi = (left multiplication by g') o sigma^k
-    on the full matrix space.
+    on the full matrix space, whose columns are outer products.
     """
     return solve(inst, config, "matrix-inner")
 
@@ -629,18 +633,11 @@ def _solve_matrix_inner(inst: SdlpInstance, config: SolverConfig) -> SolutionSet
     sigma = inst.sigma
     if not sigma.is_automorphism():
         raise SdlpError("not an automorphism")
-    mult = endo_order_multiple(sigma)
     fld, d, to_mat = _matrix_view(inst)
-    gens = inst.group.generators()
-    gen_mats = [to_mat(x) for x in gens]
-    max_k = config.matrix_inner_max_k
-    for k in integers.divisors_ascending(mult):
-        if k > max_k:
-            break
-        sigma_k = sigma.pow(k)
-        img_mats = [to_mat(sigma_k.apply(x)) for x in gens]
+    for k in _inner_power_candidates(sigma, config.matrix_inner_max_k):
+        sigma_k = sigma if k == 1 else sigma.pow(k)
         try:
-            a, a_inv, lifted, embed = _find_conjugator_lifted(gen_mats, img_mats, d, fld, config)
+            a, a_inv, lifted, embed = _inner_conjugator(inst.group, sigma_k, fld, d, to_mat, config)
         except NotApplicableError:
             continue
         config.record("matrix-inner", k=k, lifted=repr(lifted) if lifted is not fld else None)
@@ -648,28 +645,57 @@ def _solve_matrix_inner(inst: SdlpInstance, config: SolverConfig) -> SolutionSet
     raise NotApplicableError("no inner power within bound")
 
 
+def _inner_power_candidates(sigma, max_k: int):
+    """k = 1, then the divisors above 1 of `endo_order_multiple(sigma)` in
+    increasing order, up to max_k. The multiple is computed, once, only
+    when the caller asks past k = 1."""
+    if max_k < 1:
+        return
+    yield 1
+    for k in integers.divisors_ascending(endo_order_multiple(sigma)):
+        if k > max_k:
+            return
+        if k > 1:
+            yield k
+
+
+def _inner_conjugator(group, sigma_k, fld, d, to_mat, config):
+    """(a, a^-1, field, embed) with sigma^k = conj_a on the generators, as
+    `_find_conjugator_lifted` returns it. A conjugation by a matrix over fld
+    is its own answer, unchecked: its matrix is sigma^k by construction,
+    and `_matrix_view` leaves it only matrix groups and their subgroups.
+    Any other representation is tabulated on the generators and solved
+    for a."""
+    if isinstance(sigma_k, ConjugationEndo) and sigma_k.a.field == fld:
+        return sigma_k.a, sigma_k.a_inv, fld, _same_matrix
+    gens = group.generators()
+    gen_mats = [to_mat(x) for x in gens]
+    img_mats = [to_mat(sigma_k.apply(x)) for x in gens]
+    return _find_conjugator_lifted(gen_mats, img_mats, d, fld, config)
+
+
 def _solve_with_conjugator(inst, k, a, a_inv, fld, embed, to_mat, d, config) -> SolutionSet:
     """Each residue instance as the orbit problem of Phi(Y) = u Y a on M_d,
     u = g a^-1, with the basis E_ij ordered by i ascending, then j
-    descending. Phi(E_ij) lies in span{E_kl : k <= i, l >= j} when u and a
-    are upper triangular, so Phi is upper triangular in that order."""
+    descending. Phi(E_ij) is the outer product of column i of u and row j
+    of a, so Phi's entry at row (r, c), column (i, j) is u_ri a_jc: d^4
+    field products after the one matrix product for u. Phi(E_ij) lies in
+    span{E_kl : k <= i, l >= j} when u and a are upper triangular, so Phi
+    is upper triangular in that order."""
     subs, recombine = shift_to_power(inst, k, config)
     order = [(i, j) for i in range(d) for j in reversed(range(d))]
 
     def coords(M):
         return tuple(M.rows[i][j] for i, j in order)
 
-    basis_mats = []
-    for i, j in order:
-        E = [[fld.zero] * d for _ in range(d)]
-        E[i][j] = fld.one
-        basis_mats.append(Matrix(fld, E))
+    mul = fld.mul
+    a_cols = [[a.rows[j][c] for j in reversed(range(d))] for c in range(d)]  # j descending
+    one = coords(Matrix.identity(fld, d))
     sols = []
     for sub in subs:
-        g_mat = embed(to_mat(sub.g))
-        cols = [coords(g_mat * (a_inv * E * a)) for E in basis_mats]
-        phi = Matrix.from_columns(fld, cols)
-        opi = OrbitProblemInstance(fld, phi, coords(Matrix.identity(fld, d)), coords(embed(to_mat(sub.h))))
+        u = embed(to_mat(sub.g)) * a_inv
+        phi = Matrix(fld, [[mul(x, y) for x in u.rows[r] for y in a_cols[c]] for r, c in order])
+        opi = OrbitProblemInstance(fld, phi, one, coords(embed(to_mat(sub.h))))
         sols.append(_orbit_problem_set(opi, config))
     return recombine(sols)
 

@@ -109,6 +109,26 @@ class TestBackendAxioms:
             assert C.products == (0 if n == 0 else n.bit_length() - 1 + bin(n).count("1") - 1)
 
 
+class TestCyclicFactorization:
+    def test_factored_once_and_kept(self, monkeypatch):
+        import sdlp.integers as integers
+
+        calls = []
+        factorize = integers.factorize
+
+        def spy(n, **kwargs):
+            calls.append(n)
+            return factorize(n, **kwargs)
+
+        monkeypatch.setattr(integers, "factorize", spy)
+        C = CyclicGroup(2**5 * 3 * 1009**2)
+        assert C.factorization == {2: 5, 3: 1, 1009: 2}
+        multiple = C.exponent_multiple()
+        multiple[2] = 0  # a caller's copy: the kept factorization stays
+        assert C.exponent_multiple() == C.factorization == {2: 5, 3: 1, 1009: 2}
+        assert calls == [C.n]
+
+
 class TestHeisenberg:
     def test_matches_matrix_model(self):
         H = HeisenbergGroup(7)

@@ -28,6 +28,7 @@ from sdlp.ff import ExtField, Poly, PrimeField, canonical_irreducible, factor_po
 from sdlp.groups import (
     ConjugationEndo,
     CyclicGroup,
+    Endo,
     HeisenbergGroup,
     Hom,
     LinearMapEndo,
@@ -37,6 +38,7 @@ from sdlp.groups import (
     ProductGroup,
     SdlpInstance,
     SolutionSet,
+    TableEndo,
     VectorGroup,
     mulclose,
     rho_pow,
@@ -964,6 +966,42 @@ def _least_inner_k_by_order(sigma, max_k):
     return None
 
 
+class _OpaqueEndo(Endo):
+    """An endo kind the order oracles do not know: it delegates to another
+    endo, so `endo_order_multiple` has no multiple for it."""
+
+    def __init__(self, inner):
+        super().__init__(inner.group)
+        self.inner = inner
+
+    def apply(self, x):
+        return self.inner.apply(x)
+
+    def pow(self, k):
+        return _OpaqueEndo(self.inner.pow(k))
+
+    def compose(self, other):
+        return _OpaqueEndo(self.inner.compose(other.inner))
+
+    def is_automorphism(self):
+        return self.inner.is_automorphism()
+
+
+def _count_calls(monkeypatch, module, name, arg=None):
+    """Replace module.name by a spy; the returned list grows by one entry per
+    call (per call whose first argument is `arg`, when it is given)."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        if arg is None or args[0] == arg:
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def _matrix_inner_k(inst, cfg):
     """The k that solve(..., "matrix-inner") traces, or None when it
     declines for want of an inner power."""
@@ -988,20 +1026,80 @@ class TestSolveMatrixInner:
         got = solve_matrix_inner(inst, CFG)
         assert got.contains(9) and got == brute_solve(inst, CFG)
 
-    def test_only_square_inner(self):
+    def test_only_square_inner(self, monkeypatch):
         # inversion on an abelian matrix group: x ~ x^{-1} fails when
-        # det(x)^2 != 1, but sigma^2 = id is conjugation by I
+        # det(x)^2 != 1, but sigma^2 = id is conjugation by I. k = 1 has no
+        # conjugator, so the scan computes sigma's order multiple, once
         x = Matrix(F5, [[1, 1], [1, 3]])  # symmetric, det 2
         G = MatrixGroup(F5, 2, [x])
         sigma = table_endo(G, lambda m: m.inverse())
         cfg = SolverConfig()
         h = rho_pow(x, sigma, 7)
         inst = SdlpInstance(G, sigma, x, h)
+        multiples = _count_calls(monkeypatch, solvers, "endo_order_multiple")
         got = solve_matrix_inner(inst, cfg)
+        assert len(multiples) == 1
         assert got.contains(7) and got == brute_solve(inst, cfg)
         hits = [t for t in cfg.trace if t["kind"] == "matrix-inner"]
         assert hits and hits[-1]["k"] == 2
         assert _matrix_inner_k(inst, cfg) == _least_inner_k_by_order(sigma, cfg.matrix_inner_max_k) == 2
+
+    def test_conjugation_reads_no_multiple(self, monkeypatch):
+        # sigma is a conjugation, so k = 1 takes its own matrix: no order
+        # multiple, no intertwiner and no draw
+        rng = random.Random(28)
+        G, sigma = workloads.small_matrix_group(rng, 7, 3)
+        g = G.rand_element(rng)
+        inst = SdlpInstance(G, sigma, g, rho_pow(g, sigma, 1 << 40))
+        multiples = _count_calls(monkeypatch, solvers, "endo_order_multiple")
+        bases = _count_calls(monkeypatch, solvers, "_intertwiner_basis")
+        draws = _count_calls(monkeypatch, solvers, "_draw_conjugator")
+        cfg = SolverConfig()
+        assert solve_matrix_inner(inst, cfg).contains(1 << 40)
+        assert multiples == bases == draws == []
+        assert [r for r in cfg.trace if r["kind"] == "matrix-inner"] == [{"kind": "matrix-inner", "k": 1, "lifted": None}]
+
+    def test_unknown_representation_answers_at_k1(self):
+        # the order oracles have no multiple for this kind, but sigma itself
+        # is inner, so the multiple is never asked for
+        rng = random.Random(29)
+        G, conj = workloads.small_matrix_group(rng, 5, 2)
+        sigma = _OpaqueEndo(conj)
+        with pytest.raises(NotApplicableError, match="no order multiple"):
+            oracles.endo_order_multiple(sigma)
+        g = G.rand_element(rng)
+        for h in (rho_pow(g, conj, 12345), G.rand_element(rng)):
+            cfg = SolverConfig()
+            got = solve_matrix_inner(SdlpInstance(G, sigma, g, h), cfg)
+            assert got == solve_matrix_inner(SdlpInstance(G, conj, g, h), CFG)
+            assert [r["k"] for r in cfg.trace if r["kind"] == "matrix-inner"] == [1]
+
+    def test_unknown_representation_declines_past_k1(self):
+        # inversion on <x> is inner only at k = 2, and the scan past k = 1
+        # needs the multiple this kind does not have
+        x = Matrix(F5, [[1, 1], [1, 3]])
+        G = MatrixGroup(F5, 2, [x])
+        sigma = _OpaqueEndo(table_endo(G, lambda m: m.inverse()))
+        with pytest.raises(NotApplicableError, match="no order multiple for this endomorphism representation"):
+            solve_matrix_inner(SdlpInstance(G, sigma, x, x), CFG)
+
+    def test_phi_columns_are_the_conjugated_basis(self, monkeypatch):
+        # the closed-form Phi is the map Y -> g a^-1 Y a, column by column
+        rng = random.Random(30)
+        for q, d in [(5, 3), (4, 2), (9, 3)]:
+            G, sigma = workloads.small_matrix_group(rng, q, d)
+            g = G.rand_element(rng)
+            seen = _count_calls(monkeypatch, solvers, "_orbit_problem_set")
+            solve_matrix_inner(SdlpInstance(G, sigma, g, G.rand_element(rng)), CFG)
+            F, a = G.field, sigma.a
+            order = [(i, j) for i in range(d) for j in reversed(range(d))]
+            cols = []
+            for i, j in order:
+                E = Matrix(F, [[F.one if (r, c) == (i, j) else F.zero for c in range(d)] for r in range(d)])
+                M = g * (a.inverse() * E * a)
+                cols.append(tuple(M.rows[r][c] for r, c in order))
+            assert [opi.phi for opi, _ in seen] == [Matrix.from_columns(F, cols)]
+            monkeypatch.undo()
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(
@@ -1130,6 +1228,42 @@ class TestSolveMatrixInner:
                 if isinstance(fld, PrimeField) and fld.size < 2 * item.group.d:
                     small.add((fld.size, item.group.d))
         assert small == {(2, 2), (2, 3), (3, 2), (3, 3), (5, 3)}
+
+
+# (q, d) of the metamorphic platforms below, all within 2^12 elements:
+# GL_2(F_7) has 2016 and GL_3(F_2) 168. Over F_3 and up, the recipe's
+# sigma-closed groups of 3 x 3 matrices are larger
+SMALL_PLATFORM_SHAPES = [(q, d) for q in (2, 3, 4, 5, 7) for d in (1, 2)] + [(2, 3)]
+
+
+class TestConjugationAsTable:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(shape=st.sampled_from(SMALL_PLATFORM_SHAPES), seed=st.integers(0, 2**32 - 1), t=st.integers(0, 2**28))
+    def test_same_answer_from_either_representation(self, shape, seed, t):
+        # one sigma, given once as its conjugation and once as the table of
+        # the same action: the conjugation supplies its matrix, the table is
+        # solved for one through the intertwiner space, and the answers and
+        # the traced k agree
+        q, d = shape
+        rng = random.Random(seed)
+        G, conj = workloads.small_matrix_group(rng, q, d)
+        table = TableEndo(G, {G.label(x): conj.apply(x) for x in mulclose(G, cap=TableEndo.MAX_SIZE)}, check=False)
+        g = G.rand_element(rng)
+        h = rho_pow(g, conj, t) if t % 2 else G.rand_element(rng)
+        got = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for name, sigma in (("conjugation", conj), ("table", table)):
+                calls = _count_calls(mp, solvers, "_intertwiner_basis")
+                cfg = SolverConfig()
+                sol = solve(SdlpInstance(G, sigma, g, h), cfg, "matrix-inner")
+                ks = [r["k"] for r in cfg.trace if r["kind"] == "matrix-inner"]
+                got[name] = (sol, ks, len(calls))
+                mp.undo()
+        assert got["conjugation"][:2] == got["table"][:2]
+        assert got["conjugation"][1] == [1]
+        assert got["conjugation"][2] == 0 and got["table"][2] >= 1
+        if t % 2:
+            assert got["table"][0].contains(t)
 
 
 class TestSolveMaster:
@@ -1284,6 +1418,32 @@ class TestAutoDispatch:
             {"kind": "power-shift", "k": 1},
         ]
         assert got.contains(t_star) and got == solve(inst, SolverConfig(), "matrix-inner")
+
+    def test_matrix_group_reads_the_order_multiple_once(self, monkeypatch):
+        # small-order reads sigma's multiple to decline on the order; the
+        # conjugation's matrix-inner step reads none
+        F = PrimeField(2053)
+        x = Matrix(F, [[1, 1], [0, 1]])
+        G = MatrixGroup(F, 2, [x])
+        sigma = ConjugationEndo(G, Matrix(F, [[1, 0], [0, 2]]))
+        inst = SdlpInstance(G, sigma, x, rho_pow(x, sigma, 1_000_003))
+        calls = _count_calls(monkeypatch, oracles, "matrix_order_multiple")
+        assert solve(inst, SolverConfig(), "auto").contains(1_000_003)
+        assert len(calls) == 1
+
+    def test_composite_cyclic_factors_n_once(self, monkeypatch):
+        # small-order's order multiple and the cyclic chain read the one
+        # factorization the group keeps
+        n = 4294967291 * 4294967279
+        C = CyclicGroup(n)
+        sigma = PowerMapEndo(C, 3)
+        t_star = 987654321987
+        inst = SdlpInstance(C, sigma, 5, rho_pow(5, sigma, t_star))
+        calls = _count_calls(monkeypatch, integers, "factorize", arg=n)
+        cfg = SolverConfig()
+        assert solve(inst, cfg, "auto").contains(t_star)
+        assert cfg.trace[0] == {"kind": "declined", "solver": "small-order", "reason": "automorphism order too large"}
+        assert len(calls) == 1
 
     def test_each_solve_starts_a_fresh_trace(self):
         H = HeisenbergGroup(7)
