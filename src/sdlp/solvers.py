@@ -30,7 +30,7 @@ from .groups import (
     SolutionSet,
     Subgroup,
     VectorGroup,
-    rho_pow,
+    semidirect_powers,
 )
 from .linalg import Echelon, Matrix, krylov, nullspace
 from .oracles import (
@@ -780,6 +780,13 @@ def _dispatch_tag(q_inst: SdlpInstance, level: ChainLevel, config: SolverConfig)
 def solve(inst: SdlpInstance, config: SolverConfig | None = None, solver: str = "auto") -> SolutionSet:
     """Entry point: run the named solver's core and check its answer. Each
     call starts config.trace afresh."""
+    return _solve_checked(inst, config, solver)[0]
+
+
+def _solve_checked(inst: SdlpInstance, config: SolverConfig | None, solver: str):
+    """(solve's answer, sigma^t0 for its least element t0), the power the
+    answer check built; None when the answer is empty or t0 = 0. The SPDKE
+    attack applies it to Bob's element instead of building it again."""
     config = config or SolverConfig()
     if solver not in SOLVER_NAMES:
         raise SdlpError(f"unknown solver {solver!r}")
@@ -788,6 +795,18 @@ def solve(inst: SdlpInstance, config: SolverConfig | None = None, solver: str = 
 
 
 def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
+    """Route an instance to the solver its shape calls for.
+
+    An explicit chain goes to the master solver, a product componentwise,
+    and an endomorphism through its stable image. Vector, Heisenberg and
+    prime cyclic groups, and pair images over a vector group, go to the
+    solvable solver. A matrix group tries matrix-inner first, which needs
+    only an inner power sigma^k and no ord(sigma). Everything else, and a
+    matrix group matrix-inner declines, tries small-order, which computes
+    ord(sigma) exactly. When that declines too, a composite cyclic group
+    descends its cyclic chain and anything else walks the orbit. Each
+    decline is recorded in the trace; any other error propagates.
+    """
     sigma = inst.sigma
     grp = inst.group
     if inst.chain is not None and sigma.is_automorphism():
@@ -798,19 +817,23 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     if not sigma.is_automorphism():
         sub, recombine = reduce_to_automorphism_case(inst, config)
         # checked here: a wrong stable-image answer can search to a silent Empty
-        return recombine(_verified(sub, _solve_auto(sub, config)))
+        sol, _ = _verified(sub, _solve_auto(sub, config))
+        return recombine(sol)
     if isinstance(grp, (VectorGroup, HeisenbergGroup)) or (
         isinstance(grp, CyclicGroup) and integers.is_prime(grp.n)
     ) or (isinstance(grp, PairImageGroup) and isinstance(grp.target, VectorGroup)):
         return _solve_solvable(inst, config)
+    if isinstance(grp, MatrixGroup):
+        try:
+            return _solve_matrix_inner(inst, config)
+        except NotApplicableError as err:
+            config.record("declined", solver="matrix-inner", reason=str(err))
     try:
         return _solve_small_order(inst, config)
     except SdlpError as err:
         config.record("declined", solver="small-order", reason=str(err))
     if isinstance(grp, CyclicGroup):
         return _solve_solvable(inst, config)
-    if isinstance(grp, MatrixGroup):
-        return _solve_matrix_inner(inst, config)
     return _solve_brute(inst, config)
 
 
@@ -822,7 +845,8 @@ def _solve_product(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     for i, (factor, endo) in enumerate(zip(grp.factors, inst.sigma.components)):
         sub = SdlpInstance(factor, endo, inst.g[i], inst.h[i])
         # checked here: a wrong factor answer can intersect to a silent Empty
-        sols.append(_verified(sub, _solve_auto(sub, config)))
+        sol, _ = _verified(sub, _solve_auto(sub, config))
+        sols.append(sol)
     return _intersect_solutions(sols)
 
 
@@ -869,15 +893,19 @@ SOLVER_NAMES = ("auto", "brute", "small-order", "elem-abelian", "solvable", "mat
 CHAIN_TAGS = ("small", "small-order", "solvable", "matrix-inner")
 
 
-def _verified(inst: SdlpInstance, sol: SolutionSet) -> SolutionSet:
-    """Check the representative (and one period later) against the equation."""
+def _verified(inst: SdlpInstance, sol: SolutionSet):
+    """Check the representative (and one period later) against the
+    equation; both rho-powers come from one `semidirect_powers` call.
+    Returns (sol, sigma^t0), with None for an empty sol or t0 = 0."""
     if sol.is_empty():
-        return sol
+        return sol, None
     grp = inst.group
     want = grp.label(inst.h)
-    if grp.label(rho_pow(inst.g, inst.sigma, sol.t0)) != want:
+    ts = [sol.t0, sol.t0 + sol.period] if sol.kind == "progression" else [sol.t0]
+    head = [(grp.identity, None)] if sol.t0 == 0 else []  # rho^0(1) = 1_G
+    powers = head + semidirect_powers(inst.g, inst.sigma, ts[len(head) :])
+    if grp.label(powers[0][0]) != want:
         raise InternalAssertionError("solution representative failed self-verification")
-    if sol.kind == "progression":
-        if grp.label(rho_pow(inst.g, inst.sigma, sol.t0 + sol.period)) != want:
-            raise InternalAssertionError("solution period failed self-verification")
-    return sol
+    if len(powers) > 1 and grp.label(powers[1][0]) != want:
+        raise InternalAssertionError("solution period failed self-verification")
+    return sol, powers[0][1]

@@ -7,6 +7,8 @@ recorded `exchange --with-secrets` run of the same instance and oracle
 printed. After an intended change of output, re-record with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
+
+which prints the id of every run whose output or exit code changed.
 """
 
 import contextlib
@@ -67,6 +69,10 @@ def resolve(run_id, argv, transcripts, tmp_dir):
 
 
 def record():
+    """Re-run every planned run into the golden file; returns the run ids
+    whose stdout, stderr or exit code differ from the previous recording
+    (new runs included)."""
+    old = _golden() if GOLDEN.exists() else {}
     records = {}
     transcripts = {}
     with tempfile.TemporaryDirectory() as tmp_dir:
@@ -76,6 +82,11 @@ def record():
                 transcripts[run_id.rsplit("/", 1)[0]] = result["stdout"]
             records[run_id] = dict(argv=argv, **result)
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return [run_id for run_id, rec in records.items() if _outcome(rec) != _outcome(old.get(run_id, {}))]
+
+
+def _outcome(rec):
+    return {k: rec.get(k) for k in ("stdout", "stderr", "code")}
 
 
 def _golden():
@@ -101,4 +112,5 @@ def test_cli_output_matches_recording(name, tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
-    record()
+    for run_id in record():
+        print(f"changed: {run_id}")

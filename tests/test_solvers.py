@@ -1400,9 +1400,10 @@ class TestAutoDispatch:
         assert [step["kind"] for step in cfg.trace[1:]] == ["quotient-recursion", "quotient-recursion-descend"] * 13
         assert {step.get("image") for step in cfg.trace[1::2]} == {"Vector(2,1)"}
 
-    def test_matrix_group_tries_small_order_first(self):
+    def test_matrix_group_tries_matrix_inner_first(self):
         # U_2(F_2053) under conjugation by diag(1, 2), of order 2052 > 1024:
-        # small-order declines, and the inner power is sigma itself
+        # matrix-inner takes sigma's own matrix at k = 1, so small-order
+        # never runs and nothing declines
         F = PrimeField(2053)
         x = Matrix(F, [[1, 1], [0, 1]])
         G = MatrixGroup(F, 2, [x])
@@ -1412,16 +1413,16 @@ class TestAutoDispatch:
         inst = SdlpInstance(G, sigma, x, rho_pow(x, sigma, t_star))
         cfg = SolverConfig()
         got = solve(inst, cfg, "auto")
-        assert cfg.trace[:3] == [
-            {"kind": "declined", "solver": "small-order", "reason": "automorphism order too large"},
+        assert cfg.trace[:2] == [
             {"kind": "matrix-inner", "k": 1, "lifted": None},
             {"kind": "power-shift", "k": 1},
         ]
+        assert all(step["kind"] != "declined" for step in cfg.trace)
         assert got.contains(t_star) and got == solve(inst, SolverConfig(), "matrix-inner")
 
-    def test_matrix_group_reads_the_order_multiple_once(self, monkeypatch):
-        # small-order reads sigma's multiple to decline on the order; the
-        # conjugation's matrix-inner step reads none
+    def test_matrix_group_reads_no_order_multiple(self, monkeypatch):
+        # a conjugation over the group's own field is its own inner power:
+        # no order multiple of sigma or of its matrix is read
         F = PrimeField(2053)
         x = Matrix(F, [[1, 1], [0, 1]])
         G = MatrixGroup(F, 2, [x])
@@ -1429,7 +1430,35 @@ class TestAutoDispatch:
         inst = SdlpInstance(G, sigma, x, rho_pow(x, sigma, 1_000_003))
         calls = _count_calls(monkeypatch, oracles, "matrix_order_multiple")
         assert solve(inst, SolverConfig(), "auto").contains(1_000_003)
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+    def test_matrix_group_falls_back_to_small_order(self):
+        # inversion on <x> over F_5 is inner only at k = 2; with the scan
+        # bound at 1, matrix-inner declines and small-order shifts by
+        # ord(sigma) = 2
+        x = Matrix(F5, [[1, 1], [1, 3]])
+        G = MatrixGroup(F5, 2, [x])
+        sigma = table_endo(G, lambda m: m.inverse())
+        inst = SdlpInstance(G, sigma, x, rho_pow(x, sigma, 7))
+        cfg = SolverConfig(matrix_inner_max_k=1)
+        got = solve(inst, cfg, "auto")
+        assert cfg.trace == [
+            {"kind": "declined", "solver": "matrix-inner", "reason": "no inner power within bound"},
+            {"kind": "power-shift", "k": 2},
+        ]
+        assert got.contains(7) and got == brute_solve(inst, cfg)
+
+    def test_matrix_routes_agree(self):
+        # auto (now matrix-inner first), matrix-inner and small-order are
+        # three routes to one answer on sigma-closed groups up to GL_3(F_9)
+        rng = random.Random("matrix-routes")
+        for i in range(40):
+            inst = random_matrix_instance(rng, q_choices=(2, 3, 4, 5, 7, 8, 9), d_max=3)
+            if i % 2:  # a target on the orbit, so half the answers are not empty
+                inst = SdlpInstance(inst.group, inst.sigma, inst.g, rho_pow(inst.g, inst.sigma, rng.randrange(1, 300)))
+            want = brute_solve(inst, CFG)
+            for solver in ("auto", "matrix-inner", "small-order"):
+                assert solve(inst, SolverConfig(), solver) == want, (solver, inst)
 
     def test_composite_cyclic_factors_n_once(self, monkeypatch):
         # small-order's order multiple and the cyclic chain read the one
