@@ -13,10 +13,11 @@ from .groups import (
     HeisenbergGroup,
     SdlpInstance,
     semidirect_powers,
+    sigma_pow_apply,
 )
 from .linalg import Matrix
 from .oracles import orbit_index_period
-from .solvers import _solve_checked, heisenberg_chain, solve  # heisenberg_chain and solve are re-exported
+from .solvers import heisenberg_chain, solve  # heisenberg_chain is re-exported
 
 
 @dataclass
@@ -61,17 +62,16 @@ def spdke_attack(transcript: ExchangeTranscript, config: SolverConfig | None = N
 
     Solves SDLP for (g, A); any representative x' of Alice's solution class
     yields the key, since A fixes rho^{x'}(1) and the class fixes
-    sigma^{x'}(B). x' is the least solution, and sigma^{x'} is the power
-    the solve's answer check built. Returns (key, x').
+    sigma^{x'}(B). Returns (key, x').
     """
     config = config or SolverConfig()
     grp, sigma = transcript.group, transcript.sigma
     inst = SdlpInstance(grp, sigma, transcript.g, transcript.A, chain=getattr(transcript, "chain", None))
-    sol, sigma_x = _solve_checked(inst, config, solver)
+    sol = solve(inst, config, solver=solver)
     if sol.is_empty():
         raise NoSolutionError("no solution: transcript element is outside the orbit")
     x_prime = sol.smallest()
-    key = grp.mul(transcript.A, transcript.B if sigma_x is None else sigma_x.apply(transcript.B))
+    key = grp.mul(transcript.A, sigma_pow_apply(sigma, x_prime, transcript.B))
     return key, x_prime
 
 

@@ -780,13 +780,6 @@ def _dispatch_tag(q_inst: SdlpInstance, level: ChainLevel, config: SolverConfig)
 def solve(inst: SdlpInstance, config: SolverConfig | None = None, solver: str = "auto") -> SolutionSet:
     """Entry point: run the named solver's core and check its answer. Each
     call starts config.trace afresh."""
-    return _solve_checked(inst, config, solver)[0]
-
-
-def _solve_checked(inst: SdlpInstance, config: SolverConfig | None, solver: str):
-    """(solve's answer, sigma^t0 for its least element t0), the power the
-    answer check built; None when the answer is empty or t0 = 0. The SPDKE
-    attack applies it to Bob's element instead of building it again."""
     config = config or SolverConfig()
     if solver not in SOLVER_NAMES:
         raise SdlpError(f"unknown solver {solver!r}")
@@ -817,8 +810,7 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     if not sigma.is_automorphism():
         sub, recombine = reduce_to_automorphism_case(inst, config)
         # checked here: a wrong stable-image answer can search to a silent Empty
-        sol, _ = _verified(sub, _solve_auto(sub, config))
-        return recombine(sol)
+        return recombine(_verified(sub, _solve_auto(sub, config)))
     if isinstance(grp, (VectorGroup, HeisenbergGroup)) or (
         isinstance(grp, CyclicGroup) and integers.is_prime(grp.n)
     ) or (isinstance(grp, PairImageGroup) and isinstance(grp.target, VectorGroup)):
@@ -845,8 +837,7 @@ def _solve_product(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     for i, (factor, endo) in enumerate(zip(grp.factors, inst.sigma.components)):
         sub = SdlpInstance(factor, endo, inst.g[i], inst.h[i])
         # checked here: a wrong factor answer can intersect to a silent Empty
-        sol, _ = _verified(sub, _solve_auto(sub, config))
-        sols.append(sol)
+        sols.append(_verified(sub, _solve_auto(sub, config)))
     return _intersect_solutions(sols)
 
 
@@ -893,19 +884,20 @@ SOLVER_NAMES = ("auto", "brute", "small-order", "elem-abelian", "solvable", "mat
 CHAIN_TAGS = ("small", "small-order", "solvable", "matrix-inner")
 
 
-def _verified(inst: SdlpInstance, sol: SolutionSet):
+def _verified(inst: SdlpInstance, sol: SolutionSet) -> SolutionSet:
     """Check the representative (and one period later) against the
-    equation; both rho-powers come from one `semidirect_powers` call.
-    Returns (sol, sigma^t0), with None for an empty sol or t0 = 0."""
+    equation; both rho-powers come from one `semidirect_powers` call."""
     if sol.is_empty():
-        return sol, None
+        return sol
     grp = inst.group
     want = grp.label(inst.h)
     ts = [sol.t0, sol.t0 + sol.period] if sol.kind == "progression" else [sol.t0]
-    head = [(grp.identity, None)] if sol.t0 == 0 else []  # rho^0(1) = 1_G
-    powers = head + semidirect_powers(inst.g, inst.sigma, ts[len(head) :])
-    if grp.label(powers[0][0]) != want:
+    if sol.t0 == 0:  # rho^0(1) = 1_G, as rho_pow gives it
+        rhos = [grp.identity] + [u for u, _ in semidirect_powers(inst.g, inst.sigma, ts[1:])]
+    else:
+        rhos = [u for u, _ in semidirect_powers(inst.g, inst.sigma, ts)]
+    if grp.label(rhos[0]) != want:
         raise InternalAssertionError("solution representative failed self-verification")
-    if len(powers) > 1 and grp.label(powers[1][0]) != want:
+    if len(rhos) > 1 and grp.label(rhos[1]) != want:
         raise InternalAssertionError("solution period failed self-verification")
-    return sol, powers[0][1]
+    return sol

@@ -13,7 +13,6 @@ from sdlp.errors import NoSolutionError, SdlpError
 import sdlp.groups as groups
 from sdlp.ff import PrimeField
 from sdlp.groups import (
-    ConjugationEndo,
     CyclicGroup,
     LinearMapEndo,
     PowerMapEndo,
@@ -127,29 +126,9 @@ class TestAttack:
         with pytest.raises(NoSolutionError, match="no solution"):
             spdke_attack(pub, CFG)
 
-    def test_builds_no_second_sigma_power(self, monkeypatch):
-        # the key's sigma^x' is the one the answer check built with
-        # rho^x'(1): the attack powers sigma at x' exactly as often as its
-        # solve does (the descent's kernel shift may also land on x')
-        G, sigma, g = heisenberg_instance(65521, seed=1)
-        tr = spdke_exchange(G, sigma, g, 123_456_789, 987_654)
-        exponents = []
-        for name in ("semidirect_power", "pow"):
-            real = getattr(ConjugationEndo, name)
-
-            def spy(self, *args, real=real):
-                exponents.append(args[-1])
-                return real(self, *args)
-
-            monkeypatch.setattr(ConjugationEndo, name, spy)
-        x_prime = solve(SdlpInstance(G, sigma, g, tr.A), SolverConfig()).smallest()
-        in_solve, exponents[:] = exponents.count(x_prime), []
-        key, got = spdke_attack(tr.public_part(), SolverConfig())
-        assert got == x_prime > 1 and G.label(key) == G.label(tr.K_A)
-        assert exponents.count(x_prime) == in_solve
-
     def test_least_solution_zero(self):
-        # A = 1_G gives x' = 0, where sigma^0 is the identity: key = A B
+        # A = 1_G gives x' = 0: the answer check takes rho^0(1) = 1_G with
+        # no power, and sigma^0 is the identity, so the key is A B
         C = CyclicGroup(8)
         tr = spdke_exchange(C, PowerMapEndo(C, 1), 1, 8, 3)
         assert tr.A == 0

@@ -1448,6 +1448,23 @@ class TestAutoDispatch:
         ]
         assert got.contains(7) and got == brute_solve(inst, cfg)
 
+    def test_matrix_group_walks_the_orbit_when_both_decline(self, monkeypatch):
+        # the same instance with small-order's bound below ord(sigma) = 2:
+        # both decline, and the orbit walk answers
+        x = Matrix(F5, [[1, 1], [1, 3]])
+        G = MatrixGroup(F5, 2, [x])
+        sigma = table_endo(G, lambda m: m.inverse())
+        inst = SdlpInstance(G, sigma, x, rho_pow(x, sigma, 7))
+        cfg = SolverConfig(matrix_inner_max_k=1, small_order_bound=1)
+        walks = _count_calls(monkeypatch, solvers, "_solve_brute")
+        got = solve(inst, cfg, "auto")
+        assert cfg.trace == [
+            {"kind": "declined", "solver": "matrix-inner", "reason": "no inner power within bound"},
+            {"kind": "declined", "solver": "small-order", "reason": "automorphism order too large"},
+        ]
+        assert len(walks) == 1
+        assert got.contains(7) and got == brute_solve(inst, SolverConfig())
+
     def test_matrix_routes_agree(self):
         # auto (now matrix-inner first), matrix-inner and small-order are
         # three routes to one answer on sigma-closed groups up to GL_3(F_9)
