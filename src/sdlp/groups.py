@@ -18,7 +18,7 @@ from functools import cached_property
 from . import integers
 from .errors import InternalAssertionError, SdlpError
 from .ff import Poly, PrimeField
-from .linalg import Echelon, Matrix, krylov, min_poly
+from .linalg import Echelon, Matrix, _power_newton, krylov, min_poly
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +276,6 @@ class HeisenbergGroup(GroupHandle):
     def rand_element(self, rng):
         return tuple(rng.randrange(self.p) for _ in range(3))
 
-    def to_matrix(self, x) -> Matrix:
-        a, b, c = x
-        return Matrix(self.field, [[1, a, c], [0, 1, b], [0, 0, 1]])
-
-    def from_matrix(self, M: Matrix):
-        r = M.rows
-        if (r[0][0], r[1][1], r[2][2]) != (1, 1, 1) or (r[1][0], r[2][0], r[2][1]) != (0, 0, 0):
-            raise SdlpError("matrix is not upper unitriangular")
-        return (r[0][1], r[1][2], r[0][2])
-
     def __repr__(self):
         return f"Heisenberg({self.p})"
 
@@ -513,11 +503,12 @@ class Endo:
 
         O(log t) group multiplications, applies and endo compositions. A
         representation with a closed form for the power overrides it:
-        `ConjugationEndo` (two matrix powers), `LinearMapEndo` (x^t mod a
-        Krylov annihilator, for t of at least _POLY_POWER_MIN_BITS bits),
-        `ProductEndo` (componentwise) and `InducedPairEndo` (the inner
-        endo's power, embedded). `groups.semidirect_power` is the entry
-        point that checks t.
+        `ConjugationEndo` (divided differences of u^t at its coefficients
+        on a Heisenberg base, two matrix powers on a matrix group),
+        `LinearMapEndo` (x^t mod a Krylov annihilator, for t of at least
+        _POLY_POWER_MIN_BITS bits), `ProductEndo` (componentwise) and
+        `InducedPairEndo` (the inner endo's power, embedded).
+        `groups.semidirect_power` is the entry point that checks t.
         """
         grp = self.group
 
@@ -701,37 +692,56 @@ def _x_power_mod(f: Poly, t: int) -> tuple:
 
 
 class ConjugationEndo(Endo):
-    """x -> a^-1 x a by a fixed invertible matrix (possibly outside G)."""
+    """x -> a^-1 x a by a fixed invertible matrix (possibly outside G).
+
+    On a Heisenberg base (H or a subgroup of it) a must be upper
+    triangular, and the map is carried as five F_p coefficients read off
+    it: with alpha = a11/a00, beta = a22/a11, gamma = alpha beta, kappa =
+    a12/a00 and lambda = -a01 a22/(a00 a11),
+
+        sigma(x, y, z) = (alpha x, beta y, gamma z + kappa x + lambda y).
+
+    apply, pow, compose and semidirect_power work on the coefficients
+    alone. The matrix a of a power or a composite is built when something
+    reads it, and a^-1 on first use, as on a matrix group.
+    """
 
     def __init__(self, group, a: Matrix):
         try:
             a_inv = a.inverse()
         except SdlpError as exc:
             raise SdlpError("conjugating matrix must be invertible") from exc
-        self._setup(group, a, a_inv)
-
-    @classmethod
-    def _trusted(cls, group, a: Matrix, a_inv: Matrix | None) -> "ConjugationEndo":
-        """conj_a for an a known to be invertible; skips validation. An
-        a_inv of None is computed on first use (`a_inv`)."""
-        out = cls.__new__(cls)
-        out._setup(group, a, a_inv)
-        return out
-
-    def _setup(self, group, a, a_inv):
-        Endo.__init__(self, group)
-        self.a = a
-        self._a_inv = a_inv
         base = group
         while isinstance(base, Subgroup):
             base = base.parent
         if isinstance(base, HeisenbergGroup):
-            self._to_mat = base.to_matrix
-            self._from_mat = base.from_matrix
+            self._setup(group, a, a_inv, base.field, _heisenberg_coefficients(base.field, a))
         elif isinstance(base, MatrixGroup):
-            self._to_mat = None
+            self._setup(group, a, a_inv, None, None)
         else:
             raise SdlpError("conjugation needs a matrix-backed group")
+
+    def _setup(self, group, a, a_inv, field, coef):
+        Endo.__init__(self, group)
+        self._a = a  # a Matrix, or a function that builds it on first read
+        self._a_inv = a_inv
+        self._field = field
+        self._coef = coef  # (alpha, beta, gamma, kappa, lambda); None on a matrix group
+
+    def _like(self, a, a_inv=None, coef=None, group=None) -> "ConjugationEndo":
+        """A conjugation on the same base (self.group unless a group is
+        given) by an a known to be invertible; skips validation."""
+        out = ConjugationEndo.__new__(ConjugationEndo)
+        out._setup(self.group if group is None else group, a, a_inv, self._field, coef)
+        return out
+
+    @property
+    def a(self) -> Matrix:
+        """The conjugating matrix. A Heisenberg power or composite builds it
+        on the first read: its coefficients act without it."""
+        if not isinstance(self._a, Matrix):
+            self._a = self._a()
+        return self._a
 
     @property
     def a_inv(self) -> Matrix:
@@ -742,49 +752,137 @@ class ConjugationEndo(Endo):
         return self._a_inv
 
     def apply(self, x):
-        if self._to_mat is None:
+        if self._coef is None:
             return self.a_inv * x * self.a
-        return self._from_mat(self.a_inv * self._to_mat(x) * self.a)
+        alpha, beta, gamma, kappa, lam = self._coef
+        p = self._field.p
+        return (alpha * x[0] % p, beta * x[1] % p, (gamma * x[2] + kappa * x[0] + lam * x[1]) % p)
 
     def pow(self, k):
-        """conj_{a^k}, with a^k from `Matrix.__pow__`, so an upper-triangular
-        a is powered from its diagonal."""
+        """conj_{a^k}. On a Heisenberg base the coefficients of sigma^k are
+        (alpha^k, beta^k, gamma^k, kappa [gamma, alpha], lambda [gamma,
+        beta]), [.] the divided differences of u -> u^k (sigma^k's z row
+        sums the geometric series gamma^(k-1-i) alpha^i); a negative k
+        starts from the inverse's coefficients. Elsewhere a^k is
+        `Matrix.__pow__`, so an upper-triangular a is powered from its
+        diagonal."""
+        if self._coef is not None:
+            coef = self._coef if k >= 0 else _heisenberg_inverse(self._field, self._coef)
+            if abs(k) != 1:
+                coef = _heisenberg_power(self._field, coef, _heisenberg_divided_differences(self._field, coef, abs(k)))
+            return self._like(self._power_matrix(k), coef=coef)
         if k == -1:
-            return ConjugationEndo._trusted(self.group, self.a_inv, self.a)
+            return self._like(self.a_inv, self.a)
         # inverting b once, when first needed, is cheaper than powering
         # a_inv as well, which would take about 2 log k more products
-        b = self.a**k if k >= 0 else self.a_inv ** (-k)
-        return ConjugationEndo._trusted(self.group, b, None)
+        return self._like(self.a**k if k >= 0 else self.a_inv ** (-k))
+
+    def _power_matrix(self, k):
+        """A function that builds a^k from the first read of `a`."""
+        return lambda: self.a**k if k >= 0 else self.a_inv ** (-k)
 
     def compose(self, other):
-        if not isinstance(other, ConjugationEndo):
+        if not isinstance(other, ConjugationEndo) or (self._coef is None) != (other._coef is None):
             raise SdlpError("cannot compose endomorphisms of different kinds")
         # (conj_a . conj_b)(x) = a^-1 b^-1 x b a = conj_{b a}(x)
-        return ConjugationEndo._trusted(self.group, other.a * self.a, self.a_inv * other.a_inv)
+        if self._coef is None:
+            return self._like(other.a * self.a, self.a_inv * other.a_inv)
+        p = self._field.p
+        (a1, b1, g1, k1, l1), (a2, b2, g2, k2, l2) = self._coef, other._coef
+        coef = (a1 * a2 % p, b1 * b2 % p, g1 * g2 % p, (g1 * k2 + k1 * a2) % p, (g1 * l2 + l1 * b2) % p)
+        return self._like(lambda: other.a * self.a, coef=coef)
 
     def is_automorphism(self):
         return True
 
     def semidirect_power(self, g, t):
-        """(rho^t(1), sigma^t): prod_{i<t} a^-i g a^i telescopes to
-        (g a^-1)^t a^t, and sigma^t is conjugation by b = a^t. Both powers
-        are `Matrix.__pow__`, which first reduces t by the exponent E(q, d)
-        of the d x d matrices over F_q, so a square-and-multiply power takes
-        about 1.5 log2 min(t, d + E) products. On the Heisenberg and Borel
-        platforms a and g a^-1 are upper triangular, so each is r(M) for r =
-        x^t mod the characteristic polynomial: one field power per distinct
-        diagonal entry and d - 2 matrix products."""
+        """(rho^t(1), sigma^t).
+
+        On a Heisenberg base, for g = (x, y, z), rho^t(1) = prod_{i<t}
+        sigma^i(g) is (x [alpha, 1], y [beta, 1], z [gamma, 1] + kappa x
+        [gamma, alpha, 1] + (lambda + x beta) y [gamma, beta, 1]), [.] the
+        divided differences of u -> u^t, and sigma^t is `pow(t)`'s: O(log
+        t) field operations for the powers of alpha, beta and gamma, and no
+        matrix.
+
+        On a matrix group prod_{i<t} a^-i g a^i telescopes to (g a^-1)^t
+        a^t, and sigma^t is conjugation by b = a^t. Both powers are
+        `Matrix.__pow__`, which first reduces t by the exponent E(q, d) of
+        the d x d matrices over F_q, so a square-and-multiply power takes
+        about 1.5 log2 min(t, d + E) products. On the Borel platform a and
+        g a^-1 are upper triangular, so each is r(M) for r = x^t mod the
+        characteristic polynomial: one field power per distinct diagonal
+        entry and d - 2 matrix products."""
         if t == 1:
             return g, self
+        if self._coef is not None:
+            dd = _heisenberg_divided_differences(self._field, self._coef, t)
+            _, beta, _, kappa, lam = self._coef
+            d_a, d_ga, d_b, d_gb, d_g = dd
+            x, y, z = g
+            p = self._field.p
+            P = (x * d_a % p, y * d_b % p, (z * d_g + kappa * x * d_ga + (lam + x * beta) * y * d_gb) % p)
+            return P, self._like(self._power_matrix(t), coef=_heisenberg_power(self._field, self._coef, dd))
         b = self.a**t
-        X = g if self._to_mat is None else self._to_mat(g)
-        P = (X * self.a_inv) ** t * b
-        if self._to_mat is not None:
-            P = self._from_mat(P)
-        return P, ConjugationEndo._trusted(self.group, b, None)
+        P = (g * self.a_inv) ** t * b
+        return P, self._like(b)
 
     def __repr__(self):
         return f"Conjugation({self.a!r})"
+
+
+def _heisenberg_coefficients(F: PrimeField, a: Matrix) -> tuple:
+    """(alpha, beta, gamma, kappa, lambda) of conjugation by an invertible
+    upper-triangular 3 x 3 matrix a over F on the Heisenberg group."""
+    if (a.nrows, a.ncols) != (3, 3) or a.field != F:
+        raise SdlpError("conjugation on the Heisenberg group needs a 3 x 3 matrix over its field")
+    if not a.is_upper_triangular():
+        # then a^-1 x a leaves the unitriangular matrices for some x in H
+        raise SdlpError("matrix is not upper unitriangular")
+    (a00, a01, _), (_, a11, a12), (_, _, a22) = a.rows
+    p = F.p
+    i00, i11 = F.inv(a00), F.inv(a11)
+    alpha, beta = a11 * i00 % p, a22 * i11 % p
+    return alpha, beta, alpha * beta % p, a12 * i00 % p, -a01 * a22 * i00 * i11 % p
+
+
+def _heisenberg_inverse(F: PrimeField, coef) -> tuple:
+    """The coefficients of sigma^-1: (alpha^-1, beta^-1, gamma^-1,
+    -kappa/(alpha gamma), -lambda/(beta gamma))."""
+    alpha, beta, gamma, kappa, lam = coef
+    p = F.p
+    ia, ib, ig = F.inv(alpha), F.inv(beta), F.inv(gamma)
+    return ia, ib, ig, -kappa * ia * ig % p, -lam * ib * ig % p
+
+
+def _heisenberg_divided_differences(F: PrimeField, coef, t: int) -> tuple:
+    """([alpha, 1], [gamma, alpha, 1], [beta, 1], [gamma, beta, 1], [gamma,
+    1]) of u -> u^t. Each pair comes from one Newton table (`_power_newton`)
+    over 1, alpha, gamma (resp. beta), with 1 in the middle when gamma = 1 so
+    that equal nodes are adjacent; [gamma, 1] = [alpha, 1] + (gamma - alpha)
+    [alpha, 1, gamma] holds at coinciding nodes too."""
+    alpha, beta, gamma, _, _ = coef
+    one = F.one
+    _, d_a, d_ga = _power_newton(F, (alpha, one, gamma) if gamma == one else (one, alpha, gamma), t)
+    _, d_b, d_gb = _power_newton(F, (beta, one, gamma) if gamma == one else (one, beta, gamma), t)
+    return d_a, d_ga, d_b, d_gb, (d_a + (gamma - alpha) * d_ga) % F.p
+
+
+def _heisenberg_power(F: PrimeField, coef, dd) -> tuple:
+    """The coefficients of sigma^t from the divided differences of u -> u^t
+    that `_heisenberg_divided_differences` returns: lam^t = 1 + (lam - 1)
+    [lam, 1], and [gamma, alpha] = [alpha, 1] + (gamma - 1) [gamma, alpha,
+    1], likewise for beta."""
+    alpha, beta, gamma, kappa, lam = coef
+    d_a, d_ga, d_b, d_gb, d_g = dd
+    p = F.p
+    return (
+        (1 + (alpha - 1) * d_a) % p,
+        (1 + (beta - 1) * d_b) % p,
+        (1 + (gamma - 1) * d_g) % p,
+        kappa * (d_a + (gamma - 1) * d_ga) % p,
+        lam * (d_b + (gamma - 1) * d_gb) % p,
+    )
 
 
 class TableEndo(Endo):
@@ -915,7 +1013,7 @@ class ProductEndo(Endo):
 def restrict_endo(sigma: Endo, subgroup: Subgroup) -> Endo:
     """View sigma as an endomorphism of a subgroup it stabilizes."""
     if isinstance(sigma, ConjugationEndo):
-        return ConjugationEndo._trusted(subgroup, sigma.a, sigma._a_inv)
+        return sigma._like(sigma._a, sigma._a_inv, sigma._coef, subgroup)
     return sigma  # element-level action is unchanged
 
 

@@ -186,46 +186,14 @@ class Matrix:
 def _triangular_power(M: Matrix, n: int) -> Matrix:
     """M^n for an upper-triangular M and n >= 0, as r(M) with r = x^n mod
     chi, chi = prod_i (x - m_ii): the roots of chi are the diagonal, so r
-    is the Hermite interpolant of x^n there (Higham, Functions of
-    Matrices, 2008, 1.2). r is taken in Newton form over the diagonal
-    entries, equal ones next to each other, and evaluated by Horner's rule
-    in d - 2 matrix products.
-
-    The divided difference over k + 1 equal nodes lam is the Hasse
-    derivative C(n, k) lam^(n - k), which holds in characteristic p where
-    the k-th derivative over k! does not; over distinct end nodes it is
-    the usual quotient. Each distinct diagonal value takes one field power.
-    """
+    is the Hermite interpolant of x^n there. r is taken in Newton form over
+    the diagonal entries, equal ones next to each other (`_power_newton`),
+    and evaluated by Horner's rule in d - 2 matrix products."""
     F = M.field
     d = M.nrows
-    mult = {}  # distinct diagonal values in first-seen order -> multiplicity
-    for i, row in enumerate(M.rows):
-        mult[row[i]] = mult.get(row[i], 0) + 1
-    prime = isinstance(F, PrimeField)
-    nodes, hasse = [], {}
-    for lam, m in mult.items():
-        nodes += [lam] * m
-        # lam^n = lam^(1 + (n - 1) mod (q - 1)) for n >= q: the n = 1 case of
-        # _reduce_exponent, which the builtin pow does not need
-        terms = [pow(lam, n, F.p) if prime else _pow(lam, _reduce_exponent(n, 1, F.size, F.char), F.mul, F.one)]
-        if m > 1:
-            if lam == F.zero:  # C(n, k) 0^(n - k) is 1 at k = n and 0 elsewhere
-                terms += [F.one if k == n else F.zero for k in range(1, m)]
-            else:  # lam^(n - k) = lam^n (lam^-1)^k
-                inv, term = F.inv(lam), terms[0]
-                for k in range(1, m):
-                    term = F.mul(term, inv)
-                    terms.append(F.mul(F.from_int(math.comb(n, k) % F.char), term))
-        hasse[lam] = terms
-    # Newton's table in place: after round j, c[i] = f[nodes[i - j .. i]]
-    c = [hasse[lam][0] for lam in nodes]
-    for j in range(1, d):
-        for i in range(d - 1, j - 1, -1):
-            a, b = nodes[i - j], nodes[i]
-            if a == b:  # j + 1 equal nodes, since equal ones are adjacent
-                c[i] = hasse[b][j]
-            else:
-                c[i] = F.mul(F.sub(c[i], c[i - 1]), F.inv(F.sub(b, a)))
+    diagonal = [row[i] for i, row in enumerate(M.rows)]
+    nodes = sorted(diagonal, key=diagonal.index)  # equal values next to each other
+    c = _power_newton(F, nodes, n)
     if d < 2:
         return Matrix(F, [c] if d else [])
     # Horner's rule on r = c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...)); its
@@ -235,6 +203,50 @@ def _triangular_power(M: Matrix, n: int) -> Matrix:
     for k in range(d - 3, -1, -1):
         P = _plus_diagonal(P * _plus_diagonal(M, F.neg(nodes[k])), c[k])
     return P
+
+
+def _power_newton(F, nodes, n: int) -> list:
+    """[f[x_0], f[x_0, x_1], ..., f[x_0, ..., x_(d-1)]] for f(u) = u^n and
+    n >= 0: the Newton coefficients of the Hermite interpolant of u^n at
+    nodes x_0, ..., x_(d-1) in which equal values are adjacent (Higham,
+    Functions of Matrices, 2008, 1.2).
+
+    The divided difference over k + 1 equal nodes lam is the Hasse
+    derivative C(n, k) lam^(n - k), which holds in characteristic p where
+    the k-th derivative over k! does not; over distinct end nodes it is
+    the usual quotient. Each distinct value takes one field power.
+    """
+    mul, sub, inv = F.mul, F.sub, F.inv
+    # lam^n = lam^(1 + (n - 1) mod (q - 1)) for n >= q, 0 included: the n =
+    # 1 case of _reduce_exponent, which shortens the builtin pow too
+    e = n if n < F.size else 1 + (n - 1) % (F.size - 1)
+    prime = isinstance(F, PrimeField)
+    hasse = {}
+    for lam in nodes:
+        if lam in hasse:
+            continue
+        terms = [pow(lam, e, F.p) if prime else _pow(lam, e, mul, F.one)]
+        m = nodes.count(lam)
+        if m > 1:
+            if lam == F.zero:  # C(n, k) 0^(n - k) is 1 at k = n and 0 elsewhere
+                terms += [F.one if k == n else F.zero for k in range(1, m)]
+            else:  # lam^(n - k) = lam^n (lam^-1)^k
+                lam_inv, term = inv(lam), terms[0]
+                for k in range(1, m):
+                    term = mul(term, lam_inv)
+                    terms.append(mul(F.from_int(math.comb(n, k) % F.char), term))
+        hasse[lam] = terms
+    # Newton's table in place: after round j, c[i] = f[nodes[i - j .. i]]
+    d = len(nodes)
+    c = [hasse[lam][0] for lam in nodes]
+    for j in range(1, d):
+        for i in range(d - 1, j - 1, -1):
+            a, b = nodes[i - j], nodes[i]
+            if a == b:  # j + 1 equal nodes, since equal ones are adjacent
+                c[i] = hasse[b][j]
+            else:
+                c[i] = mul(sub(c[i], c[i - 1]), inv(sub(b, a)))
+    return c
 
 
 def _triangular_inverse(M: Matrix) -> Matrix:

@@ -51,6 +51,22 @@ def rho_pow_naive(g, sigma, t: int):
     return out
 
 
+def heisenberg_matrix(group: HeisenbergGroup, x) -> Matrix:
+    """The upper unitriangular 3 x 3 matrix of (a, b, c): a and b above the
+    diagonal, c in the corner. The reference for the coordinate forms."""
+    a, b, c = x
+    return Matrix(group.field, [[1, a, c], [0, 1, b], [0, 0, 1]])
+
+
+def heisenberg_coords(M: Matrix):
+    """(a, b, c) of an upper unitriangular 3 x 3 matrix; the inverse of
+    `heisenberg_matrix`."""
+    r = M.rows
+    if (r[0][0], r[1][1], r[2][2]) != (1, 1, 1) or (r[1][0], r[2][0], r[2][1]) != (0, 0, 0):
+        raise ValueError("matrix is not upper unitriangular")
+    return (r[0][1], r[1][2], r[0][2])
+
+
 def group_order(group):
     """|G| for the groups whose order has a closed form: Z_n, F_p^d, the
     Heisenberg group mod p and products of them; None for any other."""

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 import sdlp.groups as groups
 from conftest import (
+    borel_group,
     eval_poly_at_matrix,
     group_order,
+    heisenberg_coords,
+    heisenberg_matrix,
     rand_invertible,
     rand_upper_triangular,
     reduced_exponent,
@@ -135,9 +138,10 @@ class TestHeisenberg:
         rng = random.Random(2)
         for _ in range(50):
             x, y = H.rand_element(rng), H.rand_element(rng)
-            wanted = H.to_matrix(x) * H.to_matrix(y)
-            assert H.to_matrix(H.mul(x, y)) == wanted
-            assert H.to_matrix(H.inv(x)) == H.to_matrix(x).inverse()
+            wanted = heisenberg_matrix(H, x) * heisenberg_matrix(H, y)
+            assert heisenberg_matrix(H, H.mul(x, y)) == wanted
+            assert heisenberg_matrix(H, H.inv(x)) == heisenberg_matrix(H, x).inverse()
+            assert heisenberg_coords(heisenberg_matrix(H, x)) == x
 
 
 class TestEnumerationOrder:
@@ -282,7 +286,7 @@ AUTOMORPHISM_KINDS = [
     "conjugation-product",
 ]
 # the kinds whose sigma is, or has a factor that is, a conjugation
-CONJUGATION_KINDS = ["heisenberg", "heisenberg-65521", "matrix", "subgroup", "conjugation-product"]
+CONJUGATION_KINDS = ["heisenberg", "heisenberg-65521", "matrix", "borel", "subgroup", "conjugation-product"]
 
 
 def _unit_mod(n, rng):
@@ -306,6 +310,9 @@ def fresh_automorphism(kind, rng):
     if kind == "matrix":
         F9 = field_of_size(9)
         return sigma_closed_matrix_group(F9, 2, [rand_invertible(F9, 2, rng)], rand_invertible(F9, 2, rng))[1]
+    if kind == "borel":
+        F7 = PrimeField(7)
+        return ConjugationEndo(borel_group(F7, 3, rng), rand_upper_triangular(F7, 3, rng))
     if kind == "subgroup":
         # {(a, 0, c)} is closed under conjugation by any upper-triangular matrix
         H = HeisenbergGroup(7)
@@ -516,8 +523,9 @@ class TestLinearMapPolynomialPowers:
 
 
 class TestConjugationPowerHook:
-    """ConjugationEndo.semidirect_power is ((g a^-1)^t a^t, conj_{a^t}) and
-    ProductEndo's is componentwise; both must equal the generic loop.
+    """ConjugationEndo.semidirect_power is closed in the coefficients on a
+    Heisenberg base and ((g a^-1)^t a^t, conj_{a^t}) on a matrix group,
+    and ProductEndo's is componentwise; all must equal the generic loop.
     TestNegativePowers checks them against rho_pow_naive for t <= 40."""
 
     @pytest.mark.parametrize("kind", CONJUGATION_KINDS)
@@ -538,13 +546,12 @@ class TestConjugationPowerHook:
         sigma = fresh_automorphism(kind, rng)
         g = sigma.group.rand_element(rng)
         conj = next(c for c in getattr(sigma, "components", [sigma]) if isinstance(c, ConjugationEndo))
-        h = g[0] if kind == "conjugation-product" else g
-        X = h if conj._to_mat is None else conj._to_mat(h)
         d = conj.a.nrows
-        # the Heisenberg, subgroup and product kinds conjugate by an
-        # upper-triangular a; the seeded matrix kind's a and g a^-1 are not
-        triangular = kind != "matrix"
-        assert conj.a.is_upper_triangular() == (X * conj.a_inv).is_upper_triangular() == triangular
+        if kind in ("matrix", "borel"):
+            # the Borel kind conjugates by an upper-triangular a; the seeded
+            # matrix kind's a and g a^-1 are not
+            triangular = kind == "borel"
+            assert conj.a.is_upper_triangular() == (g * conj.a_inv).is_upper_triangular() == triangular
 
         def forbidden(*args):
             raise AssertionError("the closed form called apply or compose")
@@ -567,6 +574,9 @@ class TestConjugationPowerHook:
             products[0] = 0
             sigma.components[1].semidirect_power(g[1], t)
             conjugation_products -= products[0]
+        if kind not in ("matrix", "borel"):  # a Heisenberg base: the coefficients need no matrix
+            assert conjugation_products == 0
+            return
         # g a^-1 and the product of the two powers take one product each;
         # a^t and (g a^-1)^t run at the reduced exponent m and take d - 2
         # each when triangular (Horner's rule on x^m mod the characteristic
