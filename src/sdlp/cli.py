@@ -193,7 +193,7 @@ def build_sigma(spec: dict, group: GroupHandle) -> Endo:
         _check_keys(spec, "sigma(linear)", ("kind", "matrix"))
         if not isinstance(group, VectorGroup):
             _fail("sigma(linear) needs a vector group")
-        endo = LinearMapEndo(group, _parse_matrix(spec["matrix"], PrimeField(group.p), group.d, "sigma.matrix"))
+        endo = LinearMapEndo(group, _parse_matrix(spec["matrix"], group.field, group.d, "sigma.matrix"))
     elif kind == "conjugation":
         _check_keys(spec, "sigma(conjugation)", ("kind", "matrix"))
         if isinstance(group, HeisenbergGroup):
@@ -470,10 +470,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--solver", default="auto", choices=SOLVER_NAMES)
-        p.add_argument("--oracle", default="bsgs", choices=("bsgs", "rho", "brute"))
+        p.add_argument("--oracle", default=SolverConfig.oracle, choices=("bsgs", "rho", "brute"))
         p.add_argument("--seed", type=int, default=None, help="defaults to $SDLP_SEED or 0")
-        p.add_argument("--max-walk", type=int, default=1 << 24)
-        p.add_argument("--bsgs-mem", type=int, default=1 << 26)
+        p.add_argument("--max-walk", type=int, default=SolverConfig.max_walk)
+        p.add_argument("--bsgs-mem", type=int, default=SolverConfig.bsgs_mem)
 
     p_solve = sub.add_parser("solve", help="solve an SDLP instance file")
     p_solve.add_argument("--instance", required=True)

@@ -61,6 +61,11 @@ class GroupHandle:
         """Factored positive integer m with x^m = 1 for every element."""
         raise NotImplementedError
 
+    @property
+    def root(self) -> "GroupHandle":
+        """The handle that owns this group's elements; a subgroup's is its parent's root."""
+        return self
+
     def rand_element(self, rng: random.Random):
         word = self.identity
         gens = self.generators()
@@ -136,10 +141,12 @@ class VectorGroup(GroupHandle):
     name = "vector"
 
     def __init__(self, p: int, d: int):
-        if not integers.is_prime(p):
-            raise SdlpError("vector group modulus must be prime")
         if d < 0:
             raise SdlpError("vector group needs d >= 0")
+        try:
+            self.field = PrimeField(p)
+        except SdlpError as exc:
+            raise SdlpError("vector group modulus must be prime") from exc
         self.p = p
         self.d = d
 
@@ -240,10 +247,11 @@ class HeisenbergGroup(GroupHandle):
     name = "heisenberg"
 
     def __init__(self, p: int):
-        if not integers.is_prime(p):
-            raise SdlpError("heisenberg group needs a prime p")
+        try:
+            self.field = PrimeField(p)
+        except SdlpError as exc:
+            raise SdlpError("heisenberg group needs a prime p") from exc
         self.p = p
-        self.field = PrimeField(p)
 
     @property
     def identity(self):
@@ -441,6 +449,10 @@ class Subgroup(GroupHandle):
 
     def exponent_multiple(self):
         return self.parent.exponent_multiple()
+
+    @property
+    def root(self):
+        return self.parent.root
 
     def __repr__(self):
         return f"Subgroup(of={self.parent!r}, ngens={len(self._gens)})"
@@ -711,9 +723,7 @@ class ConjugationEndo(Endo):
             a_inv = a.inverse()
         except SdlpError as exc:
             raise SdlpError("conjugating matrix must be invertible") from exc
-        base = group
-        while isinstance(base, Subgroup):
-            base = base.parent
+        base = group.root
         if isinstance(base, HeisenbergGroup):
             self._setup(group, a, a_inv, base.field, _heisenberg_coefficients(base.field, a))
         elif isinstance(base, MatrixGroup):
@@ -728,11 +738,11 @@ class ConjugationEndo(Endo):
         self._field = field
         self._coef = coef  # (alpha, beta, gamma, kappa, lambda); None on a matrix group
 
-    def _like(self, a, a_inv=None, coef=None, group=None) -> "ConjugationEndo":
-        """A conjugation on the same base (self.group unless a group is
-        given) by an a known to be invertible; skips validation."""
+    def _like(self, a, a_inv=None, coef=None) -> "ConjugationEndo":
+        """A conjugation on the same group by an a known to be invertible;
+        skips validation."""
         out = ConjugationEndo.__new__(ConjugationEndo)
-        out._setup(self.group if group is None else group, a, a_inv, self._field, coef)
+        out._setup(self.group, a, a_inv, self._field, coef)
         return out
 
     @property
@@ -1010,13 +1020,6 @@ class ProductEndo(Endo):
         return "ProductEndo(" + ", ".join(repr(e) for e in self.components) + ")"
 
 
-def restrict_endo(sigma: Endo, subgroup: Subgroup) -> Endo:
-    """View sigma as an endomorphism of a subgroup it stabilizes."""
-    if isinstance(sigma, ConjugationEndo):
-        return sigma._like(sigma._a, sigma._a_inv, sigma._coef, subgroup)
-    return sigma  # element-level action is unchanged
-
-
 def _enumerate_handle(group):
     if hasattr(group, "elements"):
         return group.elements()
@@ -1206,7 +1209,7 @@ def _induced_linear_map(psi: Hom, sigma: Endo):
     psi(x_j), row i of M solves V m = (psi(sigma(x_j))_i)_j, and every row
     is read off one `Echelon` of V's columns."""
     tgt: VectorGroup = psi.target
-    F = PrimeField(tgt.p)
+    F = tgt.field
     gens = psi.source.generators()
     vecs = [psi(x) for x in gens]
     imgs = [psi(sigma.apply(x)) for x in gens]

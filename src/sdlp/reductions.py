@@ -19,7 +19,6 @@ from .groups import (
     VectorGroup,
     induced_automorphism,
     mulclose,
-    restrict_endo,
     rho_pow,
     rho_pow_inverse_apply,
     semidirect_power,
@@ -55,7 +54,7 @@ def reduce_to_automorphism_case(inst: SdlpInstance, config: SolverConfig | None 
     else:
         sigma_k = sigma.pow(k)
         K = Subgroup(G, [sigma_k.apply(x) for x in G.generators()])
-        sub = SdlpInstance(K, restrict_endo(sigma, K), sigma_k.apply(inst.g), sigma_k.apply(inst.h))
+        sub = SdlpInstance(K, sigma, sigma_k.apply(inst.g), sigma_k.apply(inst.h))
     if not sub.sigma.is_automorphism():
         # the restriction is bijective on K even when the representation
         # (a globally singular map) cannot say so; tabulate it on K
@@ -225,7 +224,7 @@ def recurse_through_quotient(inst: SdlpInstance, psi: Hom, config: SolverConfig 
                 "follow-up elements fell outside the kernel (wrong n0 or non-invariant kernel)"
             )
         M = Subgroup(inst.group, psi.kernel_generators)
-        sub = SdlpInstance(M, restrict_endo(sigma_n0, M), g2, h2)
+        sub = SdlpInstance(M, sigma_n0, g2, h2)
         config.record("quotient-recursion-descend", t0=t0, n0=n0)
         return sub, lambda sub_sol: sub_sol.map_affine(t0, n0)
 

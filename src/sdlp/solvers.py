@@ -164,8 +164,7 @@ def _solve_elementary_abelian(inst: SdlpInstance, config: SolverConfig) -> Solut
     if not isinstance(grp, VectorGroup):
         raise NotApplicableError("elementary-abelian solver needs a vector group")
     if isinstance(sigma, PowerMapEndo):
-        F = PrimeField(grp.p)
-        sigma = LinearMapEndo(grp, Matrix.identity(F, grp.d).scale(sigma.e))
+        sigma = LinearMapEndo(grp, Matrix.identity(grp.field, grp.d).scale(sigma.e))
         inst = SdlpInstance(grp, sigma, inst.g, inst.h)
     if not isinstance(sigma, LinearMapEndo):
         raise NotApplicableError("elementary-abelian solver needs a linear map")
@@ -301,16 +300,18 @@ def solve_solvable(inst: SdlpInstance, config: SolverConfig | None = None) -> So
 
     Supported: elementary abelian groups (delegated), cyclic groups,
     Heisenberg groups, groups generated by upper-unitriangular matrices
-    under conjugation, and pair-image groups with a vector-group labeling.
-    The cyclic, Heisenberg and unitriangular filtrations are folded down
-    like a master chain, with every layer Z_p^r solved as an orbit problem,
-    as in solve_elementary_abelian. Anything else needs an explicit chain
+    under conjugation, and pair-image groups with a vector-group labeling;
+    a subgroup under a conjugation is solved on its root group. The
+    cyclic, Heisenberg and unitriangular filtrations are folded down like
+    a master chain, with every layer Z_p^r solved as an orbit problem, as
+    in solve_elementary_abelian. Anything else needs an explicit chain
     (solve_master) and raises "composition series required".
     """
     return solve(inst, config, "solvable")
 
 
 def _solve_solvable(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
+    inst = _on_root(inst, config)
     grp, sigma = inst.group, inst.sigma
     if not sigma.is_automorphism():
         raise SdlpError("not an automorphism")
@@ -321,10 +322,7 @@ def _solve_solvable(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     if isinstance(grp, PairImageGroup) and grp.hom.is_identity:
         # labels coincide with inner elements; solve the inner instance
         if isinstance(sigma, InducedPairEndo):
-            base = grp.inner
-            while isinstance(base, Subgroup):
-                base = base.parent
-            inner = SdlpInstance(base, sigma.inner, inst.g[0], inst.h[0])
+            inner = SdlpInstance(grp.inner.root, sigma.inner, inst.g[0], inst.h[0])
             return _solve_solvable(inner, config)
     if isinstance(grp, HeisenbergGroup):
         chain = heisenberg_chain(grp)
@@ -342,8 +340,7 @@ def _solve_pair_over_vector(inst: SdlpInstance, config: SolverConfig) -> Solutio
     the quotient instance is the whole problem."""
     grp: PairImageGroup = inst.group
     tgt: VectorGroup = grp.target
-    F = PrimeField(tgt.p)
-    echelon = Echelon(F)
+    echelon = Echelon(tgt.field)
     for x in grp.generators():
         echelon.add(grp.hom(x[0]))
     r = len(echelon.basis)
@@ -599,14 +596,12 @@ def _ring_power_solutions(F, u: Poly, k: int, c, config: SolverConfig) -> Soluti
 
 
 def _matrix_view(inst: SdlpInstance):
-    """(field, d, to_matrix) for matrix-backed instances, raw or pair-encoded."""
-    grp = inst.group
+    """(field, d, to_matrix) for instances whose root group is matrix-backed, raw or pair-encoded."""
+    grp = inst.group.root
     if isinstance(grp, MatrixGroup):
         return grp.field, grp.d, (lambda x: x)
     if isinstance(grp, PairImageGroup) and isinstance(grp.target, MatrixGroup):
         return grp.target.field, grp.target.d, (lambda x: x[1])
-    if isinstance(grp, Subgroup) and isinstance(grp.parent, MatrixGroup):
-        return grp.parent.field, grp.parent.d, (lambda x: x)
     raise NotApplicableError("matrix-inner solver needs a matrix-backed group")
 
 
@@ -663,7 +658,7 @@ def _inner_conjugator(group, sigma_k, fld, d, to_mat, config):
     """(a, a^-1, field, embed) with sigma^k = conj_a on the generators, as
     `_find_conjugator_lifted` returns it. A conjugation by a matrix over fld
     is its own answer, unchecked: its matrix is sigma^k by construction,
-    and `_matrix_view` leaves it only matrix groups and their subgroups.
+    and `_matrix_view` leaves it only groups whose root is a matrix group.
     Any other representation is tabulated on the generators and solved
     for a."""
     if isinstance(sigma_k, ConjugationEndo) and sigma_k.a.field == fld:
@@ -790,7 +785,8 @@ def solve(inst: SdlpInstance, config: SolverConfig | None = None, solver: str = 
 def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     """Route an instance to the solver its shape calls for.
 
-    An explicit chain goes to the master solver, a product componentwise,
+    A subgroup under a conjugation is first posed on its root group. An
+    explicit chain goes to the master solver, a product componentwise,
     and an endomorphism through its stable image. Vector, Heisenberg and
     prime cyclic groups, and pair images over a vector group, go to the
     solvable solver. A matrix group tries matrix-inner first, which needs
@@ -800,6 +796,7 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     descends its cyclic chain and anything else walks the orbit. Each
     decline is recorded in the trace; any other error propagates.
     """
+    inst = _on_root(inst, config)
     sigma = inst.sigma
     grp = inst.group
     if inst.chain is not None and sigma.is_automorphism():
@@ -827,6 +824,16 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     if isinstance(grp, CyclicGroup):
         return _solve_solvable(inst, config)
     return _solve_brute(inst, config)
+
+
+def _on_root(inst: SdlpInstance, config: SolverConfig) -> SdlpInstance:
+    """A subgroup instance under a conjugation, posed on its root group,
+    since rho^t(1) = prod sigma^i(g) depends only on g and sigma. Any
+    other instance is returned unchanged."""
+    if isinstance(inst.group, Subgroup) and isinstance(inst.sigma, ConjugationEndo):
+        config.record("root-lift", root=repr(inst.group.root))
+        return replace(inst, group=inst.group.root)
+    return inst
 
 
 def _solve_product(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:

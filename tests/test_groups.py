@@ -39,7 +39,6 @@ from sdlp.groups import (
     TableEndo,
     VectorGroup,
     induced_automorphism,
-    restrict_endo,
     rho_pow,
     rho_pow_inverse_apply,
     semidirect_power,
@@ -317,7 +316,7 @@ def fresh_automorphism(kind, rng):
         # {(a, 0, c)} is closed under conjugation by any upper-triangular matrix
         H = HeisenbergGroup(7)
         K = Subgroup(H, [(1, 0, 0), (0, 0, 1)])
-        return restrict_endo(ConjugationEndo(H, rand_upper_triangular(H.field, 3, rng)), K)
+        return ConjugationEndo(K, rand_upper_triangular(H.field, 3, rng))
     if kind == "conjugation-product":
         H, V = HeisenbergGroup(7), VectorGroup(5, 3)
         P = ProductGroup([H, V])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -38,6 +39,7 @@ from sdlp.groups import (
     ProductGroup,
     SdlpInstance,
     SolutionSet,
+    Subgroup,
     TableEndo,
     VectorGroup,
     mulclose,
@@ -1546,6 +1548,103 @@ FACES = {
     "matrix-inner": solve_matrix_inner,
     "master": lambda inst, config: solve_master(inst, inst.chain, config),
 }
+
+
+def _unitriangular_generators(F, d):
+    """E_ij(b) for i < j and b over an F_p-basis of F_q: they generate the
+    unitriangular group U, which every upper-triangular conjugation maps
+    to itself."""
+    gens = []
+    for i, j in itertools.combinations(range(d), 2):
+        for c in range(F.degree):
+            rows = [[F.one if a == b else F.zero for b in range(d)] for a in range(d)]
+            rows[i][j] = F.from_prime_coeffs([int(c == m) for m in range(F.degree)])
+            gens.append(Matrix(F, rows))
+    return gens
+
+
+def _invariant_subgroup(kind, rng):
+    """(S, F, d): a subgroup S that conjugation by any upper-triangular
+    d x d matrix over F maps to itself."""
+    if kind.startswith("heisenberg"):
+        H = HeisenbergGroup(rng.choice([3, 5, 7]))
+        if kind == "heisenberg-nested":
+            return Subgroup(Subgroup(H, H.generators()), [(0, 1, 0), (0, 0, 1)]), H.field, 3
+        gens = {"heisenberg-xz": [(1, 0, 0), (0, 0, 1)], "heisenberg-centre": [(0, 0, 1)]}.get(kind, H.generators())
+        return Subgroup(H, gens), H.field, 3
+    F = field_of_size(rng.choice([3, 4, 5, 7]))
+    B = borel_group(F, rng.choice([2, 3]), rng)
+    U = _unitriangular_generators(F, B.d)
+    if kind == "borel-unitriangular":
+        return Subgroup(B, U), F, B.d
+    if kind == "borel-own-generators":
+        return Subgroup(B, B.generators()), F, B.d
+    return Subgroup(Subgroup(B, B.generators()), U), F, B.d
+
+
+class TestRootLift:
+    """A subgroup instance under a conjugation is solved on its root group."""
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        kind=st.sampled_from(
+            [
+                "heisenberg-xz",
+                "heisenberg-centre",
+                "heisenberg-own-generators",
+                "heisenberg-nested",
+                "borel-unitriangular",
+                "borel-own-generators",
+                "borel-nested",
+            ]
+        ),
+        forward=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_auto_matches_brute_on_invariant_subgroups(self, kind, forward, seed):
+        rng = random.Random(seed)
+        S, F, d = _invariant_subgroup(kind, rng)
+        sigma = ConjugationEndo(S, rand_upper_triangular(F, d, rng))
+        g = S.rand_element(rng)
+        h = rho_pow(g, sigma, rng.randrange(1 << 12)) if forward else S.rand_element(rng)
+        inst = SdlpInstance(S, sigma, g, h)
+        cfg = SolverConfig()
+        assert solve(inst, cfg) == brute_solve(inst, CFG)
+        assert cfg.trace[0] == {"kind": "root-lift", "root": repr(S.root)}
+
+    def test_gap_one_probes_answer_at_scale(self):
+        # at p = 2^31 - 1 an orbit walk on the subgroup cannot finish; on
+        # the root, the Heisenberg chain and the matrix case answer
+        p, t_star = 2**31 - 1, 123_456_789_012
+        H, conj, g = heisenberg_instance(p, 1)
+        K = Subgroup(H, H.generators())
+        sigma = ConjugationEndo(K, conj.a)
+        probes = [(SdlpInstance(K, sigma, g, rho_pow(g, sigma, t_star)), ("auto", "solvable"))]
+        rng = random.Random(31)
+        F = PrimeField(p)
+        G = borel_group(F, 3, rng)
+        B = Subgroup(G, G.generators())
+        sigma = ConjugationEndo(B, rand_upper_triangular(F, 3, rng))
+        g = B.rand_element(rng)
+        probes.append((SdlpInstance(B, sigma, g, rho_pow(g, sigma, t_star)), ("auto",)))
+        for inst, names in probes:
+            for name in names:
+                cfg = SolverConfig()
+                assert solve(inst, cfg, name).contains(t_star)
+                assert cfg.trace[0] == {"kind": "root-lift", "root": repr(inst.group.root)}
+                assert all(step["kind"] != "declined" for step in cfg.trace)
+
+    def test_matrix_inner_reads_the_root_of_a_nested_subgroup(self):
+        rng = random.Random(32)
+        G, conj = workloads.small_matrix_group(rng, 5, 3)
+        inner = Subgroup(Subgroup(G, G.generators()), G.generators())
+        assert inner.root is G and G.root is G
+        sigma = ConjugationEndo(inner, conj.a)
+        g = inner.rand_element(rng)
+        inst = SdlpInstance(inner, sigma, g, rho_pow(g, sigma, 1 << 40))
+        cfg = SolverConfig()
+        assert solve(inst, cfg, "matrix-inner").contains(1 << 40)
+        assert [step["kind"] for step in cfg.trace][:1] == ["matrix-inner"]
 
 
 class TestCheckOnce:
