@@ -29,6 +29,7 @@ from .groups import (
     ProductEndo,
     ProductGroup,
     SdlpInstance,
+    Subgroup,
     TableEndo,
     VectorGroup,
 )
@@ -235,7 +236,7 @@ def build_chain(spec, group: GroupHandle, where: str = "chain") -> NormalChain:
         return heisenberg_chain(group)
     if not isinstance(spec, list) or not spec:
         _fail(f"{where}: expected a non-empty list of levels")
-    levels = []
+    levels, below = [], []
     for i, lvl in enumerate(spec):
         w = f"{where}[{i}]"
         _check_keys(lvl, w, ("psi", "tag"), ("generators", "kernel_generators"))
@@ -243,11 +244,12 @@ def build_chain(spec, group: GroupHandle, where: str = "chain") -> NormalChain:
         if tag not in CHAIN_TAGS:
             _fail(f"{w}: unknown tag {tag!r}")
         gens = [parse_element(v, group, f"{w}.generators") for v in lvl.get("generators", [])]
-        if not gens and i + 1 == len(spec):
-            gens = group.generators()
+        source = group if not gens and i + 1 == len(spec) else Subgroup(group, gens)
         kernel = [parse_element(v, group, f"{w}.kernel_generators") for v in lvl.get("kernel_generators", [])]
-        psi = _build_psi(lvl["psi"], group, kernel, f"{w}.psi")
-        levels.append(ChainLevel(generators=gens, psi=psi, tag=tag))
+        target, func, own_kernel = _parse_psi(lvl["psi"], group, f"{w}.psi")
+        # the level below is the kernel; a listed or projection kernel stands in where it lists no generators
+        levels.append(ChainLevel(Hom(source, target, func, kernel_generators=below or kernel or own_kernel), tag))
+        below = gens
     return NormalChain(levels=levels)
 
 
@@ -261,7 +263,8 @@ def _element_coordinates(group: GroupHandle):
     _fail("psi(coords) needs a coordinate backend (cyclic, vector, heisenberg)")
 
 
-def _build_psi(spec: dict, group: GroupHandle, kernel, where: str) -> Hom:
+def _parse_psi(spec: dict, group: GroupHandle, where: str):
+    """(target, forward map, the map's own kernel generators) of a level's psi."""
     _check_keys(spec, where, ("kind",), ("indices", "rows", "p", "factor"))
     kind = spec["kind"]
     base = group
@@ -276,14 +279,7 @@ def _build_psi(spec: dict, group: GroupHandle, kernel, where: str) -> Hom:
         _check_keys(spec, where, ("kind", "indices"), ("factor",))
         coords, p = _element_coordinates(base)
         idx = [_int(v, where) for v in spec["indices"]]
-        target = VectorGroup(p, len(idx))
-        return Hom(
-            group,
-            target,
-            lambda x: tuple(coords(pick(x))[i] % p for i in idx),
-            kernel_generators=kernel,
-            description=f"coords{idx}",
-        )
+        return VectorGroup(p, len(idx)), lambda x: tuple(coords(pick(x))[i] % p for i in idx), []
     if kind == "linear-coords":
         _check_keys(spec, where, ("kind", "rows", "p"), ("factor",))
         p = _int(spec["p"], where)
@@ -292,21 +288,14 @@ def _build_psi(spec: dict, group: GroupHandle, kernel, where: str) -> Hom:
             _fail(f"{where}: modulus does not match the backend")
         rows = [[_int(v, where) % p for v in row] for row in spec["rows"]]
         target = VectorGroup(p, len(rows))
-        return Hom(
-            group,
-            target,
-            lambda x: tuple(sum(c * a for c, a in zip(row, coords(pick(x)))) % p for row in rows),
-            kernel_generators=kernel,
-            description="linear coordinates",
-        )
+        return target, lambda x: tuple(sum(c * a for c, a in zip(row, coords(pick(x)))) % p for row in rows), []
     if kind == "project":
         _check_keys(spec, where, ("kind", "factor"))
         if not isinstance(group, ProductGroup):
             _fail(f"{where}: project needs a product group")
         i = _int(spec["factor"], where)
         psi = group.project_hom(i)
-        psi.kernel_generators = kernel or psi.kernel_generators
-        return psi
+        return psi.target, psi, psi.kernel_generators
     _fail(f"{where}: unknown psi kind {kind!r}")
 
 
@@ -442,9 +431,8 @@ def cmd_attack(args) -> int:
         parse_element(doc["g"], group, "g"),
         parse_element(doc["A"], group, "A"),
         parse_element(doc["B"], group, "B"),
+        chain=build_chain(doc["chain"], group) if "chain" in doc else None,
     )
-    if "chain" in doc:
-        tr.chain = build_chain(doc["chain"], group)
     config = _config_from_args(args)
     try:
         key, x_prime = spdke_attack(tr, config, solver=args.solver)

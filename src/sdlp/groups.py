@@ -289,15 +289,15 @@ class HeisenbergGroup(GroupHandle):
 
 
 class Hom:
-    """A group homomorphism with an effectively evaluable forward map."""
+    """A group homomorphism from source to target with an effectively
+    evaluable forward map. kernel_generators lie in its kernel, and for a
+    chain level they generate it."""
 
-    def __init__(self, source, target, func, kernel_generators=None, description="", is_identity=False):
+    def __init__(self, source, target, func, kernel_generators=None):
         self.source = source
         self.target = target
         self._func = func
         self.kernel_generators = list(kernel_generators or [])
-        self.description = description
-        self.is_identity = is_identity
 
     def __call__(self, x):
         return self._func(x)
@@ -392,13 +392,7 @@ class ProductGroup(GroupHandle):
         kernel_gens = [
             self.embed(j, g) for j, f in enumerate(self.factors) if j != i for g in f.generators()
         ]
-        return Hom(
-            self,
-            self.factors[i],
-            lambda x, i=i: x[i],
-            kernel_generators=kernel_gens,
-            description=f"project[{i}]",
-        )
+        return Hom(self, self.factors[i], lambda x, i=i: x[i], kernel_generators=kernel_gens)
 
     @property
     def codeword_bits(self):

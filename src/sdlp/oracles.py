@@ -360,7 +360,8 @@ def dlog(group: GroupHandle, base, target, factored_order, config: SolverConfig 
     order of base. The search runs Pohlig-Hellman style, solving each prime
     digit with BSGS, or with Pollard rho for primes above 2^10 under
     `oracle="rho"`; Pohlig-Hellman raises SdlpError when handed a proper
-    multiple of the order. `oracle="brute"` walks the powers of base. The
+    multiple of the order. `oracle="brute"` walks the powers of base, and
+    declines (NotApplicableError) when the order exceeds config.max_walk. The
     returned value always satisfies the equation (self-verified); None means
     target is not a power of base.
     """
@@ -385,6 +386,8 @@ def dlog_many(group: GroupHandle, base, targets, factored_order, config: SolverC
         return logs
     if config.oracle == "brute":
         n = factored_order[0] if isinstance(factored_order, ElementOrder) else integers.factorization_product(factored_order)
+        if n > config.max_walk:
+            raise NotApplicableError("dlog walk cap exceeded")
         found = [_dlog_brute(group, base, targets[i], n) for i in todo]
     else:
         if isinstance(factored_order, ElementOrder):

@@ -33,9 +33,10 @@ class ExchangeTranscript:
     y: int | None = None
     K_A: object = None
     K_B: object = None
+    chain: object = None  # a NormalChain for the attack's solver; public
 
     def public_part(self) -> "ExchangeTranscript":
-        return ExchangeTranscript(self.group, self.sigma, self.g, self.A, self.B)
+        return ExchangeTranscript(self.group, self.sigma, self.g, self.A, self.B, chain=self.chain)
 
 
 def spdke_exchange(group: GroupHandle, sigma: Endo, g, x: int, y: int) -> ExchangeTranscript:
@@ -66,7 +67,7 @@ def spdke_attack(transcript: ExchangeTranscript, config: SolverConfig | None = N
     """
     config = config or SolverConfig()
     grp, sigma = transcript.group, transcript.sigma
-    inst = SdlpInstance(grp, sigma, transcript.g, transcript.A, chain=getattr(transcript, "chain", None))
+    inst = SdlpInstance(grp, sigma, transcript.g, transcript.A, chain=transcript.chain)
     sol = solve(inst, config, solver=solver)
     if sol.is_empty():
         raise NoSolutionError("no solution: transcript element is outside the orbit")

@@ -19,7 +19,6 @@ from .groups import (
     GroupHandle,
     HeisenbergGroup,
     Hom,
-    InducedPairEndo,
     LinearMapEndo,
     MatrixGroup,
     PairImageGroup,
@@ -56,10 +55,10 @@ from .reductions import (
 
 @dataclass
 class ChainLevel:
-    """One level M_i of a normal chain: generators, the homomorphism with
-    kernel M_{i-1}, and the case tag deciding which solver takes the image."""
+    """One level M_i of a normal chain: the homomorphism psi with source
+    M_i and kernel generators those of M_{i-1}, and the case tag deciding
+    which solver takes the image."""
 
-    generators: list
     psi: Hom
     tag: str  # small | small-order | solvable | matrix-inner
 
@@ -71,14 +70,13 @@ class NormalChain:
 
     levels: list
 
-    def validate(self, group: GroupHandle, sigma):
+    def validate(self, sigma):
         for i, level in enumerate(self.levels):
-            tgt = level.psi.target
-            below = self.levels[i - 1].generators if i > 0 else []
-            for m in list(level.psi.kernel_generators) + list(below):
-                if not tgt.is_identity(level.psi(m)):
+            psi = level.psi
+            for m in psi.kernel_generators:
+                if not psi.target.is_identity(psi(m)):
                     raise SdlpError(f"chain level {i + 1}: kernel generator has nontrivial image")
-            for x in level.generators:
+            for x in psi.source.generators():
                 sigma.apply(x)  # raises if sigma is not defined on the level
 
 
@@ -204,25 +202,11 @@ def _solve_layer_as_orbit(inst: SdlpInstance, config: SolverConfig) -> SolutionS
 
 def heisenberg_chain(group: HeisenbergGroup) -> NormalChain:
     """The chain 1 < Z(G) < G with elementary-abelian factors."""
-    p = group.p
-    superdiag = Hom(
-        group,
-        VectorGroup(p, 2),
-        lambda t: (t[0], t[1]),
-        kernel_generators=[(0, 0, 1)],
-        description="superdiagonal",
-    )
-    center = Hom(
-        group,
-        VectorGroup(p, 1),
-        lambda t: (t[2],),
-        kernel_generators=[],
-        description="central coordinate",
-    )
+    p, center = group.p, [(0, 0, 1)]
     return NormalChain(
         levels=[
-            ChainLevel(generators=[(0, 0, 1)], psi=center, tag="solvable"),
-            ChainLevel(generators=group.generators(), psi=superdiag, tag="solvable"),
+            ChainLevel(Hom(Subgroup(group, center), VectorGroup(p, 1), lambda t: (t[2],)), "solvable"),
+            ChainLevel(Hom(group, VectorGroup(p, 2), lambda t: (t[0], t[1]), kernel_generators=center), "solvable"),
         ]
     )
 
@@ -251,14 +235,13 @@ def unitriangular_chain(group: MatrixGroup) -> NormalChain:
                 rows[i][j] = F.from_prime_coeffs([int(c == m) for m in range(e)])
                 gens.append(Matrix(F, rows))
         psi = Hom(
-            group,
+            Subgroup(group, gens + below),
             VectorGroup(p, len(gens)),
             lambda M, idx=idx: tuple(a % p for i, j in idx for a in F.to_prime_coeffs(M.rows[i][j])),
             kernel_generators=below,
-            description=f"superdiagonal {k}",
         )
         below = gens + below
-        levels.append(ChainLevel(generators=below, psi=psi, tag="solvable"))
+        levels.append(ChainLevel(psi, "solvable"))
     return NormalChain(levels=levels)
 
 
@@ -270,18 +253,18 @@ def cyclic_chain(group: CyclicGroup) -> NormalChain:
     x/(n/m_j) mod p_j maps it onto Z_{p_j} with kernel level j-1.
     """
     n, m = group.n, 1
-    levels = []
+    levels, below = [], []
     for p, e in sorted(group.factorization.items()):
         for _ in range(e):
             m *= p
             psi = Hom(
-                group,
+                Subgroup(group, [n // m]),
                 VectorGroup(p, 1),
                 lambda x, step=n // m, p=p: (x % n // step % p,),
-                kernel_generators=levels[-1].generators if levels else [],
-                description=f"coordinate mod {p}",
+                kernel_generators=below,
             )
-            levels.append(ChainLevel(generators=[n // m], psi=psi, tag="solvable"))
+            below = [n // m]
+            levels.append(ChainLevel(psi, "solvable"))
     return NormalChain(levels=levels)
 
 
@@ -319,11 +302,6 @@ def _solve_solvable(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
         return _solve_elementary_abelian(inst, config)
     if isinstance(grp, PairImageGroup) and isinstance(grp.target, VectorGroup):
         return _solve_pair_over_vector(inst, config)
-    if isinstance(grp, PairImageGroup) and grp.hom.is_identity:
-        # labels coincide with inner elements; solve the inner instance
-        if isinstance(sigma, InducedPairEndo):
-            inner = SdlpInstance(grp.inner.root, sigma.inner, inst.g[0], inst.h[0])
-            return _solve_solvable(inner, config)
     if isinstance(grp, HeisenbergGroup):
         chain = heisenberg_chain(grp)
     elif isinstance(grp, CyclicGroup):
@@ -346,7 +324,7 @@ def _solve_pair_over_vector(inst: SdlpInstance, config: SolverConfig) -> Solutio
     r = len(echelon.basis)
     Vr = VectorGroup(tgt.p, r)
     if r == 0:
-        proj = Hom(grp, Vr, lambda x: (), description="trivial image")
+        proj = Hom(grp, Vr, lambda x: ())
     else:
 
         def func(x):
@@ -355,7 +333,7 @@ def _solve_pair_over_vector(inst: SdlpInstance, config: SolverConfig) -> Solutio
                 raise InternalAssertionError("pair label outside the image span")
             return c
 
-        proj = Hom(grp, Vr, func, description="image coordinates")
+        proj = Hom(grp, Vr, func)
     q_inst, _ = recurse_through_quotient(inst, proj, config)
     return _solve_layer_as_orbit(q_inst, config)
 
@@ -711,7 +689,7 @@ def _solve_master(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
         raise SdlpError("master solver needs a chain")
     if not inst.sigma.is_automorphism():
         raise SdlpError("not an automorphism")
-    inst.chain.validate(inst.group, inst.sigma)
+    inst.chain.validate(inst.sigma)
     return _descend(inst, inst.chain, _dispatch_tag, config)
 
 
@@ -725,9 +703,8 @@ def _descend(inst: SdlpInstance, chain: NormalChain, solve_image, config: Solver
     lifts = []
     for level_index in range(len(chain.levels) - 1, -1, -1):
         level = chain.levels[level_index]
-        psi = _rebind_level_hom(inst.group, chain, level_index)
         try:
-            q_inst, follow = recurse_through_quotient(cur, psi, config)
+            q_inst, follow = recurse_through_quotient(cur, level.psi, config)
             cur, lift = follow(solve_image(q_inst, level, config))
         except SdlpError as err:
             raise type(err)(f"chain level {level_index + 1}: {err}") from err
@@ -744,22 +721,6 @@ def _solve_trivial_group(inst: SdlpInstance) -> SolutionSet:
     if not inst.group.is_identity(inst.g):
         raise InternalAssertionError("chain descent did not trivialize g")
     return SolutionSet.progression(0, 1) if inst.group.is_identity(inst.h) else SolutionSet.empty()
-
-
-def _rebind_level_hom(group, chain: NormalChain, level_index: int) -> Hom:
-    """View the level hom as defined on M_i with kernel M_{i-1}, using the
-    chain's own generator data."""
-    level = chain.levels[level_index]
-    source = Subgroup(group, level.generators)
-    kernel = chain.levels[level_index - 1].generators if level_index > 0 else []
-    return Hom(
-        source,
-        level.psi.target,
-        level.psi,
-        kernel_generators=kernel or level.psi.kernel_generators,
-        description=level.psi.description,
-        is_identity=level.psi.is_identity,
-    )
 
 
 def _dispatch_tag(q_inst: SdlpInstance, level: ChainLevel, config: SolverConfig) -> SolutionSet:
@@ -788,13 +749,14 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
     A subgroup under a conjugation is first posed on its root group. An
     explicit chain goes to the master solver, a product componentwise,
     and an endomorphism through its stable image. Vector, Heisenberg and
-    prime cyclic groups, and pair images over a vector group, go to the
-    solvable solver. A matrix group tries matrix-inner first, which needs
-    only an inner power sigma^k and no ord(sigma). Everything else, and a
-    matrix group matrix-inner declines, tries small-order, which computes
-    ord(sigma) exactly. When that declines too, a composite cyclic group
-    descends its cyclic chain and anything else walks the orbit. Each
-    decline is recorded in the trace; any other error propagates.
+    prime cyclic groups, and pair images over a vector group, try the
+    solvable solver first. A matrix group tries matrix-inner first, which
+    needs only an inner power sigma^k and no ord(sigma). Everything else,
+    and a group whose first solver declines, tries small-order, which
+    computes ord(sigma) exactly. When that declines too, a composite
+    cyclic group descends its cyclic chain and anything else walks the
+    orbit. Each decline is recorded in the trace; any other error
+    propagates.
     """
     inst = _on_root(inst, config)
     sigma = inst.sigma
@@ -808,20 +770,24 @@ def _solve_auto(inst: SdlpInstance, config: SolverConfig) -> SolutionSet:
         sub, recombine = reduce_to_automorphism_case(inst, config)
         # checked here: a wrong stable-image answer can search to a silent Empty
         return recombine(_verified(sub, _solve_auto(sub, config)))
-    if isinstance(grp, (VectorGroup, HeisenbergGroup)) or (
+    solvable_first = isinstance(grp, (VectorGroup, HeisenbergGroup)) or (
         isinstance(grp, CyclicGroup) and integers.is_prime(grp.n)
-    ) or (isinstance(grp, PairImageGroup) and isinstance(grp.target, VectorGroup)):
-        return _solve_solvable(inst, config)
-    if isinstance(grp, MatrixGroup):
+    ) or (isinstance(grp, PairImageGroup) and isinstance(grp.target, VectorGroup))
+    if solvable_first:
+        try:
+            return _solve_solvable(inst, config)
+        except NotApplicableError as err:
+            config.record("declined", solver="solvable", reason=str(err))
+    elif isinstance(grp, MatrixGroup):
         try:
             return _solve_matrix_inner(inst, config)
         except NotApplicableError as err:
             config.record("declined", solver="matrix-inner", reason=str(err))
     try:
         return _solve_small_order(inst, config)
-    except SdlpError as err:
+    except NotApplicableError as err:
         config.record("declined", solver="small-order", reason=str(err))
-    if isinstance(grp, CyclicGroup):
+    if isinstance(grp, CyclicGroup) and not solvable_first:
         return _solve_solvable(inst, config)
     return _solve_brute(inst, config)
 

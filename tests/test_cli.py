@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from sdlp.cli import main
+from sdlp.cli import build_chain, build_group, main
 
 HEISENBERG_INSTANCE = {
     "group": {"family": "heisenberg", "p": 7},
@@ -175,6 +175,17 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--instance", path, "--solver", "matrix-inner")
         assert code == 2 and "not applicable" in err
 
+    @pytest.mark.parametrize(
+        "solver, reason", [("auto", "orbit walk cap exceeded"), ("elem-abelian", "dlog walk cap exceeded")]
+    )
+    def test_brute_oracle_keeps_the_walk_cap(self, capsys, solver, reason):
+        # the elements of F_65521^3 have orders up to about 2^48: the brute
+        # dlog declines before walking, and auto's orbit walk after it
+        path = str(Path(__file__).resolve().parent / "data" / "cli" / "linear_65521_3.json")
+        argv = ("--instance", path, "--oracle", "brute", "--max-walk", "65536", "--solver", solver)
+        code, out, err = run(capsys, "solve", *argv)
+        assert code == 2 and out == "" and err == f"solver not applicable: {reason}\n"
+
     def test_deterministic_output(self, tmp_path, capsys):
         path = write(tmp_path, HEISENBERG_INSTANCE)
         _, out1, _ = run(capsys, "solve", "--instance", path, "--seed", "5")
@@ -322,6 +333,25 @@ class TestExplicitChains:
         path2 = write(tmp_path, default, "default.json")
         _, out2, _ = run(capsys, "solve", "--instance", path2, "--solver", "master")
         assert got == json.loads(out2)
+
+    def test_each_level_is_its_hom(self):
+        # a level's hom has the level's generators as source, the group's own
+        # handle at a top level that lists none, and the level below as
+        # kernel; a listed or projection kernel serves only where the level
+        # below lists no generators
+        group = build_group({"family": "heisenberg", "p": 7})
+        spec = [
+            {"generators": [[0, 0, 1]], "psi": {"kind": "coords", "indices": [2]}, "tag": "solvable"},
+            {"kernel_generators": [[0, 0, 2]], "psi": {"kind": "coords", "indices": [0, 1]}, "tag": "solvable"},
+        ]
+        low, top = build_chain(spec, group).levels
+        assert low.psi.source.generators() == [(0, 0, 1)] and low.psi.kernel_generators == []
+        assert top.psi.source is group and top.psi.kernel_generators == [(0, 0, 1)]
+        (alone,) = build_chain([dict(spec[1], generators=[[1, 0, 0]])], group).levels
+        assert alone.psi.source.generators() == [(1, 0, 0)] and alone.psi.kernel_generators == [(0, 0, 2)]
+        product = build_group(PROJECT_CHAIN_INSTANCE["group"])
+        (project,) = build_chain([PROJECT_CHAIN_INSTANCE["chain"][1]], product).levels
+        assert project.psi.kernel_generators == product.project_hom(1).kernel_generators
 
     def test_series_key_forces_solvable_tags(self, tmp_path, capsys):
         doc = {

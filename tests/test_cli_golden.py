@@ -25,7 +25,7 @@ from sdlp.solvers import SOLVER_NAMES
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "cli_golden.json"
-INSTANCES = ("readme", "heisenberg_65521", "gl2_f9", "linear_65521_3", "power_1024", "power_1024_endo", "vector_x_cyclic")
+INSTANCES = ("readme", "heisenberg_65521", "gl2_f9", "linear_65521_3", "power_1024", "power_1024_endo", "vector_x_cyclic", "vector_table")
 # --max-walk keeps brute force from walking a large orbit before it declines
 COMMON = ("--seed", "1", "--max-walk", "65536")
 

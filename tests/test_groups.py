@@ -647,7 +647,7 @@ class TestInducedAutomorphism:
     def test_identity_hom_gives_pair_image(self):
         H = HeisenbergGroup(7)
         sigma = ConjugationEndo(H, Matrix(F7, [[2, 1, 3], [0, 3, 5], [0, 0, 1]]))
-        img, ind = induced_automorphism(Hom(H, H, lambda x: x, description="id", is_identity=True), sigma)
+        img, ind = induced_automorphism(Hom(H, H, lambda x: x), sigma)
         assert isinstance(img, PairImageGroup)
         rng = random.Random(8)
         for _ in range(30):

@@ -204,6 +204,15 @@ class TestDlog:
         with pytest.raises(SdlpError, match="exact order"):
             dlog(U, 4, 16, factored_order=U.exponent_multiple(), config=SolverConfig(oracle=oracle))
 
+    def test_brute_declines_above_the_walk_cap(self):
+        # 3 has order 100 in F_101^*: a cap below it declines before walking,
+        # and -1, of order 2, still answers
+        U = UnitGroup(PrimeField(101))
+        cfg = SolverConfig(oracle="brute", max_walk=64)
+        with pytest.raises(NotApplicableError, match="dlog walk cap exceeded"):
+            dlog(U, 3, 27, factored_order=element_order(U, 3)[1], config=cfg)
+        assert dlog(U, 100, 100, factored_order=element_order(U, 100)[1], config=cfg) == 1
+
     @pytest.mark.parametrize(
         "p, modulus, oracles",
         [

@@ -99,6 +99,18 @@ class TestAttack:
         key, x_prime = spdke_attack(tr.public_part(), CFG)
         assert G.label(key) == G.label(tr.K_A)
 
+    def test_public_part_keeps_the_chain(self):
+        # the master solver reads the transcript's chain and has no other
+        G, sigma, g = heisenberg_instance(7, seed=3)
+        tr = spdke_exchange(G, sigma, g, 4, 9)
+        with pytest.raises(SdlpError, match="needs a chain"):
+            spdke_attack(tr.public_part(), CFG, solver="master")
+        tr.chain = heisenberg_chain(G)
+        pub = tr.public_part()
+        assert pub.chain is tr.chain and pub.x is None and pub.K_A is None
+        key, _ = spdke_attack(pub, CFG, solver="master")
+        assert G.label(key) == G.label(tr.K_A)
+
     def test_exact_secret_small_instance(self):
         C = CyclicGroup(64)
         sigma = PowerMapEndo(C, 3)

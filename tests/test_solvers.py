@@ -429,12 +429,14 @@ class TestCyclicChain:
         assert len(chain.levels) == want
         for i, level in enumerate(chain.levels):
             p = level.psi.target.p
-            assert level.psi(level.generators[0]) == (1,)  # onto Z_p
-            below = chain.levels[i - 1].generators if i else [0]
+            gens = level.psi.source.generators()
+            assert level.psi(gens[0]) == (1,)  # onto Z_p
+            below = chain.levels[i - 1].psi.source.generators() if i else [0]
+            assert level.psi.kernel_generators == (below if i else [])  # the level below is the kernel
             assert all(level.psi(x) == (0,) for x in below)
-            assert C.label(p * level.generators[0]) == C.label(below[0])  # the level has order p over the one below
-        assert n == 1 or chain.levels[-1].generators == [1]  # the top level is Z_n
-        chain.validate(C, PowerMapEndo(C, 1))
+            assert C.label(p * gens[0]) == C.label(below[0])  # the level has order p over the one below
+        assert n == 1 or chain.levels[-1].psi.source.generators() == [1]  # the top level is Z_n
+        chain.validate(PowerMapEndo(C, 1))
 
     @pytest.mark.parametrize("n, e", [(2**40, 3), ((2**31 - 1) * (2**19 - 1), 7)])
     def test_at_scale_under_auto(self, n, e):
@@ -1283,11 +1285,10 @@ class TestSolveMaster:
         chain = NormalChain(
             levels=[
                 ChainLevel(
-                    generators=[P.embed(0, v) for v in V.generators()],
-                    psi=Hom(P, VectorGroup(5, 2), lambda x: x[0], description="vector part"),
+                    psi=Hom(Subgroup(P, [P.embed(0, v) for v in V.generators()]), VectorGroup(5, 2), lambda x: x[0]),
                     tag="solvable",
                 ),
-                ChainLevel(generators=P.generators(), psi=P.project_hom(1), tag="matrix-inner"),
+                ChainLevel(psi=P.project_hom(1), tag="matrix-inner"),
             ]
         )
         return P, sigma, g, chain, rng
@@ -1298,15 +1299,7 @@ class TestSolveMaster:
         T = rand_upper_triangular(H.field, 3, rng)
         sigma = ConjugationEndo(H, T)
         g, h = H.rand_element(rng), H.rand_element(rng)
-        chain = NormalChain(
-            levels=[
-                ChainLevel(
-                    generators=H.generators() + [(0, 0, 1)],
-                    psi=Hom(H, H, lambda x: x, description="id", is_identity=True),
-                    tag="solvable",
-                )
-            ]
-        )
+        chain = NormalChain(levels=[ChainLevel(psi=Hom(H, H, lambda x: x), tag="small-order")])
         inst = SdlpInstance(H, sigma, g, h)
         got = solve_master(inst, chain, CFG)
         want = solve_solvable(SdlpInstance(H, ConjugationEndo(H, T), g, h), CFG)
@@ -1478,6 +1471,29 @@ class TestAutoDispatch:
             want = brute_solve(inst, CFG)
             for solver in ("auto", "matrix-inner", "small-order"):
                 assert solve(inst, SolverConfig(), solver) == want, (solver, inst)
+
+    def test_vector_group_under_a_table_falls_back_to_small_order(self):
+        # the coordinate swap on F_3^2 as a table: the elementary-abelian
+        # solver needs a linear map, so solvable declines and small-order
+        # shifts by ord(sigma) = 2
+        V = VectorGroup(3, 2)
+        inst = SdlpInstance(V, table_endo(V, lambda v: (v[1], v[0])), (1, 0), (1, 1))
+        cfg = SolverConfig()
+        got = solve(inst, cfg, "auto")
+        reason = "elementary-abelian solver needs a linear map"
+        assert cfg.trace[0] == {"kind": "declined", "solver": "solvable", "reason": reason}
+        assert got == brute_solve(inst, CFG) == SolutionSet.progression(2, 6)
+
+    def test_failed_small_order_check_propagates(self, monkeypatch):
+        # only a decline falls through: a failed self-check in small-order
+        # leaves auto rather than handing Z_12 to the cyclic chain
+        def broken(inst, config):
+            raise InternalAssertionError("broken self-check")
+
+        monkeypatch.setattr(solvers, "_solve_small_order", broken)
+        C = CyclicGroup(12)
+        with pytest.raises(InternalAssertionError, match="broken self-check"):
+            solve(SdlpInstance(C, PowerMapEndo(C, 5), 1, 5), SolverConfig(), "auto")
 
     def test_composite_cyclic_factors_n_once(self, monkeypatch):
         # small-order's order multiple and the cyclic chain read the one
